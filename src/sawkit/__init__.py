@@ -23,7 +23,7 @@ from .graphs import (CATALOG_NAMES, GraphError, GraphHandle, PeriodicLattice,
 from .quotient import (QuotientError, QuotientGraph, SubgroupAction,
                        TypeReport, build_quotient,
                        check_representative_independence, check_symmetry,
-                       classify_type, derive_undirected, directed_girth, lift,
+                       classify_type, derive_undirected, lift,
                        project, sublattice_action, tree_action)
 from .counting import (BudgetExceeded, WalkCounts, count_directed_saws,
                        count_directed_walks, count_saws, count_walks,
@@ -49,7 +49,7 @@ __all__ = [
     "augment", "ball", "catalog", "dump_spec_file", "load_spec_file",
     "QuotientError", "QuotientGraph", "SubgroupAction", "TypeReport",
     "build_quotient", "check_representative_independence", "check_symmetry",
-    "classify_type", "derive_undirected", "directed_girth", "lift",
+    "classify_type", "derive_undirected", "lift",
     "project", "sublattice_action", "tree_action",
     "BudgetExceeded", "WalkCounts", "count_directed_saws",
     "count_directed_walks", "count_saws", "count_walks", "resolve_workers",

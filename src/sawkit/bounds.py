@@ -5,7 +5,9 @@ strictly right on the first step and never beyond their endpoint's first
 coordinate; their counts multiply under concatenation, so every n-th
 root is a valid lower bound), and the degree bound sqrt(degree-1) for
 simple transitive graphs.  A user-supplied exact constant (e.g. a known
-growth constant) is the third, trivial, source.
+growth constant) is the third, trivial, source.  Bridges run on the
+packed lattice encoding of :mod:`sawkit.counting`, with their prefixes
+merged under the origin's stabiliser maps that fix the first coordinate.
 
 Lower-bound sequences are kept non-decreasing by a running-maximum
 transform — replacing an entry by an earlier, larger valid lower bound
@@ -19,10 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Optional, Sequence
 
-from .counting import _generic_prefixes, _run_split, resolve_workers
+from .counting import (_choose_pdepth, _lattice_codec, _orbit_prefixes,
+                       _run_split, lattice_stabiliser, resolve_workers)
 from .exact import Radical
+from .graphs import catalog
 
 
 class BoundError(Exception):
@@ -33,49 +38,45 @@ class BoundError(Exception):
 # Bridge enumeration on Z^d
 # ---------------------------------------------------------------------------
 
-def _bridge_steps(d: int) -> tuple:
-    steps = []
-    for i in range(d):
-        for s in (1, -1):
-            steps.append(tuple(s if t == i else 0 for t in range(d)))
-    return tuple(steps)
+def _bridge_counts_from(task, moves=None, dxs=(), n_total=0):
+    """Bridge counts by depth from a prefix task (encoded path, slot
+    indices, weight); the prefix's endpoint is counted here, earlier
+    depths are not.  ``dxs[k]`` is slot k's step in the first coordinate.
 
-
-def _bridge_counts_from(steps, prefix, weight, n_total):
-    """Bridge counts by depth from a partial walk.  The DFS explores SAWs
-    whose first coordinate stays >= 1 after the origin and counts a depth
-    whenever the current vertex attains the walk's running maximum (the
-    endpoint-confinement condition, checked incrementally)."""
+    The DFS explores SAWs whose first coordinate x stays >= 1 after the
+    origin and counts a depth whenever x attains the walk's running
+    maximum (the endpoint-confinement condition, checked incrementally).
+    """
+    prefix, slots, weight = task
+    xs = list(accumulate((dxs[k] for k in slots), initial=0))
     base = len(prefix) - 1
     counts = [0] * (n_total - base + 1)
-    visited = set(prefix)
-    curmax = max(v[0] for v in prefix)
-    if prefix[-1][0] == curmax:
-        counts[0] = weight
-    if base == n_total:
-        return counts
-    limit = n_total - base
+    counts[0] = 1 if xs[-1] == max(xs) else 0
+    if base < n_total:
+        visited = set(prefix)
+        row = tuple(zip((add for add, _m in moves[0]), dxs))
 
-    def rec(u, depth, curmax):
-        for mv in steps:
-            w = tuple(a + b for a, b in zip(u, mv))
-            if w[0] >= 1 and w not in visited:
-                nd = depth + 1
-                nm = curmax if curmax >= w[0] else w[0]
-                if w[0] == nm:
-                    counts[nd] += weight
-                if nd < limit:
-                    visited.add(w)
-                    rec(w, nd, nm)
-                    visited.discard(w)
+        def rec(v, x, top, depth, row=row, visited=visited, counts=counts,
+                limit=n_total - base, vadd=visited.add,
+                vrem=visited.remove):
+            nd = depth + 1
+            for add, dx in row:
+                nx = x + dx
+                if nx >= 1:
+                    w = v + add
+                    if w not in visited:
+                        if nx >= top:
+                            counts[nd] += 1
+                            nt = nx
+                        else:
+                            nt = top
+                        if nd < limit:
+                            vadd(w)
+                            rec(w, nx, nt, nd)
+                            vrem(w)
 
-    rec(prefix[-1], 0, curmax)
-    return counts
-
-
-def _bridge_task(task, steps=None, n_total=0):
-    prefix, weight = task
-    return _bridge_counts_from(steps, prefix, weight, n_total)
+        rec(prefix[-1], xs[-1], max(xs), 0)
+    return [c * weight for c in counts] if weight != 1 else counts
 
 
 def bridge_counts(d: int, n_max: int, workers: Optional[int] = None) -> list:
@@ -84,41 +85,30 @@ def bridge_counts(d: int, n_max: int, workers: Optional[int] = None) -> list:
     A bridge advances its first coordinate on step one and keeps every
     vertex's first coordinate within (0, x1(end)].  Counts multiply under
     concatenation, so beta_n**(1/n) never exceeds the growth constant.
+    The prefix split merges prefixes under the reflections and axis
+    permutations that fix the first coordinate.
     """
     if d < 1:
         raise BoundError("bridge counts need dimension >= 1")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     workers = resolve_workers(workers)
-    steps = _bridge_steps(d)
-    origin = (0,) * d
-
     if n_max == 0:
         return [1]
 
-    # Prefix split mirrors the SAW engines; the bridge constraint is
-    # baked into the neighbor expansion so prefixes stay consistent.
-    def neigh(u):
-        out = []
-        for mv in steps:
-            w = tuple(a + b for a, b in zip(u, mv))
-            if w[0] >= 1:
-                out.append((w, 1))
-        return out
-
-    pdepth = min(2, n_max)
-    head, tasks = _generic_prefixes(neigh, origin, pdepth)
-    # the split head counts *SAW prefixes*; bridges additionally require
-    # the endpoint-maximum condition, so recount the short depths exactly
-    head = [0] * pdepth
-    fn = partial(_bridge_task, steps=steps, n_total=n_max)
-    counts = _run_split((head, tasks), fn, n_max, pdepth, workers)
-    # depths below pdepth were zeroed above; fill them by the one cheap
-    # direct run (pdepth <= 2 so this is constant work)
-    small = _bridge_counts_from(steps, (origin,), 1, pdepth)
-    for i in range(pdepth):
-        counts[i] = small[i]
-    return counts
+    lat = catalog(f"zd:{d}")
+    moves, encode = _lattice_codec(lat, n_max)
+    dxs = tuple(delta[0] for _tc, delta, _m in lat.slot_table()[0])
+    start = encode(lat.origin())
+    pdepth = _choose_pdepth(n_max, workers)
+    head = _bridge_counts_from(((start,), (), 1), moves, dxs, pdepth - 1)
+    # the maps fix the first coordinate, so a whole orbit keeps x >= 1 or
+    # none of it does
+    tasks = [t for t in _orbit_prefixes(
+                 moves, start, pdepth, lattice_stabiliser(lat, fix_first=True))
+             if min(accumulate(dxs[k] for k in t[1])) >= 1]
+    fn = partial(_bridge_counts_from, moves=moves, dxs=dxs, n_total=n_max)
+    return _run_split(head, tasks, fn, n_max, pdepth, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -611,15 +611,49 @@ class VerifyReport:
         return f"{head}: {self.status}\n" + "\n".join(self.lines)
 
 
-def _radical_from_json(d: dict) -> Radical:
-    return Radical.from_json(d)
+_INDEX_PARAMETERS = ("decay_index", "agreement_index", "block_length",
+                     "mu_upper_index")
+
+
+def _parameter_fault(params, status) -> Optional[str]:
+    """Why the load-bearing parameters cannot be replayed, or None.
+
+    Each index is null or a positive int, the margin null or a fraction,
+    margin and decay index come together, an agreement index needs a
+    decay index, and a certified status needs all five.
+    """
+    if not isinstance(params, dict):
+        return "parameters is not an object"
+    for key in _INDEX_PARAMETERS:
+        v = params.get(key)
+        if v is not None and (type(v) is not int or v < 1):
+            return f"parameters.{key} = {v!r} is not a positive integer"
+    margin = params.get("margin")
+    if margin is not None:
+        try:
+            if type(margin) not in (str, int):
+                raise TypeError
+            Fraction(margin)
+        except (TypeError, ValueError, ZeroDivisionError):
+            return f"parameters.margin = {margin!r} is not a fraction"
+    if (margin is None) != (params.get("decay_index") is None):
+        return "parameters.margin and parameters.decay_index come together"
+    if (params.get("agreement_index") is not None
+            and params.get("decay_index") is None):
+        return "parameters.agreement_index needs parameters.decay_index"
+    if status == "certified":
+        for key in ("margin",) + _INDEX_PARAMETERS:
+            if params.get(key) is None:
+                return f"certified status needs parameters.{key}"
+    return None
 
 
 def verify_certificate(cert) -> VerifyReport:
     """Replay every stored inequality from the certificate's raw integer
     counts and interval arithmetic; no graph enumeration happens here.
 
-    Checks performed: margin = 1/decay_index exactly; stored bound
+    Checks performed: the load-bearing parameters well-formed (see
+    ``_parameter_fault``); margin = 1/decay_index exactly; stored bound
     entries non-decreasing; every exact search check re-derived from the
     stored counts with matching verdict; earliest-index discipline for
     the decay, agreement and block searches; every interval check
@@ -648,7 +682,7 @@ def verify_certificate(cert) -> VerifyReport:
         ef = [int(x) for x in counts["event_free"]]
         ds = [int(x) for x in counts["directed"]]
         us = [int(x) for x in counts["undirected"]]
-        bound = [(e["n"], _radical_from_json(e["value"]))
+        bound = [(e["n"], Radical.from_json(e["value"]))
                  for e in counts["lower_bound"]]
         checks = [CheckRecord.from_json(c) for c in payload["checks"]]
         status = payload["status"]
@@ -658,6 +692,10 @@ def verify_certificate(cert) -> VerifyReport:
     except (KeyError, ValueError, TypeError) as e:
         fail(f"malformed certificate: {e!r}")
         return VerifyReport(False, "?", lines)
+    fault = _parameter_fault(params, status)
+    if fault is not None:
+        fail(fault)
+        return VerifyReport(False, status, lines)
 
     bound.sort()
     bvals = [v for _, v in bound]

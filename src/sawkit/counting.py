@@ -14,15 +14,23 @@ All counts are exact Python integers.  The engines are:
 Parallel runs partition the search by short prefixes and sum exact integer
 subtree counts.  Integer addition is associative and commutative, so the
 worker count and scheduling cannot change any output; the test-suite
-compares 1-worker and 8-worker runs bit for bit.
+compares 1-worker and multi-worker runs bit for bit.
+
+On a periodic lattice the prefixes are first merged under the start
+vertex's stabiliser (:func:`lattice_stabiliser`): an automorphism fixing
+the start carries the SAWs extending one prefix bijectively onto those
+extending its image, so each orbit's subtree is enumerated once and
+weighted by the orbit's summed prefix weight.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import islice, permutations, product
 from typing import Callable, Optional
 
 from .exact import Radical
@@ -119,14 +127,15 @@ def _lattice_codec(lat: PeriodicLattice, n_max: int):
     return tuple(moves), encode
 
 
-def _packed_counts_from(moves, prefix, weight, n_total, simple):
-    """Counts for depths len(prefix)-1 .. n_total, starting from an
-    already-visited prefix of encoded vertices (the prefix's endpoint is
-    counted here, earlier depths are not).
+def _packed_counts_from(task, moves=None, n_total=0, simple=True):
+    """Counts for depths len(prefix)-1 .. n_total from a prefix task
+    (encoded path, slot indices, weight): the path's vertices are already
+    visited, and its endpoint is counted here, earlier depths are not.
 
     The default-argument bindings below turn every hot name into a local;
     this loop dominates large lattice enumerations.
     """
+    prefix, _slots, weight = task
     base = len(prefix) - 1
     counts = [0] * (n_total - base + 1)
     counts[0] = weight
@@ -188,33 +197,147 @@ def _packed_counts_from(moves, prefix, weight, n_total, simple):
     return counts
 
 
-def _packed_task(task, moves=None, n_total=0, simple=True):
-    prefix, weight = task
-    return _packed_counts_from(moves, prefix, weight, n_total, simple)
+# ---------------------------------------------------------------------------
+# Start-vertex stabiliser of a periodic lattice
+# ---------------------------------------------------------------------------
+#
+# A map (c, x) -> (pi[c], P.x + t[c]) with P a signed permutation is an
+# automorphism exactly when it carries every slot of every cell onto a
+# slot of equal multiplicity.  Maps fixing (cell, 0) act on SAWs from that
+# vertex through their slot tables alone, so prefixes are canonicalised on
+# slot-index sequences and no vertex is ever decoded.
+#
+# Merging under any set of automorphisms that fix the start is sound, so
+# the search is bounded: at most _MAX_MAPS signed permutations are tried
+# (all of them for d <= 3) and at most _MAX_MAPS maps are kept.  Above
+# that only part of the group is found, which merges fewer prefixes.
+
+_MAX_MAPS = 48
 
 
-def _packed_prefixes(moves, start, pdepth, simple):
-    """All SAW prefixes of length pdepth as (encoded-path, weight), plus
-    the exact counts for depths 0..pdepth-1."""
-    head = [0] * pdepth
-    head[0] = 1
-    tasks = []
+def _signed_perms(d: int):
+    """Signed permutations P as ((axis, sign), ...), meaning
+    (P.x)_i = sign_i * x[axis_i], generated lazily; the identity first."""
+    for axes in permutations(range(d)):
+        for signs in product((1, -1), repeat=d):
+            yield tuple(zip(axes, signs))
+
+
+def _slot_target(index, P, pi, t, c, tc, delta):
+    """The slot of cell pi[c] onto which the slot (tc, delta) of cell c is
+    carried, or None if pi[c] has no such slot."""
+    return index[pi[c]].get((pi[tc], tuple(
+        s * delta[a] + b - x for (a, s), b, x in zip(P, t[tc], t[c]))))
+
+
+def _cell_maps(slots, index, P, c0):
+    """Every (pi, t) with pi[c0] = c0 and t[c0] = 0 that carries each slot
+    between mapped cells onto a slot of equal multiplicity.
+
+    The slot table is walked from cell c0: each slot that reaches a new
+    cell is tried against every slot of equal multiplicity of its image
+    cell, which fixes the new cell's image and offset.  A branch is cut as
+    soon as a slot between the new cell and a mapped one has no image.
+    """
+    def fits(pi, t, new):
+        for c in pi:
+            for tc, delta, m in slots[c]:
+                if (c == new or tc == new) and tc in pi:
+                    k = _slot_target(index, P, pi, t, c, tc, delta)
+                    if k is None or slots[pi[c]][k][2] != m:
+                        return False
+        return True
+
+    def extend(pi, t):
+        for c in pi:
+            for tc, delta, m in slots[c]:
+                if tc in pi:
+                    continue
+                used = set(pi.values())
+                for tc2, d2, m2 in slots[pi[c]]:
+                    if m2 == m and tc2 not in used:
+                        # d2 = P.delta + t[tc] - t[c]
+                        ttc = tuple(b + x - s * delta[a]
+                                    for (a, s), b, x in zip(P, d2, t[c]))
+                        pi2, t2 = {**pi, tc: tc2}, {**t, tc: ttc}
+                        if fits(pi2, t2, tc):
+                            yield from extend(pi2, t2)
+                return
+        yield pi, t
+
+    pi, t = {c0: c0}, {c0: (0,) * len(P)}
+    if fits(pi, t, c0):
+        yield from extend(pi, t)
+
+
+def lattice_stabiliser(lat: PeriodicLattice, cell: int = 0,
+                       fix_first: bool = False) -> tuple:
+    """Automorphisms of ``lat`` fixing the vertex (cell, 0), each a plain
+    tuple (P, pi, t, table) acting by (c, x) -> (pi[c], P.x + t[c]).
+
+    ``table[c][k]`` is the slot of cell pi[c] onto which slot k of cell c
+    is carried.  Cells that walks from ``cell`` never reach are left
+    fixed.  With ``fix_first`` only maps with P.e_1 = e_1 are kept (for
+    Z^d bridges).  A map is kept only if it carries every slot onto a slot
+    of equal multiplicity, which is all that merging needs for soundness.
+    The search stops after _MAX_MAPS signed permutations or _MAX_MAPS
+    maps, so above dimension 3 only part of the group is found.  The
+    identity comes first.
+    """
+    slots = lat.slot_table()
+    index = [{(tc, delta): k for k, (tc, delta, _m) in enumerate(row)}
+             for row in slots]
+    perms = (P for P in _signed_perms(lat.dimension)
+             if not fix_first or P[0] == (0, 1))
+    found: dict = {}
+    for P in islice(perms, _MAX_MAPS):
+        for pi, t in _cell_maps(slots, index, P, cell):
+            table = tuple(
+                tuple(_slot_target(index, P, pi, t, c, tc, delta)
+                      for tc, delta, _m in row)
+                if c in pi else tuple(range(len(row)))
+                for c, row in enumerate(slots))
+            found.setdefault(table, (
+                P, tuple(pi.get(c, c) for c in range(lat.cells)),
+                tuple(t.get(c, (0,) * lat.dimension)
+                      for c in range(lat.cells)), table))
+            if len(found) == _MAX_MAPS:
+                return tuple(found.values())
+    return tuple(found.values())
+
+
+def _orbit_prefixes(moves, start, pdepth, maps):
+    """One task (encoded path, slot indices, weight) per orbit of the
+    stabiliser ``maps`` on the SAW prefixes of pdepth steps from
+    ``start``; the weight sums the orbit's prefix weights.
+
+    Prefixes grow one step at a time.  The maps that fix a prefix fix its
+    endpoint's cell, so they act on its next step through their tables;
+    steps in one orbit of that action share the subtree counts of the
+    first of them, which is kept with their summed weight and with the
+    maps that also fix it.
+    """
     ncells = len(moves)
-
-    def rec(path, weight, depth):
-        v = path[-1]
-        for add, m in moves[v % ncells]:
-            w = v + add
-            if w not in path:
-                nw = weight * m
-                if depth + 1 == pdepth:
-                    tasks.append((path + (w,), nw))
+    level = [((start,), (), 1, tuple(table for *_, table in maps))]
+    for _ in range(pdepth):
+        grown = []
+        for path, slots, weight, stab in level:
+            v = path[-1]
+            c = v % ncells
+            orbits: dict = {}
+            for k, (add, m) in enumerate(moves[c]):
+                w = v + add
+                if w in path:
+                    continue
+                key = min(table[c][k] for table in stab)
+                if key in orbits:
+                    orbits[key][2] += weight * m
                 else:
-                    head[depth + 1] += nw
-                    rec(path + (w,), nw, depth + 1)
-
-    rec((start,), 1, 0)
-    return head, tasks
+                    orbits[key] = [path + (w,), slots + (k,), weight * m,
+                                   tuple(t for t in stab if t[c][k] == k)]
+            grown.extend(orbits.values())
+        level = grown
+    return [(path, slots, weight) for path, slots, weight, _ in level]
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +421,32 @@ def _quotient_task(task, q=None, n_total=0):
 # Parallel driver
 # ---------------------------------------------------------------------------
 
-def _run_split(head_and_tasks, task_fn, n_max: int, pdepth: int, workers: int):
-    head, tasks = head_and_tasks
+@lru_cache(maxsize=None)
+def _note_clamp(workers: int, cpus: int) -> None:
+    print(f"note: {workers} workers requested, {cpus} CPUs available; "
+          f"using at most {cpus}", file=sys.stderr)
+
+
+def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
+    """Head counts (depths below pdepth) followed by the summed task counts.
+
+    At most min(workers, CPU count, task count) processes are started; a
+    request above the CPU count is noted once on stderr.
+    """
     tail = [0] * (n_max - pdepth + 1)
-    if tasks:
-        if workers > 1 and len(tasks) > 1:
-            chunk = max(1, len(tasks) // (4 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                parts = list(ex.map(task_fn, tasks, chunksize=chunk))
-        else:
-            parts = [task_fn(t) for t in tasks]
-        for p in parts:
-            for i, v in enumerate(p):
-                tail[i] += v
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        _note_clamp(workers, cpus)
+    procs = min(workers, cpus, len(tasks))
+    if procs > 1:
+        chunk = max(1, len(tasks) // (4 * procs))
+        with ProcessPoolExecutor(max_workers=procs) as ex:
+            parts = list(ex.map(task_fn, tasks, chunksize=chunk))
+    else:
+        parts = [task_fn(t) for t in tasks]
+    for p in parts:
+        for i, v in enumerate(p):
+            tail[i] += v
     return list(head) + tail
 
 
@@ -357,18 +493,23 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
         pdepth = _choose_pdepth(n_max, workers)
         if pdepth == 0:
             return WalkCounts(g.graph_id, v0, False, (1,))
-        split = _packed_prefixes(moves, encode(v0), pdepth, simple)
-        fn = partial(_packed_task, moves=moves, n_total=n_max, simple=simple)
-        counts = _run_split(split, fn, n_max, pdepth, workers)
+        start = encode(v0)
+        head = _packed_counts_from(((start,), (), 1), moves, pdepth - 1,
+                                   simple)
+        tasks = _orbit_prefixes(moves, start, pdepth,
+                                lattice_stabiliser(g, v0[0]))
+        fn = partial(_packed_counts_from, moves=moves, n_total=n_max,
+                     simple=simple)
+        counts = _run_split(head, tasks, fn, n_max, pdepth, workers)
         return WalkCounts(g.graph_id, v0, False, tuple(counts))
 
     neigh = _graph_neigh(g)
     pdepth = _choose_pdepth(n_max, workers)
     if pdepth == 0:
         return WalkCounts(g.graph_id, v0, False, (1,))
-    split = _generic_prefixes(neigh, v0, pdepth)
+    head, tasks = _generic_prefixes(neigh, v0, pdepth)
     fn = partial(_graph_task, g=g, n_total=n_max)
-    counts = _run_split(split, fn, n_max, pdepth, workers)
+    counts = _run_split(head, tasks, fn, n_max, pdepth, workers)
     return WalkCounts(g.graph_id, v0, False, tuple(counts))
 
 
@@ -400,9 +541,9 @@ def count_directed_saws(q: QuotientGraph, n_max: int, start=None,
     pdepth = _choose_pdepth(n_max, workers)
     if pdepth == 0:
         return WalkCounts(q.quotient_id, start, True, (1,))
-    split = _generic_prefixes(q.drow, start, pdepth)
+    head, tasks = _generic_prefixes(q.drow, start, pdepth)
     fn = partial(_quotient_task, q=q, n_total=n_max)
-    counts = _run_split(split, fn, n_max, pdepth, workers)
+    counts = _run_split(head, tasks, fn, n_max, pdepth, workers)
     return WalkCounts(q.quotient_id, start, True, tuple(counts))
 
 

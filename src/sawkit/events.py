@@ -314,22 +314,23 @@ def build_event_profile(q: QuotientGraph, family: CycleFamily, n_max: int,
     """
     ks = tuple(range(1, family.length + 1)) if ks is None else tuple(ks)
     entries = []
+    lambdas = []
     for k in ks:
+        free = None
         for m in ms:
             for r in rs:
                 if r == 0 and m is None:
-                    series = event_free_series(q, family, k, n_max, start=start)
+                    free = event_free_series(q, family, k, n_max, start=start)
                     for n in range(n_max + 1):
-                        entries.append(((n, k, -1, 0), series[n]))
+                        entries.append(((n, k, -1, 0), free[n]))
                 else:
                     for n in range(n_max + 1):
                         entries.append(
                             ((n, k, -1 if m is None else m, r),
                              count_with_events(q, start, n, family, k, m, r)))
-    lambdas = []
-    for k in ks:
-        series = event_free_series(q, family, k, n_max, start=start)
+        if free is None:
+            free = event_free_series(q, family, k, n_max, start=start)
         for n in range(1, n_max + 1):
-            lambdas.append(((k, n), Radical.nth_root(series[n], n)))
+            lambdas.append(((k, n), Radical.nth_root(free[n], n)))
     return EventProfile(q.quotient_id, family.length, n_max,
                         tuple(sorted(entries)), tuple(lambdas))

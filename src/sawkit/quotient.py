@@ -365,18 +365,6 @@ def check_symmetry(q: QuotientGraph, probe_radius: int = 4) -> bool:
     return True
 
 
-def directed_girth(q: QuotientGraph) -> int:
-    """Length of the shortest directed cycle of the quotient, where a
-    cycle must be the projection of a self-avoiding base-graph walk.
-
-    A pair of mutually adjacent orbits always gives a raw directed
-    2-cycle, but when its only lifts backtrack along the same base edge
-    it says nothing about the walk structure; such cycles are excluded.
-    Loops count as length 1.  Equals ``classify_type(q).length``.
-    """
-    return classify_type(q).length
-
-
 # ---------------------------------------------------------------------------
 # Type classification
 # ---------------------------------------------------------------------------
@@ -403,7 +391,12 @@ _TYPE_SEARCH_CAP = 64
 def classify_type(q: QuotientGraph) -> TypeReport:
     """Breadth-first search from the origin representative out to the
     nearest distinct vertex of the same orbit; a shortest path to it is
-    automatically self-avoiding."""
+    automatically self-avoiding.
+
+    The report's ``length`` is the quotient's directed girth: the shortest
+    directed cycle that is the projection of a self-avoiding base walk
+    (loops count as length 1; a 2-cycle whose only lifts backtrack along
+    one base edge does not count)."""
     g = q.base
     v0 = q.rep_of(q.origin_orbit())
     o0 = q.orbit_of(v0)

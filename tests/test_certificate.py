@@ -12,6 +12,7 @@ from sawkit.certificate import (CertificateError, CheckRecord,
                                 NoContractionError, RatioCertificate,
                                 certify_ratio, compute_R, compute_S,
                                 find_epsilon_m, verify_certificate)
+from sawkit.cli import run
 from sawkit.events import build_cycle_family
 from sawkit.exact import Interval
 from sawkit.graphs import catalog
@@ -262,3 +263,56 @@ def test_check_record_round_trip():
     rec = CheckRecord("event_decay", 3, "0", "2/3", True, "exact-root",
                       (("split_fraction", "0.5"),))
     assert CheckRecord.from_json(rec.to_json()) == rec
+
+
+# -- malformed load-bearing parameters ---------------------------------------
+
+LOAD_BEARING = ("margin", "decay_index", "agreement_index", "block_length",
+                "mu_upper_index")
+
+
+@pytest.fixture(scope="module")
+def ladder_cert(ladder):
+    q = build_quotient(ladder, sublattice_action([[3]]))
+    b = LowerBoundSequence.from_constant(Fraction("1.61"), ladder.graph_id,
+                                         provenance="mu-exact")
+    cert = certify_ratio(ladder, q, build_cycle_family(q), b, budget=30)
+    assert cert.status == "certified"
+    return cert
+
+
+@pytest.mark.parametrize("field", LOAD_BEARING)
+def test_nulled_parameter_is_a_contradiction(ladder_cert, field, tmp_path,
+                                             capsys):
+    def null(p):
+        p["parameters"][field] = None
+    bad = _tampered(ladder_cert, null)
+    rep = verify_certificate(bad)
+    assert not rep.ok
+    assert rep.summary().startswith("CONTRADICTION: certified")
+    assert any(field in line for line in rep.lines if "FAIL" in line)
+    path = str(tmp_path / "bad.json")
+    bad.save(path)
+    assert run(["verify", path]) == 4
+    out = capsys.readouterr()
+    assert out.out.startswith("CONTRADICTION") and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("margin", 0.5), ("margin", "one half"), ("margin", [1, 2]),
+    ("decay_index", "2"), ("decay_index", 0), ("agreement_index", 2.0),
+    ("block_length", True), ("mu_upper_index", -1)])
+def test_mistyped_parameter_is_a_contradiction(ladder_cert, field, value):
+    def forge(p):
+        p["parameters"][field] = value
+    rep = verify_certificate(_tampered(ladder_cert, forge))
+    assert not rep.ok
+    assert any(f"parameters.{field}" in line for line in rep.lines)
+
+
+def test_genuine_report_is_unchanged(ladder_cert, golden):
+    # well-formed parameters add no report line
+    for cert in (ladder_cert, golden):
+        rep = verify_certificate(cert)
+        assert rep.ok
+        assert not any("parameters" in line for line in rep.lines)

@@ -127,3 +127,43 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("SAW_WORKERS", "3")
     assert resolve_workers() == 3
     assert resolve_workers(2) == 2               # argument wins
+
+
+def test_workers_clamped_to_cpus_and_tasks(monkeypatch, capsys, z2):
+    import sawkit.counting as counting
+    from sawkit.bounds import bridge_counts
+    from sawkit.cli import run
+
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    counting._note_clamp.cache_clear()
+    assert run(["count", "--graph", "zd:2", "--n", "10"]) == 0
+    want = capsys.readouterr()
+    assert run(["count", "--graph", "zd:2", "--n", "10",
+                "--workers", "64"]) == 0
+    assert started == [3]
+    got = capsys.readouterr()
+    assert got.out == want.out
+    assert got.err.count("64 workers requested, 3 CPUs") == 1
+    # the note is printed once per requested count, not once per call
+    assert count_saws(z2, n_max=8, workers=64).counts == tuple(SAW_Z2_10[:9])
+    assert capsys.readouterr().err == ""
+    # one bridge prefix on Z^1: no pool for a single task
+    started.clear()
+    assert bridge_counts(1, 8, workers=3) == [1] * 9
+    assert started == []

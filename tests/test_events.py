@@ -122,3 +122,33 @@ def test_event_profile(q_z1mod3):
     assert keys == {(k, n) for k in (1, 2, 3) for n in range(1, 5)}
     with pytest.raises(KeyError):
         prof.count(5, 1, None, 0)
+
+
+def test_event_profile_enumerates_once_per_k(q_sqoct_ladder, monkeypatch):
+    import sawkit.events as events
+
+    fam = build_cycle_family(q_sqoct_ladder)
+    ks = range(1, fam.length + 1)
+    free = {k: event_free_series(q_sqoct_ladder, fam, k, 8) for k in ks}
+    grid = tuple(sorted(((n, k, -1, 0), free[k][n])
+                        for k in ks for n in range(9)))
+    lambdas = tuple(((k, n), Radical.nth_root(free[k][n], n))
+                    for k in ks for n in range(1, 9))
+
+    calls = []
+
+    def counted(q, family, k, n_max, start=None):
+        calls.append(k)
+        return event_free_series(q, family, k, n_max, start=start)
+
+    monkeypatch.setattr(events, "event_free_series", counted)
+    prof = build_event_profile(q_sqoct_ladder, fam, 8)
+    assert calls == list(ks)
+    assert prof.grid == grid and prof.lambdas == lambdas
+    # without the unwindowed zero-occurrence column the roots still come
+    # from one enumeration per threshold
+    calls.clear()
+    prof = build_event_profile(q_sqoct_ladder, fam, 4, ms=(1,))
+    assert calls == list(ks)
+    assert prof.lambdas == tuple(((k, n), Radical.nth_root(free[k][n], n))
+                                 for k in ks for n in range(1, 5))
