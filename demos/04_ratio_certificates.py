@@ -89,7 +89,7 @@ print("  (replay still passes - the record is consistent, just not a proof:",
 # ---------------------------------------------------------------------------
 print("\n=== tamper detection ===")
 forged = json.loads(cert.to_json())
-forged["counts"]["event_free"][2] = "999"
+forged["counts"]["event_free"][2] = "4"
 bad = verify_certificate(RatioCertificate(forged))
 print("verdict on the forged copy:", bad.summary().splitlines()[0])
 for line in bad.lines:

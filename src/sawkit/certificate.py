@@ -46,8 +46,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Callable, Optional
 
 from .bounds import LowerBoundSequence
@@ -105,9 +108,10 @@ class CheckRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "CheckRecord":
+        aux = d.get("aux")
         return cls(d["name"], int(d["index"]), d["lhs"], d["rhs"],
                    bool(d["holds"]), d["method"],
-                   tuple(sorted(d.get("aux", {}).items())))
+                   tuple(sorted(aux.items())) if aux else ())
 
 
 def _fmt_radical(x: Radical) -> str:
@@ -613,29 +617,163 @@ class VerifyReport:
 
 _INDEX_PARAMETERS = ("decay_index", "agreement_index", "block_length",
                      "mu_upper_index")
+_LN_PARAMETERS = ("ln_entropy_ratio", "ln_rewiring_ratio", "ln_ratio_bound")
+_SERIES = ("event_free", "directed", "undirected")
+# the rewiring exponent divides by degree**(2*cycle_length + 1), which
+# must stay inside the float range of the interval arithmetic
+_MAX_DENOM_BITS = 1000
 
 
-def _parameter_fault(params, status) -> Optional[str]:
+def _is_int(v, least: int) -> bool:
+    return type(v) is int and v >= least
+
+
+def _float_of(v) -> Optional[float]:
+    """A decimal string's float value, else None."""
+    try:
+        return float(v) if isinstance(v, str) else None
+    except ValueError:
+        return None
+
+
+@lru_cache(maxsize=8)
+def _count_caps(degree: int, length: int) -> tuple:
+    """degree**n for n < length: a walk has at most degree choices per
+    step, so no stored count c_n exceeds degree**n."""
+    return tuple(accumulate(repeat(degree, length - 1), operator.mul,
+                            initial=1))
+
+
+class _Malformed(ValueError):
+    """A certificate field that cannot be replayed; the message says
+    which and why."""
+
+
+def _parse_payload(payload) -> tuple:
+    """(status, params, budget, degree, ell, (ef, ds, us), bound, checks)
+    from a certificate payload, or :class:`_Malformed` for the first
+    field that cannot be replayed.
+
+    The top level is an object of the certificate format; ``degree``
+    >= 2, ``cycle_length`` >= 1 and ``budget`` >= 0 are integers, with
+    degree**(2*cycle_length+1) inside the float range; every stored
+    count c_n is an integer in [0, degree**n]; the lower-bound table is
+    a non-empty list of exact roots of index at most max(budget, 2);
+    every check parses as a :class:`CheckRecord` with a string name and
+    method and an index in 1..max(budget, 1); the interval factor checks
+    carry a numeric lhs and a split fraction in (0, 1).
+    """
+    if not isinstance(payload, dict):
+        raise _Malformed("certificate is not a JSON object")
+    if payload.get("format") != CERT_FORMAT:
+        raise _Malformed(f"unknown format {payload.get('format')!r}")
+    degree, ell, budget, status = (payload.get(key) for key in
+                                   ("degree", "cycle_length", "budget",
+                                    "status"))
+    if not _is_int(degree, 2):
+        raise _Malformed(f"degree = {degree!r} is not an integer >= 2")
+    if not _is_int(ell, 1):
+        raise _Malformed(f"cycle_length = {ell!r} is not a positive integer")
+    if (2 * ell + 1) * math.log2(degree) > _MAX_DENOM_BITS:
+        raise _Malformed(f"cycle_length = {ell} puts "
+                         "degree**(2*cycle_length+1) beyond the float range")
+    if not _is_int(budget, 0):
+        raise _Malformed(f"budget = {budget!r} is not a non-negative integer")
+    if not isinstance(status, str):
+        raise _Malformed(f"status = {status!r} is not a string")
+    counts = payload.get("counts")
+    if not isinstance(counts, dict):
+        raise _Malformed("counts is not an object")
+    series = []
+    for key in _SERIES:
+        raw, values = counts.get(key), None
+        if isinstance(raw, list):
+            try:
+                values = [int(c) for c in raw]
+            except (OverflowError, TypeError, ValueError):
+                pass
+        if values is None:
+            raise _Malformed(f"counts.{key} is not a list of integers")
+        series.append(values)
+    caps = _count_caps(degree, max(map(len, series)))
+    for key, values in zip(_SERIES, series):
+        if values and (min(values) < 0 or
+                       not all(map(operator.le, values, caps))):
+            n = next(n for n, (v, cap) in enumerate(zip(values, caps))
+                     if not 0 <= v <= cap)
+            raise _Malformed(f"counts.{key}[{n}] = {counts[key][n]!r} is "
+                             f"not an integer in [0, degree**{n}]")
+    try:
+        bound = [(e["n"], Radical.from_json(e["value"]))
+                 for e in counts.get("lower_bound")]
+    except (KeyError, OverflowError, TypeError, ValueError):
+        raise _Malformed("counts.lower_bound is not a list of exact roots") \
+            from None
+    top = max(budget, 2)
+    if not bound or not all(_is_int(n, 1) and r.idx <= top
+                            for n, r in bound):
+        raise _Malformed("counts.lower_bound is not a non-empty list of "
+                         f"indices n >= 1 and roots of index 1..{top}")
+    raw = payload.get("checks")
+    if not isinstance(raw, list):
+        raise _Malformed("checks is not a list")
+    top = max(budget, 1)
+    checks = []
+    for i, c in enumerate(raw):
+        try:
+            rec = CheckRecord.from_json(c)
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError):
+            raise _Malformed(f"checks[{i}] is not a check record") from None
+        if type(rec.name) is not str or type(rec.method) is not str:
+            raise _Malformed(f"checks[{i}] lacks a string name or method")
+        if not 1 <= rec.index <= top:
+            raise _Malformed(f"checks[{i}].index = {rec.index} is not in "
+                             f"1..{top}")
+        if rec.method == "interval-log" and \
+                rec.name in ("entropy_factor", "block_factor"):
+            zeta = _float_of(dict(rec.aux).get("split_fraction"))
+            if zeta is None or not 0.0 < zeta < 1.0:
+                raise _Malformed(f"checks[{i}].aux.split_fraction is not a "
+                                 "number in (0, 1)")
+            if _float_of(rec.lhs) is None:
+                raise _Malformed(
+                    f"checks[{i}].lhs = {rec.lhs!r} is not a number")
+        checks.append(rec)
+    return (status, payload.get("parameters"), budget, degree, ell, series,
+            bound, checks)
+
+
+def _parameter_fault(params, status, budget: int) -> Optional[str]:
     """Why the load-bearing parameters cannot be replayed, or None.
 
-    Each index is null or a positive int, the margin null or a fraction,
-    margin and decay index come together, an agreement index needs a
-    decay index, and a certified status needs all five.
+    Each index is null or an integer in 1..max(budget, 1), the margin
+    null or a fraction in (0, 1), each stored log bound null or a
+    number; margin and decay index come together, an agreement index
+    needs a decay index, and a certified status needs all five
+    load-bearing parameters.
     """
     if not isinstance(params, dict):
         return "parameters is not an object"
+    top = max(budget, 1)
     for key in _INDEX_PARAMETERS:
         v = params.get(key)
-        if v is not None and (type(v) is not int or v < 1):
-            return f"parameters.{key} = {v!r} is not a positive integer"
+        if v is not None and (type(v) is not int or not 1 <= v <= top):
+            return f"parameters.{key} = {v!r} is not an integer in 1..{top}"
     margin = params.get("margin")
     if margin is not None:
         try:
-            if type(margin) not in (str, int):
-                raise TypeError
-            Fraction(margin)
-        except (TypeError, ValueError, ZeroDivisionError):
-            return f"parameters.margin = {margin!r} is not a fraction"
+            f = Fraction(margin) if type(margin) in (str, int) else None
+        except (ValueError, ZeroDivisionError):
+            f = None
+        # a Fraction's denominator is positive
+        if f is None or not 0 < f.numerator < f.denominator:
+            return (f"parameters.margin = {margin!r} is not a fraction "
+                    "in (0, 1)")
+    for key in _LN_PARAMETERS:
+        v = params.get(key)
+        if v is not None and _float_of(v) is None:
+            return f"parameters.{key} = {v!r} is not a number"
     if (margin is None) != (params.get("decay_index") is None):
         return "parameters.margin and parameters.decay_index come together"
     if (params.get("agreement_index") is not None
@@ -652,10 +790,12 @@ def verify_certificate(cert) -> VerifyReport:
     """Replay every stored inequality from the certificate's raw integer
     counts and interval arithmetic; no graph enumeration happens here.
 
-    Checks performed: the load-bearing parameters well-formed (see
-    ``_parameter_fault``); margin = 1/decay_index exactly; stored bound
-    entries non-decreasing; every exact search check re-derived from the
-    stored counts with matching verdict; earliest-index discipline for
+    Checks performed: every field well-formed (see ``_parse_payload``) and
+    the load-bearing parameters too (see ``_parameter_fault``), each
+    fault reported as one FAIL line and an early return; margin =
+    1/decay_index exactly; stored bound entries non-decreasing; every
+    exact search check re-derived from the stored counts with matching
+    verdict; earliest-index discipline for
     the decay, agreement and block searches; every interval check
     re-evaluated at its stored parameters with matching verdict and
     endpoint (to relative 1e-12); the final bound re-derived; the status
@@ -674,25 +814,14 @@ def verify_certificate(cert) -> VerifyReport:
         lines.append("ok   " + msg)
 
     try:
-        if payload.get("format") != CERT_FORMAT:
-            fail(f"unknown format {payload.get('format')!r}")
-            return VerifyReport(False, payload.get("status", "?"), lines)
-        params = payload["parameters"]
-        counts = payload["counts"]
-        ef = [int(x) for x in counts["event_free"]]
-        ds = [int(x) for x in counts["directed"]]
-        us = [int(x) for x in counts["undirected"]]
-        bound = [(e["n"], Radical.from_json(e["value"]))
-                 for e in counts["lower_bound"]]
-        checks = [CheckRecord.from_json(c) for c in payload["checks"]]
-        status = payload["status"]
-        budget = int(payload["budget"])
-        degree = int(payload["degree"])
-        ell = int(payload["cycle_length"])
-    except (KeyError, ValueError, TypeError) as e:
-        fail(f"malformed certificate: {e!r}")
-        return VerifyReport(False, "?", lines)
-    fault = _parameter_fault(params, status)
+        status, params, budget, degree, ell, (ef, ds, us), bound, checks = \
+            _parse_payload(payload)
+    except _Malformed as e:
+        fail(str(e))
+        claimed = payload.get("status") if isinstance(payload, dict) else None
+        return VerifyReport(False, claimed if isinstance(claimed, str)
+                            else "?", lines)
+    fault = _parameter_fault(params, status, budget)
     if fault is not None:
         fail(fault)
         return VerifyReport(False, status, lines)
@@ -727,6 +856,11 @@ def verify_certificate(cert) -> VerifyReport:
             note(f"margin = 1/{r} exactly")
 
     # -- replay exact search checks ---------------------------------------
+    # the margin factors, made once: Fraction arithmetic is a large part
+    # of a replay (a null margin makes every scaling below a TypeError)
+    up, half_up, down = (None, None, None) if eps is None else \
+        (1 + eps, 1 + eps / 2, 1 - eps)
+
     def replay_exact(c: CheckRecord) -> Optional[bool]:
         n = c.index
         try:
@@ -734,12 +868,12 @@ def verify_certificate(cert) -> VerifyReport:
                 return Radical.nth_root(ef[n], n) < b_at(n).scaled(
                     Fraction(n - 1, n))
             if c.name == "bound_agreement":
-                return (b_at(n).scaled(1 + eps)
-                        >= Radical.nth_root(us[n], n).scaled(1 + eps / 2))
+                return (b_at(n).scaled(up)
+                        >= Radical.nth_root(us[n], n).scaled(half_up))
             if c.name == "block_event_decay":
-                return Radical.nth_root(ef[n], n) < b_at(s).scaled(1 - eps)
+                return Radical.nth_root(ef[n], n) < b_at(s).scaled(down)
             if c.name == "block_growth":
-                return Radical.nth_root(ds[n], n) <= b_at(s).scaled(1 + eps)
+                return Radical.nth_root(ds[n], n) <= b_at(s).scaled(up)
         except (IndexError, TypeError):
             return None
         return None
@@ -816,6 +950,9 @@ def verify_certificate(cert) -> VerifyReport:
             continue
         aux = dict(c.aux)
         if c.name in ("entropy_factor", "block_factor"):
+            if eps is None:
+                fail(f"{c.name}[{c.index}] has no margin to replay at")
+                continue
             zeta = float(aux["split_fraction"])
             g_iv = _ln_g_interval(eps, c.index, zeta)
             val = g_iv.hi if c.name == "entropy_factor" else \
@@ -839,7 +976,7 @@ def verify_certificate(cert) -> VerifyReport:
         ssum = sum(ds[1:2 * m + 1]) if len(ds) >= 2 * m + 1 else None
         if ssum is None:
             fail("directed counts too short for the rewiring weight")
-        elif n0 is None or n0 >= len(us) or n0 < 1:
+        elif n0 is None or n0 >= len(us) or us[n0] < 1:
             fail("invalid upper-root index")
         else:
             mu_upper = log_of_count_root(us[n0], n0).exp()

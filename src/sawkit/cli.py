@@ -33,8 +33,8 @@ from .certificate import CertificateError, RatioCertificate, certify_ratio, \
 from .counting import BudgetExceeded, count_directed_saws, count_saws, \
     count_directed_walks, count_walks
 from .events import EventError, build_cycle_family, build_event_profile, \
-    count_with_events, event_free_series, lambda_upper
-from .exact import float_repr
+    count_with_events, event_free_series
+from .exact import Radical, float_repr
 from .graphs import CATALOG_NAMES, GraphError, PeriodicLattice, \
     augment, catalog, load_spec_file
 from .quotient import QuotientError, build_quotient, \
@@ -267,7 +267,7 @@ def cmd_events(args) -> int:
                "rows": [{"n": n, "count": str(c)} for n, c in rows]}
         if args.r == 0 and args.m is None and args.n >= 1:
             doc["lambda_upper"] = float_repr(
-                float(lambda_upper(q, family, k, args.n)))
+                float(Radical.nth_root(series[args.n], args.n)))
         _emit(_json_doc(doc), args.out)
     else:
         _emit(_csv(["n", "count"], rows), args.out)
@@ -359,10 +359,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    if args.certify:
-        print("augmentation certificates are not implemented (future work); "
-              "only the augmented graph itself is produced", file=sys.stderr)
-        return 4
     g = _graph_from(args)
     parts = args.chord.split()
     if len(parts) != 2:
@@ -485,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="two vertex keys, e.g. '0:0,0 0:1,1'")
     p.add_argument("--n", type=int, default=0,
                    help="if > 0, count SAWs on the augmented graph")
-    p.add_argument("--certify", action="store_true",
-                   help="(reserved) certificate for the augmentation")
     p.set_defaults(fn=cmd_augment)
     return ap
 

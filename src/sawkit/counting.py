@@ -6,7 +6,10 @@ All counts are exact Python integers.  The engines are:
   encoded as single integers so the visited set is a set of ints and each
   step is one addition;
 * a generic keyed kernel for any handle (trees, word graphs, derived
-  graphs) and for directed quotient rows, with parallel-edge weights;
+  graphs), with parallel-edge weights;
+* a directed quotient kernel on integer orbit ids, interned per call on
+  first sight with lazily built (target id, multiplicity) rows, so
+  infinite quotients cost only what the walks reach;
 * closed forms for acyclic regular handles, where a SAW is exactly a
   non-backtracking walk: sigma_n = d(d-1)**(n-1);
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
@@ -20,7 +23,10 @@ On a periodic lattice the prefixes are first merged under the start
 vertex's stabiliser (:func:`lattice_stabiliser`): an automorphism fixing
 the start carries the SAWs extending one prefix bijectively onto those
 extending its image, so each orbit's subtree is enumerated once and
-weighted by the orbit's summed prefix weight.
+weighted by the orbit's summed prefix weight.  On a sublattice quotient
+the stabiliser maps that normalise the sublattice and fix the start
+orbit descend to the quotient and merge its prefixes the same way
+(:func:`_merge_prefixes` serves both).
 """
 
 from __future__ import annotations
@@ -306,38 +312,192 @@ def lattice_stabiliser(lat: PeriodicLattice, cell: int = 0,
     return tuple(found.values())
 
 
-def _orbit_prefixes(moves, start, pdepth, maps):
-    """One task (encoded path, slot indices, weight) per orbit of the
-    stabiliser ``maps`` on the SAW prefixes of pdepth steps from
-    ``start``; the weight sums the orbit's prefix weights.
+def _merge_prefixes(steps, act, start, pdepth, maps):
+    """One task (path, slot indices, weight) per orbit of ``maps`` on the
+    SAW prefixes of pdepth steps from ``start``; the weight sums the
+    orbit's prefix weights.
 
+    ``steps(v)`` lists the slots (next vertex, multiplicity) out of v and
+    ``act(map, v, k)`` the slot onto which a map fixing v carries slot k.
     Prefixes grow one step at a time.  The maps that fix a prefix fix its
-    endpoint's cell, so they act on its next step through their tables;
-    steps in one orbit of that action share the subtree counts of the
-    first of them, which is kept with their summed weight and with the
-    maps that also fix it.
+    endpoint, so they act on its next step; steps in one orbit of that
+    action share the subtree counts of the first of them, which is kept
+    with their summed weight and with the maps that also fix it.
     """
-    ncells = len(moves)
-    level = [((start,), (), 1, tuple(table for *_, table in maps))]
+    level = [((start,), (), 1, tuple(maps))]
     for _ in range(pdepth):
         grown = []
         for path, slots, weight, stab in level:
             v = path[-1]
-            c = v % ncells
             orbits: dict = {}
-            for k, (add, m) in enumerate(moves[c]):
-                w = v + add
+            for k, (w, m) in enumerate(steps(v)):
                 if w in path:
                     continue
-                key = min(table[c][k] for table in stab)
+                images = [act(s, v, k) for s in stab]
+                key = min(images)
                 if key in orbits:
                     orbits[key][2] += weight * m
                 else:
                     orbits[key] = [path + (w,), slots + (k,), weight * m,
-                                   tuple(t for t in stab if t[c][k] == k)]
+                                   tuple(s for s, j in zip(stab, images)
+                                         if j == k)]
             grown.extend(orbits.values())
         level = grown
     return [(path, slots, weight) for path, slots, weight, _ in level]
+
+
+def _orbit_prefixes(moves, start, pdepth, maps):
+    """:func:`_merge_prefixes` on the packed encoding of a lattice, under
+    stabiliser maps of :func:`lattice_stabiliser`, which act on the slots
+    of a vertex's cell through their tables."""
+    ncells = len(moves)
+
+    def steps(v):
+        return [(v + add, m) for add, m in moves[v % ncells]]
+
+    def act(table, v, k):
+        return table[v % ncells][k]
+
+    return _merge_prefixes(steps, act, start, pdepth,
+                           [table for *_, table in maps])
+
+
+# ---------------------------------------------------------------------------
+# Interned quotient orbits
+# ---------------------------------------------------------------------------
+#
+# The directed quotient kernels run on integer orbit ids.  A table made
+# when counting starts interns orbit keys on first sight and builds
+# adjacency rows lazily, so infinite quotients cost only what the walks
+# reach.  Neither the table nor the maps below are stored on the
+# quotient: the maps are closures, and the quotient must stay picklable
+# for the worker pool.
+#
+# Automorphisms of the base lattice that fix the start cell's origin and
+# normalise the translation sublattice L (P.L = L) descend to the
+# quotient: (c, x) -> (pi[c], P.x + t[c]) carries the orbit of (c, x) to
+# the orbit of its image, and directed quotient SAWs onto directed
+# quotient SAWs of equal weight.  Those that also fix the start orbit
+# merge quotient prefixes exactly as the lattice stabiliser merges
+# lattice prefixes.
+
+class _OrbitTable:
+    """Orbit keys of one quotient interned as ids 0, 1, 2, ... on first
+    sight.  ``rows[i]`` is None until :meth:`row` builds it as a tuple of
+    (target id, multiplicity); ``visited`` is a bytearray indexed by id."""
+
+    def __init__(self, q: QuotientGraph):
+        self.q = q
+        self.ids: dict = {}
+        self.keys: list = []
+        self.rows: list = []
+        self.visited = bytearray()
+
+    def intern(self, key) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.rows.append(None)
+            self.visited.append(0)
+        return i
+
+    def row(self, i: int) -> tuple:
+        row = self.rows[i]
+        if row is None:
+            row = self.rows[i] = tuple(
+                (self.intern(t), m) for t, m in self.q.drow(self.keys[i]))
+        return row
+
+    def act(self, sigma, i: int, k: int) -> int:
+        """The slot of row i onto which ``sigma`` (fixing i) carries
+        slot k."""
+        row = self.row(i)
+        t = sigma(row[k][0])
+        return next(j for j, (u, _m) in enumerate(row) if u == t)
+
+
+def _orbit_map(table: _OrbitTable, P, pi, t):
+    """The lattice map (c, x) -> (pi[c], P.x + t[c]) acting on the
+    table's orbit ids, each image computed on first use."""
+    images: dict = {}
+    q = table.q
+
+    def sigma(i: int) -> int:
+        j = images.get(i)
+        if j is None:
+            c, x = table.keys[i]
+            j = images[i] = table.intern(q.orbit_of((pi[c], tuple(
+                s * x[a] + b for (a, s), b in zip(P, t[c])))))
+        return j
+    return sigma
+
+
+def _quotient_maps(table: _OrbitTable, start: int) -> tuple:
+    """Maps of ``lattice_stabiliser(q.base, start cell)`` that descend to
+    the table's quotient q and fix the start orbit, as functions on the
+    table's orbit ids; the identity comes first.
+
+    A map descends when P.h lies in L for each generator h of L; that
+    containment gives P.L = L because P has finite order.  Tree actions
+    get the identity only.
+    """
+    q = table.q
+    if q.action.kind != "sublattice":
+        return (lambda i: i,)
+    c0 = table.keys[start][0]
+    zero = (0,) * q.base.dimension
+    kept = []
+    for P, pi, t, _slots in lattice_stabiliser(q.base, c0):
+        if all(q.orbit_of((0, tuple(s * h[a] for a, s in P)))[1] == zero
+               for h in q.action.rows):
+            sigma = _orbit_map(table, P, pi, t)
+            if sigma(start) == start:
+                kept.append(sigma)
+    return tuple(kept)
+
+
+def _quotient_prefixes(table: _OrbitTable, start: int, pdepth: int):
+    """The merged prefix tasks of a directed quotient walk from ``start``."""
+    return _merge_prefixes(table.row, table.act, start, pdepth,
+                           _quotient_maps(table, start))
+
+
+def _quotient_counts_from(task, table=None, n_total=0):
+    """Weighted directed SAW counts for depths len(prefix)-1 .. n_total
+    from a prefix task (orbit-id path, slot indices, weight); the
+    prefix's endpoint is counted here, earlier depths are not."""
+    prefix, _slots, weight = task
+    base = len(prefix) - 1
+    counts = [0] * (n_total - base + 1)
+    counts[0] = weight
+    if base == n_total:
+        return counts
+    visited = table.visited
+    for o in prefix:
+        visited[o] = 1
+
+    def rec(o, depth, wt, rows=table.rows, row_of=table.row,
+            visited=visited, counts=counts, limit=n_total - base):
+        nd = depth + 1
+        row = rows[o] or row_of(o)
+        if nd == limit:
+            for t, m in row:
+                if not visited[t]:
+                    counts[nd] += wt * m
+            return
+        for t, m in row:
+            if not visited[t]:
+                w = wt * m
+                counts[nd] += w
+                visited[t] = 1
+                rec(t, nd, w)
+                visited[t] = 0
+
+    rec(prefix[-1], 0, weight)
+    for o in prefix:
+        visited[o] = 0
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +544,6 @@ def _graph_neigh(g: GraphHandle):
     return neigh
 
 
-def _quotient_neigh(q: QuotientGraph):
-    return q.drow
-
-
 def _generic_prefixes(neigh, start, pdepth):
     head = [0] * pdepth
     head[0] = 1
@@ -410,11 +566,6 @@ def _generic_prefixes(neigh, start, pdepth):
 def _graph_task(task, g=None, n_total=0):
     prefix, weight = task
     return _generic_counts_from(_graph_neigh(g), prefix, weight, n_total)
-
-
-def _quotient_task(task, q=None, n_total=0):
-    prefix, weight = task
-    return _generic_counts_from(q.drow, prefix, weight, n_total)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +692,11 @@ def count_directed_saws(q: QuotientGraph, n_max: int, start=None,
     pdepth = _choose_pdepth(n_max, workers)
     if pdepth == 0:
         return WalkCounts(q.quotient_id, start, True, (1,))
-    head, tasks = _generic_prefixes(q.drow, start, pdepth)
-    fn = partial(_quotient_task, q=q, n_total=n_max)
+    table = _OrbitTable(q)
+    s0 = table.intern(start)
+    head = _quotient_counts_from(((s0,), (), 1), table, pdepth - 1)
+    tasks = _quotient_prefixes(table, s0, pdepth)
+    fn = partial(_quotient_counts_from, table=table, n_total=n_max)
     counts = _run_split(head, tasks, fn, n_max, pdepth, workers)
     return WalkCounts(q.quotient_id, start, True, tuple(counts))
 

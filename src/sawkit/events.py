@@ -11,13 +11,16 @@ unwindowed form, or by the positions within j±m in the windowed form
 exact number of n-step directed SAWs with at most r occurrences.
 
 The zero-occurrence, unwindowed counts are the growth series the ratio
-certificate consumes, so they get a dedicated pruned kernel: watched
-family sets carry live intersection counters, and a branch dies the
-moment any counter reaches k.  Counter growth is monotone along
-extensions, which is what makes the pruning sound and lets one pass
-produce the counts at every depth.  The general (windowed / r > 0)
-counter evaluates occurrences per completed walk instead; it is meant
-for profile grids at small n.
+certificate consumes, so they get a dedicated pruned kernel on interned
+orbit and family-set ids: each family set carries a live intersection
+count with the walk and an anchor count (how many visited orbits it is
+attached to), and a branch dies the moment an anchored set's count
+reaches k.  Counter growth is monotone along extensions, which is what
+makes the pruning sound and lets one pass produce the counts at every
+depth.  The kernel's prefixes are merged under the quotient's start
+stabiliser, as in :mod:`sawkit.counting`.  The general (windowed /
+r > 0) counter evaluates occurrences per completed walk instead; it is
+meant for profile grids at small n.
 
 Event evaluation, and hence every count here, is single-pass
 deterministic; worker settings cannot affect the results.
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .counting import _OrbitTable, _choose_pdepth, _quotient_prefixes
 from .exact import Radical
 from .quotient import QuotientGraph, TypeReport, classify_type
 
@@ -126,16 +130,105 @@ def build_cycle_family(q: QuotientGraph, report: Optional[TypeReport] = None,
 # Zero-occurrence series (pruned kernel)
 # ---------------------------------------------------------------------------
 
+def _event_free_walker(table: _OrbitTable, family: CycleFamily, k: int):
+    """``run(task, n_total)``: the zero-occurrence counts of the walks
+    extending a prefix task (orbit-id path, slot indices, weight), for
+    depths len(path)-1 .. n_total.
+
+    State, indexed by orbit id: ``members[o]`` lists the ids of the known
+    family sets through o, ``anchors[o]`` the ids of the sets attached to
+    o (None until o is first reached).  Indexed by set id: ``live`` is
+    the set's intersection count with the walk, ``anchored`` the number
+    of visited orbits it is attached to.  A node dies when a set with
+    ``anchored`` above zero reaches ``live`` >= k.  Sets are interned
+    when an orbit they are attached to is first reached, with ``live``
+    counted from the orbits already visited; all other mutations are
+    undone on departure, stack-fashion.
+    """
+    visited, rows, row_of, keys = \
+        table.visited, table.rows, table.row, table.keys
+    members: list = []
+    anchors: list = []
+    live: list = []
+    anchored: list = []
+    set_ids: dict = {}
+
+    def grow():
+        members.extend([] for _ in range(len(keys) - len(members)))
+        anchors.extend([None] * (len(keys) - len(anchors)))
+
+    def attach(o):
+        sids = []
+        for s in family.sets_at(keys[o]):
+            sid = set_ids.get(s)
+            if sid is None:
+                sid = set_ids[s] = len(live)
+                ids = [table.intern(t) for t in sorted(s)]
+                grow()
+                for t in ids:
+                    members[t].append(sid)
+                live.append(sum(visited[t] for t in ids))
+                anchored.append(0)
+            sids.append(sid)
+        grow()
+        anchors[o] = sids = tuple(sids)
+        return sids
+
+    def run(task, n_total):
+        path, _slots, weight = task
+        counts = [0] * (n_total - len(path) + 2)
+        limit = len(counts) - 1
+
+        # Depths count from the path's endpoint; the path's other orbits
+        # sit at negative depths and are replayed, not counted.
+        def rec(o, depth, wt):
+            anc = anchors[o] if o < len(anchors) else None
+            if anc is None:
+                anc = attach(o)
+            visited[o] = 1
+            mem = members[o]
+            alive = True
+            for s in mem:
+                c = live[s] + 1
+                live[s] = c
+                if c >= k and anchored[s]:
+                    alive = False
+            for s in anc:
+                anchored[s] += 1
+                if live[s] >= k:
+                    alive = False
+            if alive:
+                if depth < 0:
+                    rec(path[depth], depth + 1, wt)
+                else:
+                    counts[depth] += wt
+                    if depth < limit:
+                        for t, m in rows[o] or row_of(o):
+                            if not visited[t]:
+                                rec(t, depth + 1, wt * m)
+            for s in mem:
+                live[s] -= 1
+            for s in anc:
+                anchored[s] -= 1
+            visited[o] = 0
+
+        rec(path[0], 1 - len(path), weight)
+        return counts
+
+    return run
+
+
 def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
                       n_max: int, start=None) -> list:
     """Exact zero-occurrence counts for every depth 0..n_max in one pass.
 
-    Walk state: ``watched`` maps each family set seen so far (anchored at
-    any visited orbit) to its live intersection count with the walk;
-    ``index`` lists the watched sets through each orbit so arrivals can
-    bump exactly the counters they affect.  A node is counted, and its
-    subtree explored, only while no counter has reached k.  All mutations
-    are undone on departure, stack-fashion.
+    Runs on interned orbit ids (see :func:`_event_free_walker` for the
+    walk state).  The prefixes of the split are merged under the
+    quotient's start stabiliser, whose maps carry the family sets at o
+    onto those at the image of o, and every merged task runs inline; a
+    task replays the arrivals along its prefix, so a prefix that already
+    holds an event adds nothing.  Depths below the split come from a
+    direct run.
     """
     if k < 1 or k > family.length:
         raise EventParameterError(
@@ -143,53 +236,16 @@ def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     start = q.origin_orbit() if start is None else start
-    counts = [0] * (n_max + 1)
-    watched: dict = {}
-    index: dict = {}
-    visited: set = set()
-
-    def arrive(o):
-        visited.add(o)
-        bumped = []
-        added = []
-        alive = True
-        for s in index.get(o, ()):
-            c = watched[s] + 1
-            watched[s] = c
-            bumped.append(s)
-            if c >= k:
-                alive = False
-        for s in family.sets_at(o):
-            if s not in watched:
-                c = len(s & visited)
-                watched[s] = c
-                added.append(s)
-                for t in s:
-                    index.setdefault(t, []).append(s)
-                if c >= k:
-                    alive = False
-        return alive, bumped, added
-
-    def depart(o, bumped, added):
-        for s in reversed(added):
-            del watched[s]
-            for t in s:
-                index[t].pop()
-        for s in bumped:
-            watched[s] -= 1
-        visited.discard(o)
-
-    def rec(o, depth, wt):
-        alive, bumped, added = arrive(o)
-        if alive:
-            counts[depth] += wt
-            if depth < n_max:
-                for t, m in q.drow(o):
-                    if t not in visited:
-                        rec(t, depth + 1, wt * m)
-        depart(o, bumped, added)
-
-    rec(start, 0, 1)
+    table = _OrbitTable(q)
+    s0 = table.intern(start)
+    run = _event_free_walker(table, family, k)
+    pdepth = _choose_pdepth(n_max)
+    if pdepth == 0:
+        return run(((s0,), (), 1), 0)
+    counts = run(((s0,), (), 1), pdepth - 1) + [0] * (n_max - pdepth + 1)
+    for task in _quotient_prefixes(table, s0, pdepth):
+        for i, c in enumerate(run(task, n_max), pdepth):
+            counts[i] += c
     return counts
 
 

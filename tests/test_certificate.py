@@ -1,11 +1,17 @@
 """The ratio certificate pipeline: searches, contractions, replay."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
 import scipy.optimize
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sawkit.bounds import LowerBoundSequence
 from sawkit.certificate import (CertificateError, CheckRecord,
@@ -316,3 +322,109 @@ def test_genuine_report_is_unchanged(ladder_cert, golden):
         rep = verify_certificate(cert)
         assert rep.ok
         assert not any("parameters" in line for line in rep.lines)
+
+
+# -- a total verifier: malformed fields are FAIL lines, never exceptions -----
+
+def _fails_once(rep, text):
+    fails = [line for line in rep.lines if line.startswith("FAIL")]
+    assert not rep.ok and len(fails) == 1 and text in fails[0], rep.lines
+
+
+def _interval_check(p):
+    return next(c for c in p["checks"] if c["name"] == "entropy_factor")
+
+
+@pytest.mark.parametrize("mutate,text", [
+    (lambda p: _interval_check(p).pop("aux"), "split_fraction"),
+    (lambda p: _interval_check(p).update(aux=["split_fraction"]),
+     "not a check record"),
+    (lambda p: _interval_check(p)["aux"].update(split_fraction="half"),
+     "split_fraction"),
+    (lambda p: _interval_check(p)["aux"].update(split_fraction="0"),
+     "split_fraction"),
+    (lambda p: _interval_check(p).update(lhs="x"), ".lhs"),
+    (lambda p: p["parameters"].update(ln_rewiring_ratio="x"),
+     "ln_rewiring_ratio"),
+    (lambda p: p["parameters"].update(margin="1"), "margin"),
+    (lambda p: p["checks"][0].update(index=0), ".index"),
+    (lambda p: p["checks"][0].update(name=None), "checks[0]"),
+    (lambda p: p.update(degree=0), "degree"),
+    (lambda p: p.update(cycle_length=10 ** 7), "cycle_length"),
+    (lambda p: p["counts"]["directed"].__setitem__(1, "1" + "0" * 400),
+     "counts.directed[1]"),
+    (lambda p: p["parameters"].update(block_length=10 ** 7),
+     "block_length"),
+])
+def test_malformed_field_is_one_fail_line(ladder_cert, mutate, text, tmp_path,
+                                          capsys):
+    bad = _tampered(ladder_cert, mutate)
+    _fails_once(verify_certificate(bad), text)
+    path = str(tmp_path / "bad.json")
+    bad.save(path)
+    assert run(["verify", path]) == 4
+    out = capsys.readouterr()
+    assert out.out.startswith("CONTRADICTION") and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("doc", ["null", "[1, 2]", "3", '"x"'])
+def test_top_level_non_object_is_one_fail_line(doc, tmp_path, capsys):
+    _fails_once(verify_certificate(json.loads(doc)), "not a JSON object")
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert run(["verify", str(path)]) == 4
+    out = capsys.readouterr()
+    assert out.out.startswith("CONTRADICTION: ?")
+    assert "Traceback" not in out.err
+
+
+def _field_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _field_paths(value, path + (key,))
+
+
+_DELETE = object()
+_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(),
+    st.integers(-10 ** 9, 10 ** 9),
+    st.sampled_from([0, -1, 10 ** 7, 10 ** 400, "1" + "0" * 400, "1e400",
+                     "nan", "-inf", "0", "-1", "10000000", "", "x"]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_single_field_mutations_never_raise(ladder_cert, data):
+    payload = json.loads(ladder_cert.to_json())
+    path = data.draw(st.sampled_from(list(_field_paths(payload))))
+    value = data.draw(_VALUES)
+    if not path:
+        payload = None if value is _DELETE else value
+    else:
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    rep = verify_certificate(payload)
+    assert rep.ok in (True, False)
+    # the CLI gives the same verdict as an exit code
+    text = json.dumps(payload)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = os.path.join(tmp, "cert.json")
+        with open(cert, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["verify", cert])
+    assert code == (4 if not rep.ok else
+                    0 if rep.status == "certified" else 3)
+    assert "Traceback" not in err.getvalue()

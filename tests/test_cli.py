@@ -1,10 +1,13 @@
 """End-to-end CLI behavior through run(argv): outputs and exit codes."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
+import sawkit.cli as cli
+import sawkit.events as events
 from sawkit.cli import run
 from sawkit.graphs import load_spec_file
 
@@ -106,6 +109,27 @@ def test_events_series(capsys):
                 "--r", "1"]) == 0
     out, _ = lines_of(capsys)
     assert [r.split(",")[1] for r in out[1:]] == ["1", "2", "2", "0"]
+
+
+def test_events_json_enumerates_once(capsys, monkeypatch):
+    # lambda_upper comes from the series already computed, not a rerun
+    calls = []
+    original = events.event_free_series
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "event_free_series", counted)
+    monkeypatch.setattr(events, "event_free_series", counted)
+    assert run(["events", "--graph", "square-octagon", "--sublattice",
+                "1 -1", "--n", "8", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert calls == [4]
+    assert json.loads(out)["lambda_upper"] == "1.7347093988430926"
+    # the bytes printed when lambda_upper re-enumerated the series
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0555fffc848f01bd0365fd71df82c74b26d7d838a93e0714d5b11039a41eabac"
 
 
 def test_events_grid(capsys):
@@ -216,10 +240,11 @@ def test_augment_spec_round_trip(tmp_path, capsys):
 
     assert run(["augment", "--graph", "zd:2", "--chord", "0:0,0",
                 ]) == 2                              # one key, not two
+    # the reserved --certify flag is gone: argparse rejects it
     assert run(["augment", "--graph", "zd:2", "--chord", "0:0,0 0:1,1",
-                "--certify"]) == 4
+                "--certify"]) == 2
     _, err = lines_of(capsys)
-    assert "not implemented" in err
+    assert "unrecognized arguments: --certify" in err
 
 
 def test_usage_errors(capsys):

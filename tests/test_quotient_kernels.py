@@ -1,0 +1,194 @@
+"""The directed quotient kernels on interned orbit ids, with prefixes
+merged under the quotient's start stabiliser.
+
+Directed counts and event-free series are checked against the naive
+path-list oracles on finite and infinite quotients, from the origin
+orbit and from other orbits; the stabiliser maps are checked to fix the
+start orbit, to descend to the quotient's rows and to carry the cycle
+family onto itself.
+"""
+
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
+from oracles import naive_directed_saw_counts, naive_event_count
+from sawkit import counting
+from sawkit.counting import _OrbitTable, _quotient_maps, count_directed_saws
+from sawkit.events import CycleFamily, build_cycle_family, event_free_series
+from sawkit.graphs import catalog
+from sawkit.quotient import build_quotient, sublattice_action, tree_action
+
+# (graph, sublattice rows, order of the quotient's start stabiliser)
+FINITE = [("zd:3", "3 0 0;0 3 0;0 0 3", 48), ("zd:2", "2 0;0 2", 8),
+          ("zd:2", "3 0;0 1", 4), ("zd:2", "2 1;0 3", 2),
+          ("ladder", "3", 2), ("zd:1", "3", 2)]
+INFINITE = [("zd:2", "1 1", 4), ("square-octagon", "1 -1", 1)]
+TREES = ["child-swap", "child-swap+shift:2"]
+
+
+def _quotient(graph, rows):
+    if rows in TREES:
+        return build_quotient(catalog(graph), tree_action(rows))
+    return build_quotient(catalog(graph), sublattice_action(
+        [[int(x) for x in r.split()] for r in rows.split(";")]))
+
+
+ALL = [(g, r) for g, r, _ in FINITE + INFINITE] + \
+    [("tree-with-end(3)", a) for a in TREES]
+
+
+def _starts(q):
+    """The origin orbit and two others."""
+    o0 = q.origin_orbit()
+    if q.finite:
+        return [o0, q.orbits[len(q.orbits) // 2], q.orbits[-1]]
+    if q.action.kind != "sublattice":
+        return [o0, 2, -3]
+    # orbits two and three steps out along the first slots
+    o1 = q.drow(q.drow(o0)[-1][0])[-1][0]
+    return [o0, o1, q.drow(o1)[0][0]]
+
+
+def _depth(q):
+    return 5 if q.base.degree >= 6 else 7
+
+
+@pytest.mark.parametrize("graph,rows", ALL)
+def test_directed_counts_match_oracle(graph, rows):
+    q = _quotient(graph, rows)
+    n = _depth(q)
+    for start in _starts(q):
+        assert list(count_directed_saws(q, n, start=start).counts) == \
+            naive_directed_saw_counts(q, n, start), start
+
+
+@pytest.mark.parametrize("graph,rows", ALL)
+def test_event_free_series_matches_oracle(graph, rows):
+    q = _quotient(graph, rows)
+    fam = build_cycle_family(q)
+    n = _depth(q) - 1
+    for start in _starts(q):
+        for k in range(1, fam.length + 1):
+            want = [naive_event_count(q, fam.sets_at, j, k, None, 0, start)
+                    for j in range(n + 1)]
+            assert event_free_series(q, fam, k, n, start=start) == want, \
+                (start, k)
+
+
+class _AnchoredAt(CycleFamily):
+    """The girth family with its sets attached only at the orbits that
+    ``keep`` accepts, so that a walk can visit members of a known set
+    without visiting any orbit it is attached to."""
+
+    def __init__(self, q, length, keep):
+        super().__init__(q, length)
+        self.keep = keep
+
+    def sets_at(self, orbit):
+        return super().sets_at(orbit) if self.keep(orbit) else ()
+
+
+# quotients whose start stabiliser is the identity alone, so that any
+# family is carried onto itself
+@pytest.mark.parametrize("graph,rows,keep", [
+    ("square-octagon", "1 -1", lambda o: o[0] == 0),
+    ("tree-with-end(3)", "child-swap", lambda o: o % 2 == 0)])
+def test_event_free_series_needs_an_anchor(graph, rows, keep):
+    q = _quotient(graph, rows)
+    fam = _AnchoredAt(q, build_cycle_family(q).length, keep)
+    for k in range(1, fam.length + 1):
+        want = [naive_event_count(q, fam.sets_at, j, k, None, 0)
+                for j in range(8)]
+        assert event_free_series(q, fam, k, 7) == want, k
+
+
+def test_deep_counts_match_unmerged_runs():
+    # the merged split against a run with the identity map alone
+    for graph, rows, _ in FINITE + INFINITE:
+        q = _quotient(graph, rows)
+        table = _OrbitTable(q)
+        s0 = table.intern(q.origin_orbit())
+        want = counting._quotient_counts_from(((s0,), (), 1), table, 10)
+        assert list(count_directed_saws(q, 10).counts) == want, rows
+
+
+@pytest.mark.parametrize("graph,rows,order", FINITE + INFINITE)
+def test_quotient_map_orders(graph, rows, order):
+    q = _quotient(graph, rows)
+    table = _OrbitTable(q)
+    assert len(_quotient_maps(table, table.intern(q.origin_orbit()))) \
+        == order
+
+
+def test_tree_actions_keep_the_identity_only():
+    for action in TREES:
+        q = _quotient("tree-with-end(3)", action)
+        table = _OrbitTable(q)
+        s0 = table.intern(q.origin_orbit())
+        maps = _quotient_maps(table, s0)
+        assert len(maps) == 1 and maps[0](s0) == s0
+
+
+def _probe(q, radius=3):
+    """The orbits within ``radius`` directed steps of the origin orbit."""
+    seen = {q.origin_orbit()}
+    frontier = list(seen)
+    for _ in range(radius):
+        frontier = [t for o in frontier for t, _m in q.drow(o)
+                    if t not in seen and not seen.add(t)]
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("graph,rows", [(g, r) for g, r, _ in
+                                        FINITE + INFINITE])
+def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows):
+    q = _quotient(graph, rows)
+    fam = build_cycle_family(q)
+    for start in _starts(q):
+        table = _OrbitTable(q)
+        s0 = table.intern(start)
+        for sigma in _quotient_maps(table, s0):
+            assert sigma(s0) == s0
+
+            def image(key):
+                return table.keys[sigma(table.intern(key))]
+
+            for o in (q.orbits if q.finite else _probe(q)):
+                # rows: sigma(row(o)) = row(sigma(o)), multiplicities kept
+                assert Counter({image(t): m for t, m in q.drow(o)}) == \
+                    Counter(dict(q.drow(image(o))))
+                # families: sigma(sets_at(o)) = sets_at(sigma(o))
+                assert {frozenset(map(image, s)) for s in fam.sets_at(o)} \
+                    == set(fam.sets_at(image(o)))
+
+
+def test_counting_leaves_the_quotient_as_it_was():
+    q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
+    fam = build_cycle_family(q)
+    before = set(vars(q))
+    count_directed_saws(q, 6)
+    event_free_series(q, fam, 3, 6)
+    assert set(vars(q)) == before
+
+
+def test_directed_counts_match_across_workers(monkeypatch):
+    # report two CPUs so that a real two-process pool runs on any host
+    pools = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
+    cases = [("zd:3", "3 0 0;0 3 0;0 0 3", 9), ("zd:2", "2 1;0 3", 9),
+             ("ladder", "3", 10), ("square-octagon", "1 -1", 12),
+             ("tree-with-end(3)", "child-swap", 10)]
+    for graph, rows, n in cases:
+        q = _quotient(graph, rows)
+        assert count_directed_saws(q, n, workers=2).counts == \
+            count_directed_saws(q, n, workers=1).counts, rows
+    assert pools == [2] * len(cases)
