@@ -30,7 +30,8 @@ from .counting import (BudgetExceeded, WalkCounts, count_directed_saws,
                        resolve_workers)
 from .events import (CycleFamily, EventError, EventParameterError,
                      EventProfile, build_cycle_family, build_event_profile,
-                     count_with_events, event_free_series, lambda_upper)
+                     count_with_events, event_free_series, event_series,
+                     lambda_upper)
 from .bounds import (BoundError, LowerBoundSequence, bound_rows,
                      bridge_bounds, bridge_counts, degree_bound,
                      monotone_regularize)
@@ -55,7 +56,7 @@ __all__ = [
     "count_directed_walks", "count_saws", "count_walks", "resolve_workers",
     "CycleFamily", "EventError", "EventParameterError", "EventProfile",
     "build_cycle_family", "build_event_profile", "count_with_events",
-    "event_free_series", "lambda_upper",
+    "event_free_series", "event_series", "lambda_upper",
     "BoundError", "LowerBoundSequence", "bound_rows", "bridge_bounds",
     "bridge_counts", "degree_bound", "monotone_regularize",
     "CertificateError", "CheckRecord", "NoContractionError",

@@ -33,7 +33,7 @@ from .certificate import CertificateError, RatioCertificate, certify_ratio, \
 from .counting import BudgetExceeded, count_directed_saws, count_saws, \
     count_directed_walks, count_walks
 from .events import EventError, build_cycle_family, build_event_profile, \
-    count_with_events, event_free_series
+    event_series
 from .exact import Radical, float_repr
 from .graphs import CATALOG_NAMES, GraphError, PeriodicLattice, \
     augment, catalog, load_spec_file
@@ -254,11 +254,7 @@ def cmd_events(args) -> int:
         else:
             _emit(_csv(["n", "k", "m", "r", "count"], rows), args.out)
         return 0
-    if args.r == 0 and args.m is None:
-        series = event_free_series(q, family, k, args.n)
-    else:
-        series = [count_with_events(q, None, n, family, k, args.m, args.r)
-                  for n in range(args.n + 1)]
+    series = event_series(q, family, k, args.n, args.m, args.r)
     rows = [(n, series[n]) for n in range(args.n + 1)]
     if args.format == "json":
         doc = {"quotient": q.quotient_id, "cycle_length": str(family.length),

@@ -19,8 +19,9 @@ reaches k.  Counter growth is monotone along extensions, which is what
 makes the pruning sound and lets one pass produce the counts at every
 depth.  The kernel's prefixes are merged under the quotient's start
 stabiliser, as in :mod:`sawkit.counting`.  The general (windowed /
-r > 0) counter evaluates occurrences per completed walk instead; it is
-meant for profile grids at small n.
+r > 0) series is one DFS as well: occurrences only accumulate along an
+extension, so it prunes once they exceed r, and it re-evaluates only
+the positions whose window can still widen.
 
 Event evaluation, and hence every count here, is single-pass
 deterministic; worker settings cannot affect the results.
@@ -253,39 +254,86 @@ def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
 # General windowed / bounded-occurrence counting
 # ---------------------------------------------------------------------------
 
-def _occurrences(seq: tuple, family: CycleFamily, k: int,
-                 m: Optional[int], stop_after: int) -> int:
-    """Occurrence count of the event along one orbit sequence, giving up
-    (and returning stop_after + 1) once the count exceeds stop_after."""
-    n = len(seq) - 1
-    total = 0
-    if m is None:
-        vis = frozenset(seq)
-        for o in seq:
-            if any(len(s & vis) >= k for s in family.sets_at(o)):
-                total += 1
-                if total > stop_after:
-                    return total
-    else:
-        for j, o in enumerate(seq):
-            win = frozenset(seq[max(0, j - m): min(n, j + m) + 1])
-            if any(len(s & win) >= k for s in family.sets_at(o)):
-                total += 1
-                if total > stop_after:
-                    return total
-    return total
+def _windowed_series(q: QuotientGraph, family: CycleFamily, k: int,
+                     m: Optional[int], r: int, n_max: int, start) -> list:
+    """The counts at most r occurrences allow, for every depth 0..n_max,
+    from one DFS on interned orbit ids.
 
-
-def count_with_events(q: QuotientGraph, v0, n: int, family: CycleFamily,
-                      k: int, m: Optional[int], r: int) -> int:
-    """Exact number of n-step directed SAWs from v0 (an orbit key;
-    ``None`` means the origin's orbit) with at most r event occurrences.
-
-    ``m`` is the window half-width; ``m=None`` selects the unwindowed
-    event, whose occurrences may involve vertices the walk only reaches
-    later.  Occurrences are counted over all n+1 walk positions, so only
-    ``r >= n+1`` is guaranteed unconstraining.
+    ``pos[o]`` is orbit o's position on the walk (-1 off it).  A
+    position's window only widens as the walk grows, and the walk's
+    orbit set only grows, so a position's event, once it occurs, keeps
+    occurring, and a node whose total exceeds r has no counted extension.
+    With a window, position j is settled once j + m <= depth (its window
+    is full); ``settled`` carries the occurrences among the settled
+    positions, and each node re-evaluates only the positions
+    depth-m..depth.  Without one no position is ever settled.
     """
+    table = _OrbitTable(q)
+    rows, row_of, keys = table.rows, table.row, table.keys
+    sets: list = []
+    pos: list = []
+    path: list = []
+    counts = [0] * (n_max + 1)
+
+    def grow():
+        sets.extend([None] * (len(keys) - len(sets)))
+        pos.extend([-1] * (len(keys) - len(pos)))
+
+    def sets_at(o):
+        got = sets[o]
+        if got is None:
+            got = sets[o] = tuple(tuple(table.intern(t) for t in sorted(s))
+                                  for s in family.sets_at(keys[o]))
+            grow()
+        return got
+
+    def occurs(j, depth):
+        if m is None:
+            lo, hi = 0, depth
+        else:
+            lo, hi = max(0, j - m), j + m
+        for s in sets_at(path[j]):
+            hits = 0
+            for t in s:
+                if lo <= pos[t] <= hi:
+                    hits += 1
+            if hits >= k:
+                return True
+        return False
+
+    def rec(o, depth, wt, settled):
+        pos[o] = depth
+        path.append(o)
+        first, done = (0, -1) if m is None else (max(0, depth - m), depth - m)
+        total = settled
+        for j in range(first, depth + 1):
+            if occurs(j, depth):
+                total += 1
+                if total > r:
+                    break
+                if j == done:
+                    settled += 1
+        if total <= r:
+            counts[depth] += wt
+            if depth < n_max:
+                row = rows[o]
+                if row is None:
+                    row = row_of(o)
+                    grow()
+                for t, mult in row:
+                    if pos[t] < 0:
+                        rec(t, depth + 1, wt * mult, settled)
+        path.pop()
+        pos[o] = -1
+
+    s0 = table.intern(start)
+    grow()
+    rec(s0, 0, 1, 0)
+    return counts
+
+
+def _check_event_params(family: CycleFamily, k: int, m: Optional[int],
+                        r: int) -> None:
     if k < 1 or k > family.length:
         raise EventParameterError(
             f"threshold k={k} outside 1..{family.length}")
@@ -293,32 +341,38 @@ def count_with_events(q: QuotientGraph, v0, n: int, family: CycleFamily,
         raise EventParameterError("window half-width m must be >= 0")
     if r < 0:
         raise EventParameterError("occurrence allowance r must be >= 0")
+
+
+def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
+                 m: Optional[int] = None, r: int = 0, start=None) -> list:
+    """Exact numbers of directed SAWs from ``start`` (an orbit key; the
+    origin's orbit by default) with at most r event occurrences, for
+    every depth 0..n_max in one pass.
+
+    ``m`` is the window half-width; ``m=None`` selects the unwindowed
+    event, whose occurrences may involve vertices the walk only reaches
+    later.  Occurrences are counted over all n+1 walk positions, so only
+    ``r >= n+1`` is guaranteed unconstraining.  The unwindowed
+    zero-occurrence series comes from :func:`event_free_series`.
+    """
+    _check_event_params(family, k, m, r)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    start = q.origin_orbit() if start is None else start
+    if r == 0 and m is None:
+        return event_free_series(q, family, k, n_max, start=start)
+    return _windowed_series(q, family, k, m, r, n_max, start)
+
+
+def count_with_events(q: QuotientGraph, v0, n: int, family: CycleFamily,
+                      k: int, m: Optional[int], r: int) -> int:
+    """Exact number of n-step directed SAWs from v0 (an orbit key;
+    ``None`` means the origin's orbit) with at most r event occurrences:
+    entry n of :func:`event_series`."""
+    _check_event_params(family, k, m, r)
     if n < 0:
         raise ValueError("n must be >= 0")
-    start = q.origin_orbit() if v0 is None else v0
-    if r == 0 and m is None:
-        return event_free_series(q, family, k, n, start=start)[n]
-
-    total = 0
-    seq = [start]
-    visited = {start}
-
-    def rec(depth, wt):
-        nonlocal total
-        if depth == n:
-            if _occurrences(tuple(seq), family, k, m, r) <= r:
-                total += wt
-            return
-        for t, mult in q.drow(seq[-1]):
-            if t not in visited:
-                visited.add(t)
-                seq.append(t)
-                rec(depth + 1, wt * mult)
-                seq.pop()
-                visited.discard(t)
-
-    rec(0, 1)
-    return total
+    return event_series(q, family, k, n, m, r, start=v0)[n]
 
 
 def lambda_upper(q: QuotientGraph, family: CycleFamily, k: int,
@@ -366,7 +420,8 @@ def build_event_profile(q: QuotientGraph, family: CycleFamily, n_max: int,
 
     Defaults probe every threshold up to the cycle length, the unwindowed
     event, and the zero-occurrence column, which is the certificate-facing
-    slice; pass explicit ``ms``/``rs`` for wider grids.
+    slice; pass explicit ``ms``/``rs`` for wider grids.  Each (k, m, r)
+    column comes from one :func:`event_series` pass.
     """
     ks = tuple(range(1, family.length + 1)) if ks is None else tuple(ks)
     entries = []
@@ -375,15 +430,11 @@ def build_event_profile(q: QuotientGraph, family: CycleFamily, n_max: int,
         free = None
         for m in ms:
             for r in rs:
+                series = event_series(q, family, k, n_max, m, r, start=start)
                 if r == 0 and m is None:
-                    free = event_free_series(q, family, k, n_max, start=start)
-                    for n in range(n_max + 1):
-                        entries.append(((n, k, -1, 0), free[n]))
-                else:
-                    for n in range(n_max + 1):
-                        entries.append(
-                            ((n, k, -1 if m is None else m, r),
-                             count_with_events(q, start, n, family, k, m, r)))
+                    free = series
+                entries.extend(((n, k, -1 if m is None else m, r), c)
+                               for n, c in enumerate(series))
         if free is None:
             free = event_free_series(q, family, k, n_max, start=start)
         for n in range(1, n_max + 1):

@@ -285,6 +285,8 @@ class GroupPresentation:
             if self.inverse[j] != i:
                 raise GraphError("inverse must be an involution")
         for lhs, rhs in self.rewrite_rules:
+            if not lhs:
+                raise GraphError("rewrite rules need a non-empty lhs")
             if len(rhs) > len(lhs):
                 raise GraphError("rewrite rules must not increase length")
 
@@ -311,6 +313,10 @@ class CayleyGraph(GraphHandle):
         self.degree = len(pres.generators)
         self.is_acyclic = is_acyclic
         self._rules = pres.all_rules()
+        # The rules by the last letter of their lhs, in rule order.
+        self._tail_rules = tuple(
+            tuple((lhs, rhs) for lhs, rhs in self._rules if lhs[-1] == i)
+            for i in range(self.degree))
         # Simplicity probe at the identity: transitivity carries it everywhere.
         nb = self.expanded_neighbors(())
         self.is_simple = len(set(nb)) == len(nb) and () not in nb
@@ -356,7 +362,19 @@ class CayleyGraph(GraphHandle):
             raise InvalidVertexError(f"word key {v!r} is not reduced")
 
     def expanded_neighbors(self, v) -> tuple:
-        return tuple(self.reduce_word(v + (i,)) for i in range(self.degree))
+        # v is reduced, so every redex of v + (i,) is a suffix, and
+        # reduce_word applies the first rule that has one.  A rule with
+        # an empty rhs leaves a prefix of v, which is reduced; any other
+        # rule takes the full rewrite.
+        out = []
+        for i, rules in enumerate(self._tail_rules):
+            w = v + (i,)
+            for lhs, rhs in rules:
+                if w[-len(lhs):] == lhs:
+                    w = self.reduce_word(w) if rhs else w[:-len(lhs)]
+                    break
+            out.append(w)
+        return tuple(out)
 
     def neighbors(self, v) -> list:
         # Order by generator index; merge repeated targets.

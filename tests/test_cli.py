@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-import sawkit.cli as cli
 import sawkit.events as events
 from sawkit.cli import run
 from sawkit.graphs import load_spec_file
@@ -110,6 +109,11 @@ def test_events_series(capsys):
     out, _ = lines_of(capsys)
     assert [r.split(",")[1] for r in out[1:]] == ["1", "2", "2", "0"]
 
+    # a negative length is refused with or without a window
+    for extra in ([], ["--m", "1"], ["--r", "1"]):
+        assert run(["events", *Z1MOD3, "--n", "-1", *extra]) == 4
+        assert "n_max must be >= 0" in capsys.readouterr().err
+
 
 def test_events_json_enumerates_once(capsys, monkeypatch):
     # lambda_upper comes from the series already computed, not a rerun
@@ -120,7 +124,6 @@ def test_events_json_enumerates_once(capsys, monkeypatch):
         calls.append(args[2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "event_free_series", counted)
     monkeypatch.setattr(events, "event_free_series", counted)
     assert run(["events", "--graph", "square-octagon", "--sublattice",
                 "1 -1", "--n", "8", "--format", "json"]) == 0
@@ -130,6 +133,25 @@ def test_events_json_enumerates_once(capsys, monkeypatch):
     # the bytes printed when lambda_upper re-enumerated the series
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "0555fffc848f01bd0365fd71df82c74b26d7d838a93e0714d5b11039a41eabac"
+
+
+def test_events_windowed_enumerates_once(capsys, monkeypatch):
+    # one DFS gives the count at every depth, not one pass per depth
+    calls = []
+    original = events._windowed_series
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:6])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(events, "_windowed_series", counted)
+    assert run(["events", "--graph", "square-octagon", "--sublattice",
+                "1 -1", "--n", "12", "--m", "2", "--r", "1"]) == 0
+    out = capsys.readouterr().out
+    assert calls == [(4, 2, 1, 12)]
+    # the bytes printed when every depth was enumerated on its own
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "37ece6e23c6653f17557c137d98e88c82bc3c02733142a33adc7c997c26c914b"
 
 
 def test_events_grid(capsys):

@@ -6,7 +6,7 @@ from frozen_events import EVENTS_Z1MOD3
 from oracles import naive_event_count, naive_family_sets
 from sawkit.events import (EventParameterError, build_cycle_family,
                            build_event_profile, count_with_events,
-                           event_free_series, lambda_upper)
+                           event_free_series, event_series, lambda_upper)
 from sawkit.exact import Radical
 
 # [frozen]
@@ -67,6 +67,19 @@ def test_event_free_series_is_the_r0_column(q_sqoct_ladder):
             q_sqoct_ladder, fam.sets_at, n, 3, None, 0)
 
 
+@pytest.mark.parametrize("name", ["q_z1mod3", "q_z2mod22", "q_sqoct_ladder",
+                                  "q_tree_end"])
+def test_event_series_matches_naive_oracle(name, request):
+    q = request.getfixturevalue(name)
+    fam = build_cycle_family(q)
+    for k in range(1, fam.length + 1):
+        for m in (None, 0, 1, 2, 3):
+            for r in (0, 1, 2):
+                want = [naive_event_count(q, fam.sets_at, n, k, m, r)
+                        for n in range(8)]
+                assert event_series(q, fam, k, 7, m, r) == want, (k, m, r)
+
+
 def test_monotone_in_allowance_and_window(q_sqoct_ladder):
     fam = build_cycle_family(q_sqoct_ladder)
     n = 6
@@ -97,6 +110,14 @@ def test_parameter_validation(q_z1mod3):
         count_with_events(q_z1mod3, None, 2, fam, 2, None, -1)
     with pytest.raises(ValueError):
         event_free_series(q_z1mod3, fam, 2, -1)
+    with pytest.raises(EventParameterError):
+        event_series(q_z1mod3, fam, 2, 3, m=-1, r=1)
+    with pytest.raises(EventParameterError):
+        event_series(q_z1mod3, fam, 2, 3, m=1, r=-1)
+    with pytest.raises(ValueError):
+        event_series(q_z1mod3, fam, 2, -1, m=1, r=1)
+    with pytest.raises(ValueError):
+        count_with_events(q_z1mod3, None, -1, fam, 2, 1, 1)
     with pytest.raises(EventParameterError):
         build_cycle_family(q_z1mod3, radius=2)      # cap below cycle length
 

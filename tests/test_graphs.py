@@ -3,9 +3,11 @@
 import pytest
 
 from sawkit.balls import ball_sizes_uniform, balls_isomorphic
-from sawkit.graphs import (CATALOG_NAMES, CatalogError, GraphError,
-                           InvalidVertexError, PeriodicLattice, augment,
-                           ball, catalog, dump_spec_file, load_spec_file)
+from sawkit.counting import count_saws
+from sawkit.graphs import (CATALOG_NAMES, CatalogError, CayleyGraph,
+                           GraphError, GroupPresentation, InvalidVertexError,
+                           PeriodicLattice, augment, ball, catalog,
+                           dump_spec_file, load_spec_file)
 
 DEGREES = {"zd(1)": 2, "zd(2)": 4, "zd(3)": 6, "ladder": 3,
            "square-octagon": 3, "tree(3)": 3, "tree(4)": 4,
@@ -105,3 +107,77 @@ def test_augment_parallel_edge_makes_multigraph():
     assert not ga.is_simple
     m = [mm for w, _, mm in ga.neighbors(ga.origin()) if w == (0, (1,))]
     assert m == [2]
+
+
+# Z^2 as <a, b | ab = ba> with the shortlex rewriting system: free
+# reduction plus the four commutations that move a letter of b's pair
+# behind a letter of a's pair, so every rewrite with a non-empty rhs is
+# one of these swaps.
+Z2_PRESENTATION = GroupPresentation(
+    generators=("a", "A", "b", "B"),
+    inverse=(1, 0, 3, 2),
+    relators=((0, 2, 1, 3),),
+    rewrite_rules=(((2, 0), (0, 2)), ((3, 0), (0, 3)),
+                   ((2, 1), (1, 2)), ((3, 1), (1, 3))),
+)
+
+
+def _reduce_word_ball(g, radius):
+    """The radius ball of a Cayley graph, built with reduce_word alone."""
+    seen = {()}
+    frontier = [()]
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for i in range(g.degree):
+                w = g.reduce_word(v + (i,))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("make", [lambda: catalog("tree(3)"),
+                                  lambda: catalog("tree(4)"),
+                                  lambda: CayleyGraph(Z2_PRESENTATION, "z2")],
+                         ids=["tree(3)", "tree(4)", "z2-commuting"])
+def test_tail_reduction_matches_reduce_word(make):
+    g = make()
+    words = _reduce_word_ball(g, 4)
+    for v in words:
+        assert g.expanded_neighbors(v) == tuple(
+            g.reduce_word(v + (i,)) for i in range(g.degree)), v
+
+
+def test_tail_reduction_calls_reduce_word_only_for_nonempty_rhs(monkeypatch):
+    tree = catalog("tree(4)")
+    z2 = CayleyGraph(Z2_PRESENTATION, "z2")
+    calls = []
+    for g in (tree, z2):
+        original = g.reduce_word
+
+        def counted(word, g=g, original=original):
+            calls.append((g.graph_id, word))
+            return original(word)
+        monkeypatch.setattr(g, "reduce_word", counted)
+    for v in ((), (0, 1, 2, 3), (3, 2, 1)):
+        tree.expanded_neighbors(v)
+    assert calls == []
+    # b.a -> a.b is a swap, so only it takes the full rewrite
+    assert z2.expanded_neighbors((2,)) == ((0, 2), (1, 2), (2, 2), ())
+    assert calls == [("z2", (2, 0)), ("z2", (2, 1))]
+
+
+def test_commuting_cayley_graph_is_the_square_lattice():
+    g = CayleyGraph(Z2_PRESENTATION, "z2")
+    assert g.is_simple and g.relators_close(()) and g.relators_close((0, 2))
+    assert len(_reduce_word_ball(g, 4)) == 41
+    assert count_saws(g, n_max=7).counts == \
+        count_saws(catalog("zd(2)"), n_max=7).counts
+
+
+def test_rewrite_rules_need_a_lhs():
+    with pytest.raises(GraphError):
+        GroupPresentation(generators=("a",), inverse=(0,),
+                          rewrite_rules=(((), ()),))
