@@ -25,9 +25,8 @@ from .quotient import (QuotientError, QuotientGraph, SubgroupAction,
                        check_representative_independence, check_symmetry,
                        classify_type, derive_undirected, lift,
                        project, sublattice_action, tree_action)
-from .counting import (BudgetExceeded, WalkCounts, count_directed_saws,
-                       count_directed_walks, count_saws, count_walks,
-                       resolve_workers)
+from .counting import (WalkCounts, count_directed_saws, count_directed_walks,
+                       count_saws, count_walks, resolve_workers)
 from .events import (CycleFamily, EventError, EventParameterError,
                      EventProfile, build_cycle_family, build_event_profile,
                      count_with_events, event_free_series, event_series,
@@ -52,7 +51,7 @@ __all__ = [
     "build_quotient", "check_representative_independence", "check_symmetry",
     "classify_type", "derive_undirected", "lift",
     "project", "sublattice_action", "tree_action",
-    "BudgetExceeded", "WalkCounts", "count_directed_saws",
+    "WalkCounts", "count_directed_saws",
     "count_directed_walks", "count_saws", "count_walks", "resolve_workers",
     "CycleFamily", "EventError", "EventParameterError", "EventProfile",
     "build_cycle_family", "build_event_profile", "count_with_events",

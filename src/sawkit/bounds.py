@@ -6,8 +6,10 @@ coordinate; their counts multiply under concatenation, so every n-th
 root is a valid lower bound), and the degree bound sqrt(degree-1) for
 simple transitive graphs.  A user-supplied exact constant (e.g. a known
 growth constant) is the third, trivial, source.  Bridges run on the
-packed lattice encoding of :mod:`sawkit.counting`, with their prefixes
-merged under the origin's stabiliser maps that fix the first coordinate.
+interned id table of :mod:`sawkit.counting` over packed lattice keys,
+with their own small DFS (it carries the first coordinate and its
+running maximum), and their prefixes are merged under the origin's
+stabiliser maps that fix the first coordinate.
 
 Lower-bound sequences are kept non-decreasing by a running-maximum
 transform — replacing an entry by an earlier, larger valid lower bound
@@ -21,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
 from typing import Optional, Sequence
 
-from .counting import (_choose_pdepth, _lattice_codec, _orbit_prefixes,
-                       _run_split, lattice_stabiliser, resolve_workers)
+from .counting import (_IdTable, _choose_pdepth, _lattice_act, _lattice_codec,
+                       _merge_prefixes, _run_split, lattice_stabiliser,
+                       resolve_workers)
 from .exact import Radical
 from .graphs import catalog
 
@@ -38,44 +40,55 @@ class BoundError(Exception):
 # Bridge enumeration on Z^d
 # ---------------------------------------------------------------------------
 
-def _bridge_counts_from(task, moves=None, dxs=(), n_total=0):
-    """Bridge counts by depth from a prefix task (encoded path, slot
-    indices, weight); the prefix's endpoint is counted here, earlier
-    depths are not.  ``dxs[k]`` is slot k's step in the first coordinate.
+def _bridge_counts_from(task, table=None, xs=None, x1=None, n_total=0):
+    """Bridge counts by depth from a prefix task (id path, slot indices,
+    weight); the prefix's endpoint is counted here, earlier depths are
+    not.  ``xs[i]`` is the first coordinate of id i, extended with
+    ``x1(key)`` whenever the table grows.
 
     The DFS explores SAWs whose first coordinate x stays >= 1 after the
     origin and counts a depth whenever x attains the walk's running
     maximum (the endpoint-confinement condition, checked incrementally).
     """
-    prefix, slots, weight = task
-    xs = list(accumulate((dxs[k] for k in slots), initial=0))
+    prefix, _slots, weight = task
+    keys, rows, row_of, visited = \
+        table.keys, table.rows, table.row, table.visited
+
+    def grow():
+        xs.extend(map(x1, keys[len(xs):]))
+
+    grow()
+    top = max(xs[o] for o in prefix)
     base = len(prefix) - 1
     counts = [0] * (n_total - base + 1)
-    counts[0] = 1 if xs[-1] == max(xs) else 0
+    counts[0] = 1 if xs[prefix[-1]] == top else 0
     if base < n_total:
-        visited = set(prefix)
-        row = tuple(zip((add for add, _m in moves[0]), dxs))
+        for o in prefix:
+            visited[o] = 1
 
-        def rec(v, x, top, depth, row=row, visited=visited, counts=counts,
-                limit=n_total - base, vadd=visited.add,
-                vrem=visited.remove):
+        def rec(o, top, depth, rows=rows, xs=xs, visited=visited,
+                counts=counts, limit=n_total - base):
             nd = depth + 1
-            for add, dx in row:
-                nx = x + dx
-                if nx >= 1:
-                    w = v + add
-                    if w not in visited:
-                        if nx >= top:
-                            counts[nd] += 1
-                            nt = nx
-                        else:
-                            nt = top
-                        if nd < limit:
-                            vadd(w)
-                            rec(w, nx, nt, nd)
-                            vrem(w)
+            row = rows[o]
+            if row is None:
+                row = row_of(o)
+                grow()
+            for t, _m in row:
+                x = xs[t]
+                if x >= 1 and not visited[t]:
+                    if x >= top:
+                        counts[nd] += 1
+                        nt = x
+                    else:
+                        nt = top
+                    if nd < limit:
+                        visited[t] = 1
+                        rec(t, nt, nd)
+                        visited[t] = 0
 
-        rec(prefix[-1], xs[-1], max(xs), 0)
+        rec(prefix[-1], top, 0)
+        for o in prefix:
+            visited[o] = 0
     return [c * weight for c in counts] if weight != 1 else counts
 
 
@@ -97,17 +110,21 @@ def bridge_counts(d: int, n_max: int, workers: Optional[int] = None) -> list:
         return [1]
 
     lat = catalog(f"zd:{d}")
-    moves, encode = _lattice_codec(lat, n_max)
-    dxs = tuple(delta[0] for _tc, delta, _m in lat.slot_table()[0])
-    start = encode(lat.origin())
+    source, encode, x1 = _lattice_codec(lat, n_max)
+    table = _IdTable(source)
+    start = table.intern(encode(lat.origin()))
+    xs: list = []
+    fn = partial(_bridge_counts_from, table=table, xs=xs, x1=x1,
+                 n_total=n_max)
     pdepth = _choose_pdepth(n_max, workers)
-    head = _bridge_counts_from(((start,), (), 1), moves, dxs, pdepth - 1)
-    # the maps fix the first coordinate, so a whole orbit keeps x >= 1 or
-    # none of it does
-    tasks = [t for t in _orbit_prefixes(
-                 moves, start, pdepth, lattice_stabiliser(lat, fix_first=True))
-             if min(accumulate(dxs[k] for k in t[1])) >= 1]
-    fn = partial(_bridge_counts_from, moves=moves, dxs=dxs, n_total=n_max)
+    maps = [slot_map for *_, slot_map in
+            lattice_stabiliser(lat, fix_first=True)]
+    tasks = _merge_prefixes(table.row, _lattice_act(table, lat.cells), start,
+                            pdepth, maps)
+    # the head run extends xs over the prefixes' ids; the maps fix the
+    # first coordinate, so a whole orbit keeps x >= 1 or none of it does
+    head = fn(((start,), (), 1), n_total=pdepth - 1)
+    tasks = [t for t in tasks if min(xs[o] for o in t[0][1:]) >= 1]
     return _run_split(head, tasks, fn, n_max, pdepth, workers)
 
 

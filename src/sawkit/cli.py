@@ -30,7 +30,7 @@ from .bounds import BoundError, LowerBoundSequence, bound_rows, bridge_bounds, \
     degree_bound
 from .certificate import CertificateError, RatioCertificate, certify_ratio, \
     verify_certificate
-from .counting import BudgetExceeded, count_directed_saws, count_saws, \
+from .counting import count_directed_saws, count_saws, \
     count_directed_walks, count_walks
 from .events import EventError, build_cycle_family, build_event_profile, \
     event_series
@@ -47,7 +47,7 @@ class UsageError(Exception):
 
 
 _DOMAIN_ERRORS = (GraphError, QuotientError, EventError, BoundError,
-                  CertificateError, BudgetExceeded, OSError, ValueError)
+                  CertificateError, OSError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walks", action="store_true",
                    help="count all walks instead of self-avoiding ones")
     p.add_argument("--max-nodes", type=int, default=None,
-                   help="search-node budget; series truncates when hit")
+                   help="search-node budget (>= 0): depth n is counted "
+                   "only while the nodes charged so far, sum_{j<n} "
+                   "sigma_j per depth n, stay within it; the series "
+                   "truncates at the last depth counted")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("quotient", help="build a quotient and report on it")

@@ -2,14 +2,13 @@
 
 All counts are exact Python integers.  The engines are:
 
-* a packed-integer depth-first kernel for periodic lattices — vertices are
-  encoded as single integers so the visited set is a set of ints and each
-  step is one addition;
-* a generic keyed kernel for any handle (trees, word graphs, derived
-  graphs), with parallel-edge weights;
-* a directed quotient kernel on integer orbit ids, interned per call on
-  first sight with lazily built (target id, multiplicity) rows, so
-  infinite quotients cost only what the walks reach;
+* one depth-first SAW kernel (:func:`_counts_from`) on integer vertex
+  ids, interned per call on first sight with lazily built (target id,
+  multiplicity) rows, so infinite graphs cost only what the walks reach.
+  The only per-graph part is the row source: packed integers for
+  periodic lattices (a neighbor is one addition away), orbit keys for
+  directed quotient rows, and plain keys for any other handle (trees,
+  word graphs, derived graphs), with parallel-edge weights;
 * closed forms for acyclic regular handles, where a SAW is exactly a
   non-backtracking walk: sigma_n = d(d-1)**(n-1);
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
@@ -36,16 +35,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice, permutations, product
-from typing import Callable, Optional
+from itertools import count, islice, permutations, product
+from typing import Optional
 
 from .exact import Radical
 from .graphs import GraphHandle, PeriodicLattice
 from .quotient import QuotientGraph
-
-
-class BudgetExceeded(Exception):
-    """Internal signal: node budget exhausted mid-depth."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +95,149 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Packed-integer lattice kernel
+# Interned vertex ids and the SAW kernel
+# ---------------------------------------------------------------------------
+#
+# Every SAW count runs on integer ids.  A table made when counting starts
+# interns vertex keys on first sight and builds their rows from a row
+# source, its only per-graph part.  The source must be picklable: the
+# table travels to the worker pool with every chunk of tasks, and each
+# worker goes on interning in its own copy.  Tables are never stored on a
+# graph or a quotient.
+
+class _IdTable:
+    """Vertex keys interned as ids 0, 1, 2, ... on first sight.
+
+    ``source(key)`` lists the key's out-slots as (target key, ...,
+    multiplicity) tuples, such as ``q.drow`` pairs or ``g.neighbors``
+    triples.  ``rows[i]`` is None until :meth:`row` builds it as a tuple
+    of (target id, multiplicity); ``visited`` is a bytearray indexed by
+    id.
+    """
+
+    def __init__(self, source):
+        self.source = source
+        self.token = (os.getpid(), next(_TOKENS))
+        self.ids: dict = {}
+        self.keys: list = []
+        self.rows: list = []
+        self.visited = bytearray()
+
+    def intern(self, key) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.rows.append(None)
+            self.visited.append(0)
+        return i
+
+    def row(self, i: int) -> tuple:
+        row = self.rows[i]
+        if row is None:
+            get, intern = self.ids.get, self.intern
+            out = []
+            for t, *_, m in self.source(self.keys[i]):
+                j = get(t)
+                out.append((intern(t) if j is None else j, m))
+            row = self.rows[i] = tuple(out)
+        return row
+
+    def act(self, sigma, i: int, k: int) -> int:
+        """The slot of row i onto which ``sigma``, a map on ids fixing i,
+        carries slot k."""
+        row = self.row(i)
+        t = sigma(row[k][0])
+        return next(j for j, (u, _m) in enumerate(row) if u == t)
+
+    def __reduce__(self):
+        # A worker resumes the copy it unpickled first for every later
+        # chunk, so it builds each row once rather than once per chunk.
+        # Every copy extends the ids the tasks were made with.
+        return (_received_table,
+                (self.token, self.source, self.keys, self.rows))
+
+
+_TOKENS = count()
+_RECEIVED: dict = {}     # the one table a worker process has received
+
+
+def _received_table(token, source, keys, rows) -> _IdTable:
+    """The copy of the table ``token`` names that this process unpickled
+    first, or a new one made from the other arguments."""
+    table = _RECEIVED.get(token)
+    if table is None:
+        _RECEIVED.clear()
+        table = _RECEIVED[token] = _IdTable(source)
+        for key in keys:
+            table.intern(key)
+        table.rows = rows
+    return table
+
+
+def _counts_from(task, table=None, n_total=0):
+    """Weighted SAW counts for depths len(prefix)-1 .. n_total from a
+    prefix task (id path, slot indices, weight); the prefix's endpoint is
+    counted here, earlier depths are not."""
+    prefix, _slots, weight = task
+    base = len(prefix) - 1
+    counts = [0] * (n_total - base + 1)
+    counts[0] = weight
+    if base == n_total:
+        return counts
+    visited = table.visited
+    for o in prefix:
+        visited[o] = 1
+
+    def rec(o, depth, wt, rows=table.rows, row_of=table.row,
+            visited=visited, counts=counts, limit=n_total - base):
+        nd = depth + 1
+        row = rows[o] or row_of(o)
+        if nd == limit:
+            for t, m in row:
+                if not visited[t]:
+                    counts[nd] += wt * m
+            return
+        for t, m in row:
+            if not visited[t]:
+                w = wt * m
+                counts[nd] += w
+                visited[t] = 1
+                rec(t, nd, w)
+                visited[t] = 0
+
+    rec(prefix[-1], 0, weight)
+    for o in prefix:
+        visited[o] = 0
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# Packed-integer lattice keys
 # ---------------------------------------------------------------------------
 #
 # A lattice vertex (cell, x) with |x_i| bounded by B is encoded as
 #     cell + C * sum_i (x_i + B) * W**i        with W = 2B + 1,
-# so a neighbor step is the addition of a precomputed integer and the
-# visited set is a set of machine-sized ints.  B is derived from the walk
-# length and the largest edge offset, which bounds every reachable
-# coordinate.
+# so a neighbor key is the addition of a precomputed integer and keys hash
+# as machine-sized ints.  B is derived from the walk length and the
+# largest edge offset, which bounds every coordinate difference along a
+# walk, so the encoding is injective on the vertices of any walk.
+
+def _lattice_row(moves, v):
+    """The out-slots (packed target, multiplicity) of packed vertex v."""
+    return [(v + add, m) for add, m in moves[v % len(moves)]]
+
+
+def _lattice_x1(cells, B, W, v):
+    """The first coordinate x_1 of packed vertex v; exact when
+    |x_1| <= B."""
+    return v // cells % W - B
+
 
 def _lattice_codec(lat: PeriodicLattice, n_max: int):
+    """(row source, encode, x_1) for walks of up to n_max steps, where
+    x_1 gives the first coordinate of a packed vertex a walk from the
+    origin reaches; the row source and x_1 are picklable."""
     maxoff = max((abs(c) for _, _, off, _ in lat.edges for c in off), default=1)
     B = maxoff * max(n_max, 1) + 1
     W = 2 * B + 1
@@ -130,77 +257,18 @@ def _lattice_codec(lat: PeriodicLattice, n_max: int):
             add = (tc - cell) + sum(di * w for di, w in zip(delta, weights))
             row.append((add, m))
         moves.append(tuple(row))
-    return tuple(moves), encode
+    return (partial(_lattice_row, tuple(moves)), encode,
+            partial(_lattice_x1, C, B, W))
 
 
-def _packed_counts_from(task, moves=None, n_total=0, simple=True):
-    """Counts for depths len(prefix)-1 .. n_total from a prefix task
-    (encoded path, slot indices, weight): the path's vertices are already
-    visited, and its endpoint is counted here, earlier depths are not.
+def _lattice_act(table: _IdTable, cells: int):
+    """``act`` for :func:`_merge_prefixes` on a table of packed lattice
+    keys, under the slot tables of :func:`lattice_stabiliser` maps."""
+    keys = table.keys
 
-    The default-argument bindings below turn every hot name into a local;
-    this loop dominates large lattice enumerations.
-    """
-    prefix, _slots, weight = task
-    base = len(prefix) - 1
-    counts = [0] * (n_total - base + 1)
-    counts[0] = weight
-    if base == n_total:
-        return counts
-    visited = set(prefix)
-    limit = n_total - base
-    ncells = len(moves)
-    start = prefix[-1]
-
-    if simple:
-        smoves = tuple(tuple(add for add, _m in row) for row in moves)
-        if ncells == 1:
-            row0 = smoves[0]
-
-            def rec(v, depth, row=row0, visited=visited, counts=counts,
-                    limit=limit, vadd=visited.add, vrem=visited.remove):
-                nd = depth + 1
-                for add in row:
-                    w = v + add
-                    if w not in visited:
-                        counts[nd] += 1
-                        if nd < limit:
-                            vadd(w)
-                            rec(w, nd)
-                            vrem(w)
-        else:
-            def rec(v, depth, smoves=smoves, ncells=ncells, visited=visited,
-                    counts=counts, limit=limit, vadd=visited.add,
-                    vrem=visited.remove):
-                nd = depth + 1
-                for add in smoves[v % ncells]:
-                    w = v + add
-                    if w not in visited:
-                        counts[nd] += 1
-                        if nd < limit:
-                            vadd(w)
-                            rec(w, nd)
-                            vrem(w)
-
-        rec(start, 0)
-        if weight != 1:
-            counts = [c * weight if i else c for i, c in enumerate(counts)]
-    else:
-        def rec(v, depth, wt, moves=moves, ncells=ncells, visited=visited,
-                counts=counts, limit=limit, vadd=visited.add,
-                vrem=visited.remove):
-            nd = depth + 1
-            for add, m in moves[v % ncells]:
-                w = v + add
-                if w not in visited:
-                    counts[nd] += wt * m
-                    if nd < limit:
-                        vadd(w)
-                        rec(w, nd, wt * m)
-                        vrem(w)
-
-        rec(start, 0, weight)
-    return counts
+    def act(slot_map, i, k):
+        return slot_map[keys[i] % cells][k]
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +383,7 @@ def lattice_stabiliser(lat: PeriodicLattice, cell: int = 0,
 def _merge_prefixes(steps, act, start, pdepth, maps):
     """One task (path, slot indices, weight) per orbit of ``maps`` on the
     SAW prefixes of pdepth steps from ``start``; the weight sums the
-    orbit's prefix weights.
+    orbit's prefix weights.  With no maps every prefix is its own orbit.
 
     ``steps(v)`` lists the slots (next vertex, multiplicity) out of v and
     ``act(map, v, k)`` the slot onto which a map fixing v carries slot k.
@@ -334,7 +402,7 @@ def _merge_prefixes(steps, act, start, pdepth, maps):
                 if w in path:
                     continue
                 images = [act(s, v, k) for s in stab]
-                key = min(images)
+                key = min(images, default=k)
                 if key in orbits:
                     orbits[key][2] += weight * m
                 else:
@@ -346,32 +414,9 @@ def _merge_prefixes(steps, act, start, pdepth, maps):
     return [(path, slots, weight) for path, slots, weight, _ in level]
 
 
-def _orbit_prefixes(moves, start, pdepth, maps):
-    """:func:`_merge_prefixes` on the packed encoding of a lattice, under
-    stabiliser maps of :func:`lattice_stabiliser`, which act on the slots
-    of a vertex's cell through their tables."""
-    ncells = len(moves)
-
-    def steps(v):
-        return [(v + add, m) for add, m in moves[v % ncells]]
-
-    def act(table, v, k):
-        return table[v % ncells][k]
-
-    return _merge_prefixes(steps, act, start, pdepth,
-                           [table for *_, table in maps])
-
-
 # ---------------------------------------------------------------------------
-# Interned quotient orbits
+# Quotient orbit tables and their stabiliser maps
 # ---------------------------------------------------------------------------
-#
-# The directed quotient kernels run on integer orbit ids.  A table made
-# when counting starts interns orbit keys on first sight and builds
-# adjacency rows lazily, so infinite quotients cost only what the walks
-# reach.  Neither the table nor the maps below are stored on the
-# quotient: the maps are closures, and the quotient must stay picklable
-# for the worker pool.
 #
 # Automorphisms of the base lattice that fix the start cell's origin and
 # normalise the translation sublattice L (P.L = L) descend to the
@@ -379,49 +424,31 @@ def _orbit_prefixes(moves, start, pdepth, maps):
 # the orbit of its image, and directed quotient SAWs onto directed
 # quotient SAWs of equal weight.  Those that also fix the start orbit
 # merge quotient prefixes exactly as the lattice stabiliser merges
-# lattice prefixes.
+# lattice prefixes.  The maps are closures on one table's ids.
 
-class _OrbitTable:
-    """Orbit keys of one quotient interned as ids 0, 1, 2, ... on first
-    sight.  ``rows[i]`` is None until :meth:`row` builds it as a tuple of
-    (target id, multiplicity); ``visited`` is a bytearray indexed by id."""
+def _quotient_table(q: QuotientGraph, start=None) -> tuple:
+    """(table, start id): an id table on q's directed rows with the orbit
+    key ``start`` (default: the origin's orbit) interned.
 
-    def __init__(self, q: QuotientGraph):
-        self.q = q
-        self.ids: dict = {}
-        self.keys: list = []
-        self.rows: list = []
-        self.visited = bytearray()
-
-    def intern(self, key) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.keys)
-            self.keys.append(key)
-            self.rows.append(None)
-            self.visited.append(0)
-        return i
-
-    def row(self, i: int) -> tuple:
-        row = self.rows[i]
-        if row is None:
-            row = self.rows[i] = tuple(
-                (self.intern(t), m) for t, m in self.q.drow(self.keys[i]))
-        return row
-
-    def act(self, sigma, i: int, k: int) -> int:
-        """The slot of row i onto which ``sigma`` (fixing i) carries
-        slot k."""
-        row = self.row(i)
-        t = sigma(row[k][0])
-        return next(j for j, (u, _m) in enumerate(row) if u == t)
+    The start must be the canonical key of its orbit, with a valid base
+    vertex as its representative; any other key is refused, because its
+    rows belong to no orbit and would give wrong counts.
+    """
+    if start is None:
+        start = q.origin_orbit()
+    rep = q.rep_of(start)
+    q.base.validate_key(rep)
+    if q.orbit_of(rep) != start:
+        raise ValueError(f"start {start!r} is not a canonical orbit key "
+                         f"(its orbit's key is {q.orbit_of(rep)!r})")
+    table = _IdTable(q.drow)
+    return table, table.intern(start)
 
 
-def _orbit_map(table: _OrbitTable, P, pi, t):
-    """The lattice map (c, x) -> (pi[c], P.x + t[c]) acting on the
-    table's orbit ids, each image computed on first use."""
+def _orbit_map(q: QuotientGraph, table: _IdTable, P, pi, t):
+    """The lattice map (c, x) -> (pi[c], P.x + t[c]) acting on the ids of
+    a table of q's orbit keys, each image computed on first use."""
     images: dict = {}
-    q = table.q
 
     def sigma(i: int) -> int:
         j = images.get(i)
@@ -433,16 +460,15 @@ def _orbit_map(table: _OrbitTable, P, pi, t):
     return sigma
 
 
-def _quotient_maps(table: _OrbitTable, start: int) -> tuple:
+def _quotient_maps(q: QuotientGraph, table: _IdTable, start: int) -> tuple:
     """Maps of ``lattice_stabiliser(q.base, start cell)`` that descend to
-    the table's quotient q and fix the start orbit, as functions on the
-    table's orbit ids; the identity comes first.
+    q and fix the start orbit, as functions on the ids of a table of q's
+    orbit keys; the identity comes first.
 
     A map descends when P.h lies in L for each generator h of L; that
     containment gives P.L = L because P has finite order.  Tree actions
     get the identity only.
     """
-    q = table.q
     if q.action.kind != "sublattice":
         return (lambda i: i,)
     c0 = table.keys[start][0]
@@ -451,121 +477,10 @@ def _quotient_maps(table: _OrbitTable, start: int) -> tuple:
     for P, pi, t, _slots in lattice_stabiliser(q.base, c0):
         if all(q.orbit_of((0, tuple(s * h[a] for a, s in P)))[1] == zero
                for h in q.action.rows):
-            sigma = _orbit_map(table, P, pi, t)
+            sigma = _orbit_map(q, table, P, pi, t)
             if sigma(start) == start:
                 kept.append(sigma)
     return tuple(kept)
-
-
-def _quotient_prefixes(table: _OrbitTable, start: int, pdepth: int):
-    """The merged prefix tasks of a directed quotient walk from ``start``."""
-    return _merge_prefixes(table.row, table.act, start, pdepth,
-                           _quotient_maps(table, start))
-
-
-def _quotient_counts_from(task, table=None, n_total=0):
-    """Weighted directed SAW counts for depths len(prefix)-1 .. n_total
-    from a prefix task (orbit-id path, slot indices, weight); the
-    prefix's endpoint is counted here, earlier depths are not."""
-    prefix, _slots, weight = task
-    base = len(prefix) - 1
-    counts = [0] * (n_total - base + 1)
-    counts[0] = weight
-    if base == n_total:
-        return counts
-    visited = table.visited
-    for o in prefix:
-        visited[o] = 1
-
-    def rec(o, depth, wt, rows=table.rows, row_of=table.row,
-            visited=visited, counts=counts, limit=n_total - base):
-        nd = depth + 1
-        row = rows[o] or row_of(o)
-        if nd == limit:
-            for t, m in row:
-                if not visited[t]:
-                    counts[nd] += wt * m
-            return
-        for t, m in row:
-            if not visited[t]:
-                w = wt * m
-                counts[nd] += w
-                visited[t] = 1
-                rec(t, nd, w)
-                visited[t] = 0
-
-    rec(prefix[-1], 0, weight)
-    for o in prefix:
-        visited[o] = 0
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# Generic keyed kernels
-# ---------------------------------------------------------------------------
-
-def _generic_counts_from(neigh: Callable, prefix: tuple, weight: int,
-                         n_total: int, node_cap: Optional[list] = None):
-    """Weighted SAW DFS over hashable keys from an already-visited prefix.
-
-    ``neigh(u)`` yields (key, multiplicity) pairs in deterministic order.
-    ``node_cap`` is a one-element [remaining] list decremented per
-    expanded node; hitting zero raises BudgetExceeded.
-    """
-    base = len(prefix) - 1
-    counts = [0] * (n_total - base + 1)
-    counts[0] = weight
-    if base == n_total:
-        return counts
-    visited = set(prefix)
-    limit = n_total - base
-
-    def rec(u, depth, wt):
-        if node_cap is not None:
-            node_cap[0] -= 1
-            if node_cap[0] < 0:
-                raise BudgetExceeded
-        nd = depth + 1
-        for w, m in neigh(u):
-            if w not in visited:
-                counts[nd] += wt * m
-                if nd < limit:
-                    visited.add(w)
-                    rec(w, nd, wt * m)
-                    visited.remove(w)
-
-    rec(prefix[-1], 0, weight)
-    return counts
-
-
-def _graph_neigh(g: GraphHandle):
-    def neigh(u):
-        return [(w, m) for (w, _lab, m) in g.neighbors(u)]
-    return neigh
-
-
-def _generic_prefixes(neigh, start, pdepth):
-    head = [0] * pdepth
-    head[0] = 1
-    tasks = []
-
-    def rec(path, weight, depth):
-        for w, m in neigh(path[-1]):
-            if w not in path:
-                nw = weight * m
-                if depth + 1 == pdepth:
-                    tasks.append((path + (w,), nw))
-                else:
-                    head[depth + 1] += nw
-                    rec(path + (w,), nw, depth + 1)
-
-    rec((start,), 1, 0)
-    return head, tasks
-
-
-def _graph_task(task, g=None, n_total=0):
-    prefix, weight = task
-    return _generic_counts_from(_graph_neigh(g), prefix, weight, n_total)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +524,18 @@ def _choose_pdepth(n_max: int, workers: int = 1) -> int:
     return min(3, n_max)
 
 
+def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
+                  maps=(), act=None) -> list:
+    """sigma_0..sigma_n_max (n_max >= 1) of the SAWs from id ``start``:
+    the depths below the split from a direct run, the others summed over
+    the prefix tasks merged under ``maps`` (see :func:`_merge_prefixes`)."""
+    pdepth = _choose_pdepth(n_max, workers)
+    head = _counts_from(((start,), (), 1), table, pdepth - 1)
+    tasks = _merge_prefixes(table.row, act, start, pdepth, maps)
+    fn = partial(_counts_from, table=table, n_total=n_max)
+    return _run_split(head, tasks, fn, n_max, pdepth, workers)
+
+
 # ---------------------------------------------------------------------------
 # Public counting operations
 # ---------------------------------------------------------------------------
@@ -619,85 +546,67 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
     """Exact sigma_0..sigma_n_max from v0 (default: the origin).
 
     Parallel edges count as distinct SAWs.  With ``max_nodes`` set, the
-    enumeration runs depth by depth under a cumulative node budget and
-    returns a truncated result (``truncated=True``) containing the depths
-    that completed; without it the fastest kernel for the handle is used.
+    series is counted one depth at a time: pass n is the full count to
+    depth n, charged sum_{j<n} sigma_j nodes.  It runs only if the
+    charges of the passes so far, its own included, stay within
+    ``max_nodes``; otherwise the result holds the depths already counted
+    and ``truncated=True``.  On a simple graph the charge is the number
+    of nodes a depth-first search to depth n expands.  On a multigraph
+    sigma counts each walk with its edge multiplicities, and so does the
+    charge.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError("max_nodes must be >= 0")
     v0 = g.origin() if v0 is None else v0
     g.validate_key(v0)
     workers = resolve_workers(workers)
-
-    if max_nodes is not None:
-        return _budgeted_saws(g, v0, n_max, max_nodes)
-
-    if g.is_acyclic and n_max >= 1:
-        # SAW == non-backtracking walk on a tree: d*(d-1)**(n-1) exactly.
-        d = g.degree
-        counts = [1] + [d * (d - 1) ** (n - 1) for n in range(1, n_max + 1)]
+    if max_nodes is None:
+        counts = _saw_series(g, v0, n_max, workers)
         return WalkCounts(g.graph_id, v0, False, tuple(counts))
-
-    if isinstance(g, PeriodicLattice):
-        moves, encode = _lattice_codec(g, n_max)
-        simple = all(m == 1 for row in moves for _, m in row)
-        pdepth = _choose_pdepth(n_max, workers)
-        if pdepth == 0:
-            return WalkCounts(g.graph_id, v0, False, (1,))
-        start = encode(v0)
-        head = _packed_counts_from(((start,), (), 1), moves, pdepth - 1,
-                                   simple)
-        tasks = _orbit_prefixes(moves, start, pdepth,
-                                lattice_stabiliser(g, v0[0]))
-        fn = partial(_packed_counts_from, moves=moves, n_total=n_max,
-                     simple=simple)
-        counts = _run_split(head, tasks, fn, n_max, pdepth, workers)
-        return WalkCounts(g.graph_id, v0, False, tuple(counts))
-
-    neigh = _graph_neigh(g)
-    pdepth = _choose_pdepth(n_max, workers)
-    if pdepth == 0:
-        return WalkCounts(g.graph_id, v0, False, (1,))
-    head, tasks = _generic_prefixes(neigh, v0, pdepth)
-    fn = partial(_graph_task, g=g, n_total=n_max)
-    counts = _run_split(head, tasks, fn, n_max, pdepth, workers)
+    counts, spent = [1], 0
+    for n in range(1, n_max + 1):
+        spent += sum(counts)
+        if spent > max_nodes:
+            return WalkCounts(g.graph_id, v0, False, tuple(counts),
+                              truncated=True)
+        counts.append(_saw_series(g, v0, n, workers)[n])
     return WalkCounts(g.graph_id, v0, False, tuple(counts))
 
 
-def _budgeted_saws(g, v0, n_max, max_nodes) -> WalkCounts:
-    # Depth-by-depth so a budget hit still leaves fully-correct shorter
-    # depths.  The re-enumeration overhead is the documented price of
-    # graceful truncation.
-    neigh = _graph_neigh(g)
-    done = [1]
-    cap = [max_nodes]
-    for n in range(1, n_max + 1):
-        try:
-            c = _generic_counts_from(neigh, (v0,), 1, n, node_cap=cap)
-        except BudgetExceeded:
-            return WalkCounts(g.graph_id, v0, False, tuple(done), truncated=True)
-        done.append(c[n])
-    return WalkCounts(g.graph_id, v0, False, tuple(done))
+def _saw_series(g: GraphHandle, v0, n_max: int, workers: int) -> list:
+    if n_max == 0:
+        return [1]
+    if g.is_acyclic:
+        # SAW == non-backtracking walk on a tree: d*(d-1)**(n-1) exactly.
+        d = g.degree
+        return [1] + [d * (d - 1) ** (n - 1) for n in range(1, n_max + 1)]
+    if isinstance(g, PeriodicLattice):
+        source, encode, _x1 = _lattice_codec(g, n_max)
+        table = _IdTable(source)
+        maps = [slot_map for *_, slot_map in lattice_stabiliser(g, v0[0])]
+        return _split_counts(table, table.intern(encode(v0)), n_max, workers,
+                             maps, _lattice_act(table, g.cells))
+    table = _IdTable(g.neighbors)
+    return _split_counts(table, table.intern(v0), n_max, workers)
 
 
 def count_directed_saws(q: QuotientGraph, n_max: int, start=None,
                         workers: Optional[int] = None) -> WalkCounts:
     """Exact directed SAW counts on a quotient from a start orbit
-    (default: the origin's orbit).  Parallel directed edges are distinct;
-    loops never appear in a SAW of length >= 1."""
+    (default: the origin's orbit), which must be given by its canonical
+    key.  Parallel directed edges are distinct; loops never appear in a
+    SAW of length >= 1."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    start = q.origin_orbit() if start is None else start
     workers = resolve_workers(workers)
-    pdepth = _choose_pdepth(n_max, workers)
-    if pdepth == 0:
+    table, s0 = _quotient_table(q, start)
+    start = table.keys[s0]
+    if n_max == 0:
         return WalkCounts(q.quotient_id, start, True, (1,))
-    table = _OrbitTable(q)
-    s0 = table.intern(start)
-    head = _quotient_counts_from(((s0,), (), 1), table, pdepth - 1)
-    tasks = _quotient_prefixes(table, s0, pdepth)
-    fn = partial(_quotient_counts_from, table=table, n_total=n_max)
-    counts = _run_split(head, tasks, fn, n_max, pdepth, workers)
+    counts = _split_counts(table, s0, n_max, workers,
+                           _quotient_maps(q, table, s0), table.act)
     return WalkCounts(q.quotient_id, start, True, tuple(counts))
 
 

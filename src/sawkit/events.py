@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .counting import _OrbitTable, _choose_pdepth, _quotient_prefixes
+from .counting import (_IdTable, _choose_pdepth, _merge_prefixes,
+                       _quotient_maps, _quotient_table)
 from .exact import Radical
 from .quotient import QuotientGraph, TypeReport, classify_type
 
@@ -131,7 +132,7 @@ def build_cycle_family(q: QuotientGraph, report: Optional[TypeReport] = None,
 # Zero-occurrence series (pruned kernel)
 # ---------------------------------------------------------------------------
 
-def _event_free_walker(table: _OrbitTable, family: CycleFamily, k: int):
+def _event_free_walker(table: _IdTable, family: CycleFamily, k: int):
     """``run(task, n_total)``: the zero-occurrence counts of the walks
     extending a prefix task (orbit-id path, slot indices, weight), for
     depths len(path)-1 .. n_total.
@@ -236,15 +237,14 @@ def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
             f"threshold k={k} outside 1..{family.length}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    start = q.origin_orbit() if start is None else start
-    table = _OrbitTable(q)
-    s0 = table.intern(start)
+    table, s0 = _quotient_table(q, start)
     run = _event_free_walker(table, family, k)
     pdepth = _choose_pdepth(n_max)
     if pdepth == 0:
         return run(((s0,), (), 1), 0)
     counts = run(((s0,), (), 1), pdepth - 1) + [0] * (n_max - pdepth + 1)
-    for task in _quotient_prefixes(table, s0, pdepth):
+    for task in _merge_prefixes(table.row, table.act, s0, pdepth,
+                                _quotient_maps(q, table, s0)):
         for i, c in enumerate(run(task, n_max), pdepth):
             counts[i] += c
     return counts
@@ -268,7 +268,7 @@ def _windowed_series(q: QuotientGraph, family: CycleFamily, k: int,
     positions, and each node re-evaluates only the positions
     depth-m..depth.  Without one no position is ever settled.
     """
-    table = _OrbitTable(q)
+    table, s0 = _quotient_table(q, start)
     rows, row_of, keys = table.rows, table.row, table.keys
     sets: list = []
     pos: list = []
@@ -326,7 +326,6 @@ def _windowed_series(q: QuotientGraph, family: CycleFamily, k: int,
         path.pop()
         pos[o] = -1
 
-    s0 = table.intern(start)
     grow()
     rec(s0, 0, 1, 0)
     return counts
@@ -345,9 +344,9 @@ def _check_event_params(family: CycleFamily, k: int, m: Optional[int],
 
 def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
                  m: Optional[int] = None, r: int = 0, start=None) -> list:
-    """Exact numbers of directed SAWs from ``start`` (an orbit key; the
-    origin's orbit by default) with at most r event occurrences, for
-    every depth 0..n_max in one pass.
+    """Exact numbers of directed SAWs from ``start`` (a canonical orbit
+    key; the origin's orbit by default) with at most r event occurrences,
+    for every depth 0..n_max in one pass.
 
     ``m`` is the window half-width; ``m=None`` selects the unwindowed
     event, whose occurrences may involve vertices the walk only reaches
@@ -358,7 +357,6 @@ def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
     _check_event_params(family, k, m, r)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    start = q.origin_orbit() if start is None else start
     if r == 0 and m is None:
         return event_free_series(q, family, k, n_max, start=start)
     return _windowed_series(q, family, k, m, r, n_max, start)

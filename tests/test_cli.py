@@ -57,6 +57,13 @@ def test_count_truncation_note(capsys):
     assert 2 <= len(out) - 1 < 10
 
 
+def test_count_refuses_a_negative_budget(capsys):
+    assert run(["count", "--graph", "zd:2", "--n", "3",
+                "--max-nodes", "-3"]) == 4
+    got = capsys.readouterr()
+    assert got.out == "" and "max_nodes" in got.err
+
+
 def test_count_start_key(capsys):
     assert run(["count", "--graph", "zd:2", "--n", "2",
                 "--start", "0:5,-1"]) == 0

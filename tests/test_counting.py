@@ -86,6 +86,26 @@ def test_budget_truncation(z2):
     assert not full.truncated and list(full.counts) == SAW_Z2_10[:7]
 
 
+@pytest.mark.parametrize("graph,series", [
+    ("zd(2)", SAW_Z2_10[:9]),
+    ("tree(4)", [1] + [4 * 3 ** j for j in range(7)]),
+    ("ladder", SAW_LADDER_10), ("square-octagon", SAW_SQOCT_10)])
+def test_budget_boundary(graph, series):
+    # depth n is charged sum_{j<n} sigma_j nodes (the nodes a depth-n
+    # search expands) and is counted only while the running charge stays
+    # within the budget
+    g = catalog(graph)
+    n_max = len(series) - 1
+    charge = 0
+    for n in range(1, n_max + 1):
+        charge += sum(series[:n])
+        at = count_saws(g, n_max=n_max, max_nodes=charge)
+        assert at.counts == tuple(series[:n + 1]), (n, charge)
+        assert at.truncated == (n < n_max)
+        below = count_saws(g, n_max=n_max, max_nodes=charge - 1)
+        assert below.counts == tuple(series[:n]) and below.truncated
+
+
 def test_worker_count_does_not_change_counts(z2, q_z2mod22):
     base = count_saws(z2, n_max=8, workers=1)
     assert count_saws(z2, n_max=8, workers=4).counts == base.counts
@@ -116,6 +136,8 @@ def test_walkcounts_accessors(ladder):
 def test_argument_validation(z2):
     with pytest.raises(ValueError):
         count_saws(z2, n_max=-1)
+    with pytest.raises(ValueError):
+        count_saws(z2, n_max=3, max_nodes=-3)
     with pytest.raises(Exception):
         count_saws(z2, v0=(0, (1,)), n_max=2)    # malformed key
 

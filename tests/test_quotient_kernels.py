@@ -15,9 +15,11 @@ import pytest
 
 from oracles import naive_directed_saw_counts, naive_event_count
 from sawkit import counting
-from sawkit.counting import _OrbitTable, _quotient_maps, count_directed_saws
-from sawkit.events import CycleFamily, build_cycle_family, event_free_series
-from sawkit.graphs import catalog
+from sawkit.counting import (_counts_from, _quotient_maps, _quotient_table,
+                             count_directed_saws)
+from sawkit.events import (CycleFamily, build_cycle_family, count_with_events,
+                           event_free_series, event_series)
+from sawkit.graphs import InvalidVertexError, catalog
 from sawkit.quotient import build_quotient, sublattice_action, tree_action
 
 # (graph, sublattice rows, order of the quotient's start stabiliser)
@@ -108,26 +110,23 @@ def test_deep_counts_match_unmerged_runs():
     # the merged split against a run with the identity map alone
     for graph, rows, _ in FINITE + INFINITE:
         q = _quotient(graph, rows)
-        table = _OrbitTable(q)
-        s0 = table.intern(q.origin_orbit())
-        want = counting._quotient_counts_from(((s0,), (), 1), table, 10)
+        table, s0 = _quotient_table(q)
+        want = _counts_from(((s0,), (), 1), table, 10)
         assert list(count_directed_saws(q, 10).counts) == want, rows
 
 
 @pytest.mark.parametrize("graph,rows,order", FINITE + INFINITE)
 def test_quotient_map_orders(graph, rows, order):
     q = _quotient(graph, rows)
-    table = _OrbitTable(q)
-    assert len(_quotient_maps(table, table.intern(q.origin_orbit()))) \
-        == order
+    table, s0 = _quotient_table(q)
+    assert len(_quotient_maps(q, table, s0)) == order
 
 
 def test_tree_actions_keep_the_identity_only():
     for action in TREES:
         q = _quotient("tree-with-end(3)", action)
-        table = _OrbitTable(q)
-        s0 = table.intern(q.origin_orbit())
-        maps = _quotient_maps(table, s0)
+        table, s0 = _quotient_table(q)
+        maps = _quotient_maps(q, table, s0)
         assert len(maps) == 1 and maps[0](s0) == s0
 
 
@@ -147,9 +146,8 @@ def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows):
     q = _quotient(graph, rows)
     fam = build_cycle_family(q)
     for start in _starts(q):
-        table = _OrbitTable(q)
-        s0 = table.intern(start)
-        for sigma in _quotient_maps(table, s0):
+        table, s0 = _quotient_table(q, start)
+        for sigma in _quotient_maps(q, table, s0):
             assert sigma(s0) == s0
 
             def image(key):
@@ -192,3 +190,21 @@ def test_directed_counts_match_across_workers(monkeypatch):
         assert count_directed_saws(q, n, workers=2).counts == \
             count_directed_saws(q, n, workers=1).counts, rows
     assert pools == [2] * len(cases)
+
+
+def test_non_canonical_starts_are_refused(q_z2mod22):
+    # (0, (5, 5)) lies in the orbit keyed (0, (1, 1)); Z^2 has no cell 3
+    q = q_z2mod22
+    fam = build_cycle_family(q)
+    for bad, err in (((0, (5, 5)), ValueError),
+                     ((3, (0, 0)), InvalidVertexError)):
+        with pytest.raises(err):
+            count_directed_saws(q, 4, start=bad)
+        with pytest.raises(err):
+            event_free_series(q, fam, 2, 4, start=bad)
+        with pytest.raises(err):
+            event_series(q, fam, 2, 4, m=1, r=0, start=bad)
+        with pytest.raises(err):
+            count_with_events(q, bad, 4, fam, 2, 1, 0)
+    assert event_series(q, fam, 2, 4, m=1, r=0, start=(0, (1, 1))) == \
+        [1, 0, 0, 0, 0]

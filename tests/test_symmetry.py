@@ -4,6 +4,7 @@ The stabiliser maps are checked against the graph's own neighbour lists,
 and merged counts against the frozen lists and the naive oracles.
 """
 
+import pickle
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -14,12 +15,13 @@ from oracles import naive_bridge_counts, naive_saw_counts
 from sawkit.bounds import bridge_counts
 from sawkit import counting
 from sawkit.cli import run
-from sawkit.counting import (_lattice_codec, _orbit_prefixes, count_saws,
-                             lattice_stabiliser)
-from sawkit.graphs import (PeriodicLattice, augment, ball, catalog,
-                           load_spec_file)
+from sawkit.counting import (_IdTable, _lattice_act, _lattice_codec,
+                             _merge_prefixes, count_saws, lattice_stabiliser)
+from sawkit.graphs import (CayleyGraph, PeriodicLattice, augment, ball,
+                           catalog, load_spec_file)
 from test_counting import (SAW_LADDER_10, SAW_SQOCT_10, SAW_Z2_10,
                            SAW_Z2DIAG_8)
+from test_graphs import Z2_PRESENTATION
 
 # [frozen] square-lattice SAWs on Z^3 (OEIS A001412)
 SAW_Z3_8 = [1, 6, 30, 150, 726, 3534, 16926, 81390, 387966]
@@ -137,9 +139,11 @@ def test_every_map_is_an_automorphism_fixing_the_start(name, doubled):
 
 def test_orbit_prefixes_on_the_square_lattice():
     z2 = catalog("zd(2)")
-    moves, encode = _lattice_codec(z2, 3)
-    tasks = _orbit_prefixes(moves, encode(z2.origin()), 3,
-                            lattice_stabiliser(z2))
+    source, encode, _x1 = _lattice_codec(z2, 3)
+    table = _IdTable(source)
+    tasks = _merge_prefixes(table.row, _lattice_act(table, z2.cells),
+                            table.intern(encode(z2.origin())), 3,
+                            [m[3] for m in lattice_stabiliser(z2)])
     # straight, turn-then-straight, straight-then-turn, two equal turns,
     # two opposite turns; together the 36 three-step SAWs
     assert len(tasks) == 5
@@ -181,11 +185,28 @@ def test_merged_counts_match_across_workers(doubled, monkeypatch):
 
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
+    # the word graph runs the unmerged split, and its table pickles with
+    # the handle inside
     for g, n in ((catalog("zd(2)"), 9), (catalog("square-octagon"), 10),
-                 (_chord(1, 1), 8), (doubled, 7)):
+                 (_chord(1, 1), 8), (doubled, 7),
+                 (CayleyGraph(Z2_PRESENTATION, "z2"), 8)):
         assert count_saws(g, n_max=n, workers=2).counts == \
             count_saws(g, n_max=n, workers=1).counts
-    assert pools == [2] * 4
+    assert pools == [2] * 5
+
+
+def test_a_process_resumes_the_table_it_received():
+    # the pool pickles the table with every chunk of tasks; the copies one
+    # process unpickles are one table, which keeps the rows it has built
+    source, encode, _x1 = _lattice_codec(catalog("zd(2)"), 6)
+    table = _IdTable(source)
+    s0 = table.intern(encode((0, (0, 0))))
+    blob = pickle.dumps(table)
+    first = pickle.loads(blob)
+    assert first is not table and first.keys == table.keys
+    assert len(first.row(s0)) == 4 and len(table.keys) == 1
+    assert pickle.loads(blob) is first and len(first.keys) == 5
+    assert pickle.loads(pickle.dumps(_IdTable(source))) is not first
 
 
 @pytest.mark.parametrize("d,n", [(1, 10), (2, 8), (3, 6)])
