@@ -68,6 +68,7 @@ _ZETA_LO = 1e-9
 _ZETA_HI = 1.0 - 1e-9
 _GSS_ITERS = 60                               # interval ~ 0.618**60 < 1e-12
 _REPLAY_RTOL = 1e-12
+_JUMP_COST = 16          # a count's nodes, at most, per node spent before it
 
 
 class CertificateError(Exception):
@@ -161,6 +162,38 @@ def _block_checks(ef: list, ds: list, b_s: Radical, eps: Fraction,
     return ok1 and ok2, recs
 
 
+def _agreement_target(us: list, b: LowerBoundSequence, eps: Fraction,
+                      lo: int, hi: int, spent: int) -> int:
+    """The depth in lo..hi that the agreement search counts to next,
+    holding the undirected counts ``us`` and having expanded ``spent``
+    nodes so far.
+
+    It is the first depth at which sigma_n, extrapolated from the last
+    count by the parity-averaged ratio sqrt(sigma_k / sigma_{k-2}),
+    meets the agreement inequality, cut short where a count to it would
+    expand more than _JUMP_COST times ``spent`` nodes (a count to n
+    expands sigma_0 + ... + sigma_n).  Depth lo itself is always
+    allowed.  The choice affects only the cost of the search: every
+    depth is still counted exactly, from the root.
+    """
+    k = len(us) - 1
+    if k < 2 or not us[k - 2] or not us[k]:
+        return lo
+    rho = math.sqrt(us[k] / us[k - 2])
+    sigma, nodes = float(us[k]), float(sum(us))
+    lift = float(1 + eps) / float(1 + eps / 2)
+    target = lo
+    for n in range(k + 1, hi + 1):
+        sigma *= rho
+        nodes += sigma
+        if n > lo and nodes > _JUMP_COST * spent:
+            break
+        target = n
+        if n >= lo and float(b.value_at(n)) * lift >= sigma ** (1 / n):
+            break
+    return target
+
+
 def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
                    b: LowerBoundSequence, a_n: Optional[WalkCounts] = None,
                    n_budget: int = 10, workers: Optional[int] = None,
@@ -169,8 +202,14 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
 
     ``a_n`` optionally supplies precomputed undirected counts for the
     base graph; anything missing (including the zero-occurrence and
-    directed series) is computed here.  All comparisons are exact; the
-    budget-exhausted outcomes carry the reason and the partial state.
+    directed series) is computed here.  The agreement search counts
+    past the supplied depths only as far as :func:`_agreement_target`
+    predicts it needs, and again only if the agreement index is not
+    found there; ``undirected`` then holds the counts to the agreement
+    index (to the budget when none is found), or the supplied counts
+    when the search never went past them.  All comparisons are exact;
+    the budget-exhausted outcomes carry the reason and the partial
+    state.
     """
     if n_budget < 1:
         return SearchOutcome("exhausted", "budget is zero", None, None,
@@ -181,14 +220,7 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
     ef = event_free_series(q, family, ell, n_budget)
     ds = list(count_directed_saws(q, n_budget, workers=workers).counts)
     us = list(a_n.counts) if a_n is not None else [1]
-
-    def us_at(n: int) -> int:
-        # undirected counts extended on demand (each extension is a fresh
-        # exact run; enumeration cost is dominated by the largest n)
-        nonlocal us
-        if n >= len(us):
-            us = list(count_saws(g, None, n, workers=workers).counts)
-        return us[n]
+    supplied = len(us)
 
     checks: list = []
 
@@ -209,17 +241,25 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
                              None, None, None, None, checks, ef, ds, us)
     eps = Fraction(1, r)
 
-    # search 2: agreement index s >= r
+    # search 2: agreement index s >= r; each count runs from the root to
+    # a predicted depth, and the next one starts only if s is not found
     s = None
+    spent = sum(us)
     for cand in range(r, n_budget + 1):
+        if cand >= len(us):
+            n = _agreement_target(us, b, eps, cand, n_budget, spent)
+            us = list(count_saws(g, None, n, workers=workers).counts)
+            spent += sum(us)
         lhs = b.value_at(cand).scaled(1 + eps)
-        rhs = Radical.nth_root(us_at(cand), cand).scaled(1 + eps / 2)
+        rhs = Radical.nth_root(us[cand], cand).scaled(1 + eps / 2)
         ok = lhs >= rhs
         checks.append(CheckRecord("bound_agreement", cand, _fmt_radical(lhs),
                                   _fmt_radical(rhs), ok, "exact-root"))
         if ok:
             s = cand
             break
+    if cand >= supplied:
+        us = us[:cand + 1]
     if s is None:
         return SearchOutcome("exhausted",
                              f"no agreement index s within budget {n_budget}",

@@ -39,7 +39,7 @@ from .graphs import CATALOG_NAMES, GraphError, PeriodicLattice, \
     augment, catalog, load_spec_file
 from .quotient import QuotientError, build_quotient, \
     check_representative_independence, check_symmetry, classify_type, \
-    sublattice_action, tree_action
+    hermite_rows, sublattice_action, tree_action
 
 
 class UsageError(Exception):
@@ -299,6 +299,17 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _contains_zd(g) -> bool:
+    """Whether ``g`` is a one-cell lattice whose edge offsets hold d
+    linearly independent vectors v_1..v_d.  Then x -> x_1 v_1 + ... +
+    x_d v_d embeds Z^d in g as a subgraph, so sigma_n(g) >= sigma_n(Z^d)
+    and the Z^d bridge bounds are lower bounds for mu(g) too."""
+    if not isinstance(g, PeriodicLattice) or g.cells != 1:
+        return False
+    hnf, _ = hermite_rows(tuple(off for *_, off, _m in g.edges), g.dimension)
+    return len(hnf) == g.dimension
+
+
 def _lower_bound_for(args, g, budget: int) -> LowerBoundSequence:
     if args.mu_exact is not None:
         try:
@@ -311,7 +322,7 @@ def _lower_bound_for(args, g, budget: int) -> LowerBoundSequence:
             raise UsageError("--mu-exact must be positive")
         return LowerBoundSequence.from_constant(v, g.graph_id,
                                                 provenance="mu-exact")
-    if isinstance(g, PeriodicLattice) and g.cells == 1:
+    if _contains_zd(g):
         _, seq = bridge_bounds(g.dimension, max(budget, 1),
                                workers=args.workers)
         return seq

@@ -357,7 +357,18 @@ def lattice_stabiliser(lat: PeriodicLattice, cell: int = 0,
     The search stops after _MAX_MAPS signed permutations or _MAX_MAPS
     maps, so above dimension 3 only part of the group is found.  The
     identity comes first.
+
+    Results are cached on (dimension, cells, edges, cell, fix_first),
+    which determine the slot table, so every count on a lattice after
+    the first reuses the maps; a graph id plays no part in the key.
     """
+    return _stabiliser(lat.dimension, lat.cells, lat.edges, cell, fix_first)
+
+
+@lru_cache(maxsize=64)
+def _stabiliser(dimension: int, cells: int, edges: tuple, cell: int,
+                fix_first: bool) -> tuple:
+    lat = PeriodicLattice(dimension, cells, edges)
     slots = lat.slot_table()
     index = [{(tc, delta): k for k, (tc, delta, _m) in enumerate(row)}
              for row in slots]

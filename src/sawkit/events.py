@@ -63,6 +63,12 @@ class CycleFamily:
     property — and they are cached per orbit, which keeps infinite-orbit
     quotients affordable.
 
+    On a sublattice quotient the sets are built once per cell, at the
+    orbit (c, 0), and translated: the translation by x is an automorphism
+    of the base graph that carries orbits to orbits, so it carries the
+    walks from (c, 0) onto those from (c, x) and the sets at (c, 0) onto
+    the sets at (c, x).  Tree quotients build every orbit's sets.
+
     This family contains *every* girth-length directed cycle through the
     orbit that lifts to a SAW.  That can be a superset of a single
     symmetry orbit of cycles; a larger family only makes the event occur
@@ -80,9 +86,25 @@ class CycleFamily:
     def sets_at(self, orbit) -> tuple:
         got = self._cache.get(orbit)
         if got is None:
-            got = self._build(orbit)
-            self._cache[orbit] = got
+            got = self._cache[orbit] = self._translated(orbit)
         return got
+
+    def _translated(self, orbit) -> tuple:
+        """The sets at ``orbit``: those at its cell's orbit (c, 0),
+        translated by x, on a sublattice quotient; built otherwise."""
+        q = self.quotient
+        if q.action.kind != "sublattice":
+            return self._build(orbit)
+        c, x = orbit
+        home = (c, (0,) * len(x))
+        if orbit == home:
+            return self._build(orbit)
+        at_home = self._cache.get(home)
+        if at_home is None:
+            at_home = self._cache[home] = self._build(home)
+        return tuple(sorted(
+            (frozenset(q.orbit_of((tc, tuple(a + b for a, b in zip(y, x))))
+                       for tc, y in s) for s in at_home), key=sorted))
 
     def _build(self, orbit) -> tuple:
         q, L = self.quotient, self.length

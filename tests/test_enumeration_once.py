@@ -1,0 +1,315 @@
+"""Work done once on the certify path, with outputs unchanged.
+
+* The agreement search counts to a predicted index instead of once per
+  candidate; its outcome and the certificate bytes are checked against
+  the step-by-step search it replaced, kept here as the reference, and
+  its cost in nodes against that reference's.
+* Cycle families are built once per cell on sublattice quotients and
+  translated; the translated sets are checked against per-orbit builds.
+* The lattice stabiliser is cached on the lattice's content.
+* The automatic lower bound uses Z^d bridges only for lattices that
+  contain Z^d.
+"""
+
+import argparse
+from fractions import Fraction
+
+import pytest
+
+from sawkit import certificate
+from sawkit.bounds import LowerBoundSequence, bridge_bounds
+from sawkit.certificate import (CheckRecord, SearchOutcome, _block_checks,
+                                _fmt_radical, certify_ratio, find_epsilon_m)
+from sawkit.cli import _lower_bound_for, run
+from sawkit.counting import (_stabiliser, count_directed_saws, count_saws,
+                             lattice_stabiliser)
+from sawkit.events import CycleFamily, build_cycle_family, event_free_series
+from sawkit.exact import Radical
+from sawkit.graphs import PeriodicLattice, catalog, load_spec_file
+from sawkit.quotient import build_quotient, sublattice_action, tree_action
+
+
+def _quotient(graph, rows):
+    return build_quotient(catalog(graph), sublattice_action(
+        [[int(x) for x in r.split()] for r in rows.split(";")]))
+
+
+# ---------------------------------------------------------------------------
+# The agreement search against the step-by-step reference
+# ---------------------------------------------------------------------------
+
+def _stepwise_search(q, family, b, a_n=None, n_budget=10, workers=None,
+                     g=None):
+    """The three searches with the undirected counts extended one
+    candidate at a time, each extension a fresh count from the root."""
+    if n_budget < 1:
+        return SearchOutcome("exhausted", "budget is zero", None, None,
+                             None, None)
+    g = q.base if g is None else g
+    ef = event_free_series(q, family, family.length, n_budget)
+    ds = list(count_directed_saws(q, n_budget, workers=workers).counts)
+    us = list(a_n.counts) if a_n is not None else [1]
+
+    def us_at(n):
+        nonlocal us
+        if n >= len(us):
+            us = list(certificate.count_saws(g, None, n,
+                                             workers=workers).counts)
+        return us[n]
+
+    checks = []
+    r = None
+    for cand in range(1, n_budget + 1):
+        lhs = Radical.nth_root(ef[cand], cand)
+        rhs = b.value_at(cand).scaled(Fraction(cand - 1, cand))
+        ok = lhs < rhs
+        checks.append(CheckRecord("event_decay", cand, _fmt_radical(lhs),
+                                  _fmt_radical(rhs), ok, "exact-root"))
+        if ok:
+            r = cand
+            break
+    if r is None:
+        return SearchOutcome("exhausted",
+                             f"no decay index r within budget {n_budget}",
+                             None, None, None, None, checks, ef, ds, us)
+    eps = Fraction(1, r)
+    s = None
+    for cand in range(r, n_budget + 1):
+        lhs = b.value_at(cand).scaled(1 + eps)
+        rhs = Radical.nth_root(us_at(cand), cand).scaled(1 + eps / 2)
+        ok = lhs >= rhs
+        checks.append(CheckRecord("bound_agreement", cand, _fmt_radical(lhs),
+                                  _fmt_radical(rhs), ok, "exact-root"))
+        if ok:
+            s = cand
+            break
+    if s is None:
+        return SearchOutcome("exhausted",
+                             f"no agreement index s within budget {n_budget}",
+                             r, eps, None, None, checks, ef, ds, us)
+    b_s = b.value_at(s)
+    m = None
+    for cand in range(1, n_budget + 1):
+        ok, recs = _block_checks(ef, ds, b_s, eps, cand)
+        checks.extend(recs)
+        if ok:
+            m = cand
+            break
+    if m is None:
+        return SearchOutcome("exhausted",
+                             f"no block length m within budget {n_budget}",
+                             r, eps, s, None, checks, ef, ds, us)
+    return SearchOutcome("found", None, r, eps, s, m, checks, ef, ds, us)
+
+
+class _NodeMeter:
+    """Wraps ``count_saws`` in the certificate module and sums the nodes
+    of its runs: sigma_0 + ... + sigma_t for a run to depth t."""
+
+    def __init__(self, monkeypatch):
+        self.nodes = 0
+        inner = certificate.count_saws
+
+        def counted(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            self.nodes += sum(out.counts)
+            return out
+        monkeypatch.setattr(certificate, "count_saws", counted)
+
+
+def _bound(g, mu, budget):
+    if mu is None:
+        return bridge_bounds(g.dimension, max(budget, 1), workers=1)[1]
+    return LowerBoundSequence.from_constant(Fraction(mu), g.graph_id,
+                                            provenance="mu-exact")
+
+
+# (graph, sublattice rows, --mu-exact value or None for bridges, budget)
+SEARCH_CASES = [
+    ("zd:2", "2 0;0 2", None, 12), ("zd:2", "2 0;0 2", None, 13),
+    ("zd:2", "2 0;0 2", None, 16), ("zd:2", "3 0;0 1", "2.63", 14),
+    ("zd:2", "2 0;0 2", "2.63", 12), ("zd:1", "3", None, 10),
+    ("square-octagon", "1 -1", "1.8", 16),
+    ("square-octagon", "1 -1", "1.8", 18),
+    ("ladder", "3", "1.61", 30), ("ladder", "2", "1.61", 30),
+    ("zd:2", "2 0;0 2", None, 0), ("zd:2", "2 0;0 2", None, 1),
+    ("zd:2", "2 0;0 2", None, 2), ("zd:1", "3", None, 2),
+]
+
+
+@pytest.mark.parametrize("graph,rows,mu,budget", SEARCH_CASES)
+def test_certificate_bytes_match_stepwise_search(graph, rows, mu, budget,
+                                                  monkeypatch):
+    q = _quotient(graph, rows)
+    g, family = q.base, build_cycle_family(q)
+    b = _bound(g, mu, budget)
+    meter = _NodeMeter(monkeypatch)
+    got = certify_ratio(g, q, family, b, budget, workers=1).to_json()
+    predicted = meter.nodes
+    meter.nodes = 0
+    monkeypatch.setattr(certificate, "find_epsilon_m", _stepwise_search)
+    want = certify_ratio(g, q, family, b, budget, workers=1).to_json()
+    assert got == want
+    assert predicted <= 1.5 * meter.nodes, (predicted, meter.nodes)
+
+
+@pytest.mark.parametrize("supplied,budget", [(6, 30), (20, 30), (13, 13),
+                                             (3, 30)])
+def test_supplied_counts_match_stepwise_search(supplied, budget):
+    # ladder/3 at mu 1.61 has r = 4 and s = 13: the supplied counts end
+    # before r, between r and s, at s, and past s
+    q = _quotient("ladder", "3")
+    g, family = q.base, build_cycle_family(q)
+    b = _bound(g, "1.61", budget)
+    a_n = count_saws(g, None, supplied)
+    got = find_epsilon_m(q, family, b, a_n, budget, workers=1)
+    want = _stepwise_search(q, family, b, a_n, budget, workers=1)
+    assert got == want
+    assert got.status == ("found" if budget >= 13 else "exhausted")
+
+
+def test_prediction_counts_fewer_times(monkeypatch):
+    # the ladder's model says "never" at r = 4; the cost cap keeps the
+    # search from counting to the budget of 30 and it still finds s = 13
+    q = _quotient("ladder", "3")
+    depths = []
+    inner = certificate.count_saws
+
+    def counted(g, v0, n, **kwargs):
+        depths.append(n)
+        return inner(g, v0, n, **kwargs)
+    monkeypatch.setattr(certificate, "count_saws", counted)
+    out = find_epsilon_m(q, build_cycle_family(q),
+                         _bound(q.base, "1.61", 30), None, 30, workers=1)
+    assert (out.r, out.s) == (4, 13)
+    assert len(out.undirected) == 14
+    assert depths[0] == 4 and max(depths) < 30 and len(depths) <= 4
+
+
+# ---------------------------------------------------------------------------
+# Cycle families built once per cell
+# ---------------------------------------------------------------------------
+
+FAMILY_QUOTIENTS = [("zd:2", "2 0;0 2"), ("zd:2", "3 0;0 1"),
+                    ("zd:3", "3 0 0;0 3 0;0 0 3"), ("square-octagon", "1 -1"),
+                    ("ladder", "3")]
+
+
+def _reached(q, depth):
+    """Every orbit a directed walk of at most ``depth`` steps from the
+    origin orbit reaches."""
+    seen = {q.origin_orbit()}
+    frontier = set(seen)
+    for _ in range(depth):
+        frontier = {t for o in frontier for t, _m in q.drow(o)} - seen
+        seen |= frontier
+    return sorted(seen)
+
+
+class _CountedBuilds(CycleFamily):
+    def __init__(self, q, length):
+        super().__init__(q, length)
+        self.built = []
+
+    def _build(self, orbit):
+        self.built.append(orbit)
+        return super()._build(orbit)
+
+
+@pytest.mark.parametrize("graph,rows", FAMILY_QUOTIENTS)
+def test_translated_families_match_per_orbit_builds(graph, rows):
+    q = _quotient(graph, rows)
+    fam = _CountedBuilds(q, build_cycle_family(q).length)
+    fresh = CycleFamily(q, fam.length)
+    orbits = _reached(q, 8)
+    for o in orbits:
+        assert fam.sets_at(o) == fresh._build(o), o
+    cells = {c for c, _x in orbits}
+    assert sorted(fam.built) == sorted(
+        (c, (0,) * q.base.dimension) for c in cells)
+
+
+def test_tree_families_build_every_orbit():
+    q = build_quotient(catalog("tree-with-end(3)"), tree_action("child-swap"))
+    fam = _CountedBuilds(q, build_cycle_family(q).length)
+    orbits = [0, 1, -2, 3]
+    for o in orbits:
+        fam.sets_at(o)
+    assert fam.built == orbits
+
+
+# ---------------------------------------------------------------------------
+# The stabiliser cache
+# ---------------------------------------------------------------------------
+
+def _fresh_stabiliser(lat, cell=0, fix_first=False):
+    return _stabiliser.__wrapped__(lat.dimension, lat.cells, lat.edges,
+                                   cell, fix_first)
+
+
+@pytest.mark.parametrize("graph", ["zd:2", "zd:3", "square-octagon",
+                                   "ladder"])
+def test_cached_stabiliser_equals_a_fresh_one(graph):
+    g = catalog(graph)
+    for cell in range(g.cells):
+        for fix_first in (False, True):
+            got = lattice_stabiliser(g, cell, fix_first)
+            assert got == _fresh_stabiliser(g, cell, fix_first)
+            assert lattice_stabiliser(g, cell, fix_first) is got
+
+
+def test_stabiliser_cache_is_keyed_on_edges_not_graph_id():
+    square = PeriodicLattice(2, 1, [(0, 0, (1, 0), 1), (0, 0, (0, 1), 1)],
+                             graph_id="same")
+    jumps = PeriodicLattice(2, 1, [(0, 0, (1, 0), 1), (0, 0, (2, 0), 1)],
+                            graph_id="same")
+    a, b = lattice_stabiliser(square), lattice_stabiliser(jumps)
+    assert a == _fresh_stabiliser(square) and len(a) == 8
+    assert b == _fresh_stabiliser(jumps) and len(b) == 2
+
+
+# ---------------------------------------------------------------------------
+# The automatic lower bound on a lattice without Z^d
+# ---------------------------------------------------------------------------
+
+JUMPS = "kind lattice\ndimension 2\ncells 1\nedge 0 0 1 0 1\nedge 0 0 2 0 1\n"
+
+
+def _min_root(counts):
+    return min(Radical.nth_root(c, j) for j, c in enumerate(counts) if j)
+
+
+def test_jump_lattice_gets_no_zd_bridges(tmp_path, capsys):
+    # Z with jumps 1 and 2 has no Z^2 inside it; the Z^2 bridge table
+    # made `saw ratio` certify it at budget 14 with b_14 above
+    # sigma_18**(1/18), which is not a lower bound
+    spec = tmp_path / "jumps.graph"
+    spec.write_text(JUMPS)
+    cert = tmp_path / "cert.json"
+    code = run(["ratio", "--spec", str(spec), "--sublattice", "3 0;0 1",
+                "--budget", "14", "--deterministic", "--out", str(cert)])
+    capsys.readouterr()
+    assert code == 3
+    doc = certificate.RatioCertificate.from_json(cert.read_text()).payload
+    assert doc["status"] != "certified"
+    us = [int(c) for c in doc["counts"]["undirected"]]
+    assert len(us) == 15
+    for entry in doc["counts"]["lower_bound"]:
+        assert entry["provenance"] != "bridge"
+        assert Radical.from_json(entry["value"]) <= _min_root(us)
+    g = load_spec_file(str(spec))
+    args = argparse.Namespace(mu_exact=None, workers=1)
+    b = _lower_bound_for(args, g, 18)
+    bound = _min_root(count_saws(g, None, 18).counts)
+    assert all(b.value_at(n) <= bound for n in range(1, 19))
+
+
+@pytest.mark.parametrize("edges,bridges", [
+    ([(0, 0, (1, 0), 1), (0, 0, (2, 0), 1)], False),
+    ([(0, 0, (1, 0), 1), (0, 0, (1, 1), 1)], True),
+    ([(0, 0, (1, 0), 1), (0, 0, (0, 1), 1), (0, 0, (1, 1), 1)], True),
+])
+def test_zd_bridges_only_where_zd_embeds(edges, bridges):
+    g = PeriodicLattice(2, 1, edges)
+    b = _lower_bound_for(argparse.Namespace(mu_exact=None, workers=1), g, 6)
+    assert (b.provenance_at(6) == "bridge") == bridges
