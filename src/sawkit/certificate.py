@@ -26,8 +26,16 @@ The pipeline has three stages.
    decimal strings), every check, and the final bound
    ratio_bound = max(R, S) < 1.  :func:`verify_certificate` replays the
    whole chain from the stored integers and interval arithmetic alone —
-   no graph enumeration — and must reproduce every verdict and the
+   no graph enumeration — and must reproduce every record and the
    claimed status.
+
+Each inequality is written once, as an entry of the check table
+``_CHECKS``: its method, the :class:`_Inputs` it reads, and its formula.
+The producer and the verifier evaluate checks only through it, and each
+search is one :class:`_Search` shared by the producer and the verifier's
+earliest-index check.  The split fraction is a stored input: the verifier
+never re-runs the minimizer, whose float result can differ across libm
+builds.
 
 A display caveat: ``ratio_bound`` is exp(``ln_ratio_bound``) and can
 round to exactly "1" when the margin under one is below float
@@ -49,11 +57,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate, repeat
 from typing import Callable, Optional
 
-from .bounds import LowerBoundSequence
+from .bounds import BoundError, LowerBoundSequence
 from .counting import WalkCounts, count_directed_saws, count_saws
 from .events import CycleFamily, event_free_series
 from .exact import Interval, Radical, float_repr, log_of_count_root
@@ -64,11 +72,20 @@ CERT_FORMAT = "saw-ratio-certificate"
 CERT_VERSION = 1
 
 _SLACK = Fraction(10 ** 9 + 1, 10 ** 9)       # multiplicative 1 + 1e-9
+_LN_SLACK = Interval.from_fraction(_SLACK).log()
+_NEG_INF = Interval(float("-inf"), float("-inf"))
 _ZETA_LO = 1e-9
 _ZETA_HI = 1.0 - 1e-9
 _GSS_ITERS = 60                               # interval ~ 0.618**60 < 1e-12
 _REPLAY_RTOL = 1e-12
 _JUMP_COST = 16          # a count's nodes, at most, per node spent before it
+# the stored parameters, in their order in the certificate
+_PARAMETERS = ("decay_index", "margin", "agreement_index", "block_length",
+               "split_fraction", "block_factor", "occurrence_density",
+               "entropy_ratio", "ln_entropy_ratio", "rewiring_exponent",
+               "rewiring_weight", "rewiring_fraction", "rewiring_ratio",
+               "ln_rewiring_ratio", "mu_upper_index", "mu_upper",
+               "ratio_bound", "ln_ratio_bound")
 
 
 class CertificateError(Exception):
@@ -87,9 +104,9 @@ class NoContractionError(Exception):
 class CheckRecord:
     """One recorded inequality: what was compared, how, and the verdict.
 
-    ``lhs``/``rhs`` are display strings; replay authority is always the
-    raw integer counts plus ``aux`` (e.g. the split fraction an interval
-    check was evaluated at).
+    ``lhs``/``rhs`` are the two sides as the check's table entry formats
+    them; ``aux`` holds an input stored on the record itself (the split
+    fraction a factor check was evaluated at).
     """
 
     name: str
@@ -109,9 +126,13 @@ class CheckRecord:
 
     @classmethod
     def from_json(cls, d: dict) -> "CheckRecord":
+        """The record of a JSON object; a TypeError unless ``index`` is an
+        integer (not a boolean) and ``holds`` a boolean."""
         aux = d.get("aux")
-        return cls(d["name"], int(d["index"]), d["lhs"], d["rhs"],
-                   bool(d["holds"]), d["method"],
+        index, holds = d["index"], d["holds"]
+        if type(index) is not int or type(holds) is not bool:
+            raise TypeError("index must be an integer and holds a boolean")
+        return cls(d["name"], index, d["lhs"], d["rhs"], holds, d["method"],
                    tuple(sorted(aux.items())) if aux else ())
 
 
@@ -120,6 +141,220 @@ def _fmt_radical(x: Radical) -> str:
         return f"{x.num}/{x.den}" if x.den != 1 else str(x.num)
     head = "" if (x.num == 1 and x.den == 1) else f"({x.num}/{x.den})*"
     return f"{head}{x.rad}^(1/{x.idx})"
+
+
+# ---------------------------------------------------------------------------
+# The check table
+# ---------------------------------------------------------------------------
+
+def _density(zeta: float, m: int) -> Interval:
+    """The occurrence density zeta / (2m), outward."""
+    return Interval.point(zeta).div_int(2 * m)
+
+
+def _upper_root(us, n0: int) -> Interval:
+    """Outward interval for us[n0]**(1/n0), the upper estimate of the
+    base growth constant inside the rewiring weight."""
+    return log_of_count_root(us[n0], n0).exp()
+
+
+def _step(fn: Callable) -> Callable:
+    """An interval step, evaluated once per inputs and index: several
+    checks and stored parameters read each step."""
+    @wraps(fn)
+    def once(self, n):
+        if (fn, n) not in self.memo:
+            self.memo[fn, n] = fn(self, n)
+        return self.memo[fn, n]
+    return once
+
+
+class _Inputs:
+    """What the checks read: the zero-occurrence, directed and undirected
+    counts ``ef``, ``ds`` and ``us``, the lower-bound table ``bound``, the
+    margin ``eps``, the agreement index ``s``, the split fraction
+    ``zeta`` of the block the chain is evaluated at, its occurrence
+    density ``a_iv``, the upper root ``mu_upper``, the ``degree`` and the
+    cycle length ``ell``.  The producer fills it in as it goes and the
+    verifier rebuilds it from a payload; a memoized step's inputs are set
+    before it is read.  A plain class, because a dataclass costs every
+    import of this module about 0.45 ms more."""
+
+    ef = ds = us = ()
+    bound = eps = s = zeta = a_iv = mu_upper = None
+    degree = ell = 0
+
+    def __init__(self, **inputs):
+        self.__dict__.update(inputs)
+        self.memo = {}
+
+    @_step
+    def lift(self, k: int) -> Fraction:
+        """1 + k*eps/2: k = 2, 1 and -2 give the margin factors 1 + eps,
+        1 + eps/2 and 1 - eps, made once as Fraction arithmetic is a
+        large part of a replay."""
+        return 1 + k * self.eps / 2
+
+    @_step
+    def ln_entropy(self, m: int) -> Interval:
+        """ln g, the block entropy factor at the split fraction zeta: the
+        binary entropy of zeta plus the margin-ratio and shrink terms."""
+        zi = Interval.point(self.zeta)
+        omz = Interval.point(1.0) - zi
+        ent = (-(zi * zi.log())) + (-(omz * omz.log()))
+        ratio = (1 + self.eps) / (1 - self.eps)
+        margin_term = (zi * Interval.from_fraction(ratio).log()).scale_int(m)
+        shrink_term = Interval.from_fraction(1 - self.eps).log().scale_int(m)
+        return ent + margin_term + shrink_term
+
+    def ln_block(self, m: int) -> Interval:
+        """ln t = ln g + ln(1 + 1e-9)."""
+        return self.ln_entropy(m) + _LN_SLACK
+
+    def kappa(self, m: int) -> Interval:
+        """The rewiring exponent a / ((2m+2) * degree**(2*ell+1))."""
+        return self.a_iv.div_int((2 * m + 2)
+                                 * self.degree ** (2 * self.ell + 1))
+
+    @_step
+    def rewiring(self, m: int) -> tuple:
+        """(Z, ln f, ln S): Z = 2*ell * mu_upper**(2*ell) times the
+        directed counts 1..2m, f = Z/(1+Z) and S = f**kappa.
+
+        With no directed SAW up to 2m, Z is 0 and S exactly 0: ln f and
+        ln S are -inf, without the interval arithmetic that would give
+        inf - inf.
+        """
+        if len(self.ds) < 2 * m + 1:
+            raise IndexError(f"directed counts up to {2 * m} required")
+        ssum = sum(self.ds[1:2 * m + 1])
+        if ssum == 0:
+            return Interval.point(0.0), _NEG_INF, _NEG_INF
+        Z = self.mu_upper.pow_int(2 * self.ell).scale_int(2 * self.ell) \
+            * Interval.from_int(ssum)
+        ln_f = -(Z.recip().log1p())
+        return Z, ln_f, self.kappa(m) * ln_f
+
+    def ln_R(self, m: int) -> Interval:
+        """ln R = ln t / m, the per-step entropy ratio."""
+        return self.ln_block(m).div_int(m)
+
+    def ln_final(self, m: int) -> float:
+        """Upper endpoint of ln max(R, S)."""
+        return max(self.ln_R(m).hi, self.rewiring(m)[2].hi)
+
+
+_EXACT, _INTERVAL = "exact-root", "interval-log"
+_FORMAT = {_EXACT: _fmt_radical, _INTERVAL: float_repr}
+_SPLIT = "aux.split_fraction"     # read from, and stored on, the record
+
+
+class _Check:
+    """A table entry: the method, the :class:`_Inputs` fields it reads,
+    the comparison, and the formula (inputs, index) -> (lhs, rhs).  Not
+    a named tuple, whose class costs each import about 0.15 ms."""
+
+    __slots__ = ("method", "reads", "holds", "sides")
+
+    def __init__(self, method: str, reads: tuple, holds: Callable,
+                 sides: Callable):
+        self.method, self.reads, self.holds, self.sides = \
+            method, reads, holds, sides
+
+
+_CHECKS = {
+    "event_decay": _Check(
+        _EXACT, ("ef", "bound"), operator.lt,
+        lambda x, n: (Radical.nth_root(x.ef[n], n),
+                      x.bound.value_at(n).scaled(Fraction(n - 1, n)))),
+    "bound_agreement": _Check(
+        _EXACT, ("us", "bound", "eps"), operator.ge,
+        lambda x, n: (x.bound.value_at(n).scaled(x.lift(2)),
+                      Radical.nth_root(x.us[n], n).scaled(x.lift(1)))),
+    "block_event_decay": _Check(
+        _EXACT, ("ef", "bound", "s", "eps"), operator.lt,
+        lambda x, n: (Radical.nth_root(x.ef[n], n),
+                      x.bound.value_at(x.s).scaled(x.lift(-2)))),
+    "block_growth": _Check(
+        _EXACT, ("ds", "bound", "s", "eps"), operator.le,
+        lambda x, n: (Radical.nth_root(x.ds[n], n),
+                      x.bound.value_at(x.s).scaled(x.lift(2)))),
+    "entropy_factor": _Check(_INTERVAL, ("eps", _SPLIT), operator.lt,
+                             lambda x, n: (x.ln_entropy(n).hi, 0.0)),
+    "block_factor": _Check(_INTERVAL, ("eps", _SPLIT), operator.lt,
+                           lambda x, n: (x.ln_block(n).hi, 0.0)),
+    "rewiring_exponent_positive": _Check(
+        _INTERVAL, ("a_iv", "degree", "ell"), operator.gt,
+        lambda x, n: (x.kappa(n).lo, 0.0)),
+    "rewiring_factor": _Check(
+        _INTERVAL, ("ds", "mu_upper", "ell"), operator.lt,
+        lambda x, n: (x.rewiring(n)[1].hi, 0.0)),
+    "rewiring_contraction": _Check(
+        _INTERVAL, ("ds", "mu_upper", "a_iv", "degree", "ell"), operator.lt,
+        lambda x, n: (x.rewiring(n)[2].hi, 0.0)),
+    "final_ratio": _Check(
+        _INTERVAL, ("eps", "zeta", "ds", "mu_upper", "a_iv", "degree", "ell"),
+        operator.lt, lambda x, n: (x.ln_final(n), 0.0)),
+}
+_REWIRING = ("rewiring_exponent_positive", "rewiring_factor",
+             "rewiring_contraction")
+# the stored log parameters, each the chain value it repeats
+_LN_PARAMETERS = {
+    "ln_entropy_ratio": lambda x, m: x.ln_R(m).hi,
+    "ln_rewiring_ratio": lambda x, m: x.rewiring(m)[2].hi,
+    "ln_ratio_bound": _Inputs.ln_final,
+}
+
+
+def _record(name: str, x: _Inputs, n: int) -> CheckRecord:
+    """The record of check ``name`` at index n, evaluated on x."""
+    check = _CHECKS[name]
+    lhs, rhs = check.sides(x, n)
+    fmt = _FORMAT[check.method]
+    aux = (("split_fraction", float_repr(x.zeta)),) \
+        if _SPLIT in check.reads else ()
+    return CheckRecord(name, n, fmt(lhs), fmt(rhs), check.holds(lhs, rhs),
+                       check.method, aux)
+
+
+class _Search:
+    """An earliest-index search: what the index is called, the parameter
+    that stores it, the parameter it starts at (None: 1), the checks
+    probed at each candidate (a candidate holds when all of them do), and
+    the checks a holding candidate must then pass too, else the search
+    moves on.  A plain class for the reason :class:`_Check` is one."""
+
+    __slots__ = ("what", "param", "start", "names", "then")
+
+    def __init__(self, what: str, param: str, start: Optional[str],
+                 names: tuple, then: tuple = ()):
+        self.what, self.param, self.start, self.names, self.then = \
+            what, param, start, names, then
+
+
+_DECAY = _Search("decay index", "decay_index", None, ("event_decay",))
+_AGREEMENT = _Search("agreement index", "agreement_index", "decay_index",
+                     ("bound_agreement",))
+_BLOCK = _Search("block length", "block_length", None,
+                 ("block_event_decay", "block_growth"),
+                 ("entropy_factor", "block_factor"))
+# the records a certified status rests on, all at the block length
+_CHAIN = _BLOCK.then + _REWIRING + ("final_ratio",)
+
+
+def _first_hold(search: _Search, x: _Inputs, lo: int, hi: int, checks: list,
+                prepare: Optional[Callable] = None) -> Optional[int]:
+    """The first n in lo..hi at which every check of ``search`` holds on
+    x, or None; each probe's records are appended to ``checks``, and
+    ``prepare(n)`` runs before the probe at n."""
+    for n in range(lo, hi + 1):
+        if prepare is not None:
+            prepare(n)
+        recs = [_record(name, x, n) for name in search.names]
+        checks.extend(recs)
+        if all(rec.holds for rec in recs):
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -142,24 +377,6 @@ class SearchOutcome:
     event_free: list = field(default_factory=list)
     directed: list = field(default_factory=list)
     undirected: list = field(default_factory=list)
-
-
-def _block_checks(ef: list, ds: list, b_s: Radical, eps: Fraction,
-                  m: int) -> tuple:
-    """The two exact block-length inequalities at m, as (ok, records)."""
-    lhs1 = Radical.nth_root(ef[m], m)
-    rhs1 = b_s.scaled(1 - eps)
-    ok1 = lhs1 < rhs1
-    lhs2 = Radical.nth_root(ds[m], m)
-    rhs2 = b_s.scaled(1 + eps)
-    ok2 = lhs2 <= rhs2
-    recs = [
-        CheckRecord("block_event_decay", m, _fmt_radical(lhs1),
-                    _fmt_radical(rhs1), ok1, "exact-root"),
-        CheckRecord("block_growth", m, _fmt_radical(lhs2),
-                    _fmt_radical(rhs2), ok2, "exact-root"),
-    ]
-    return ok1 and ok2, recs
 
 
 def _agreement_target(us: list, b: LowerBoundSequence, eps: Fraction,
@@ -215,70 +432,45 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
         return SearchOutcome("exhausted", "budget is zero", None, None,
                              None, None)
     g = q.base if g is None else g
-    ell = family.length
-
-    ef = event_free_series(q, family, ell, n_budget)
-    ds = list(count_directed_saws(q, n_budget, workers=workers).counts)
-    us = list(a_n.counts) if a_n is not None else [1]
-    supplied = len(us)
-
+    x = _Inputs(
+        ef=event_free_series(q, family, family.length, n_budget),
+        ds=list(count_directed_saws(q, n_budget, workers=workers).counts),
+        us=list(a_n.counts) if a_n is not None else [1], bound=b)
+    supplied = len(x.us)
     checks: list = []
 
-    # search 1: decay index r, margin 1/r
-    r = None
-    for cand in range(1, n_budget + 1):
-        lhs = Radical.nth_root(ef[cand], cand)
-        rhs = b.value_at(cand).scaled(Fraction(cand - 1, cand))
-        ok = lhs < rhs
-        checks.append(CheckRecord("event_decay", cand, _fmt_radical(lhs),
-                                  _fmt_radical(rhs), ok, "exact-root"))
-        if ok:
-            r = cand
-            break
+    def outcome(reason, r=None, s=None, m=None) -> SearchOutcome:
+        return SearchOutcome("exhausted" if reason else "found", reason, r,
+                             x.eps, s, m, checks, x.ef, x.ds, x.us)
+
+    r = _first_hold(_DECAY, x, 1, n_budget, checks)
     if r is None:
-        return SearchOutcome("exhausted",
-                             f"no decay index r within budget {n_budget}",
-                             None, None, None, None, checks, ef, ds, us)
-    eps = Fraction(1, r)
+        return outcome(f"no decay index r within budget {n_budget}")
+    x.eps = Fraction(1, r)
 
-    # search 2: agreement index s >= r; each count runs from the root to
-    # a predicted depth, and the next one starts only if s is not found
-    s = None
-    spent = sum(us)
-    for cand in range(r, n_budget + 1):
-        if cand >= len(us):
-            n = _agreement_target(us, b, eps, cand, n_budget, spent)
-            us = list(count_saws(g, None, n, workers=workers).counts)
-            spent += sum(us)
-        lhs = b.value_at(cand).scaled(1 + eps)
-        rhs = Radical.nth_root(us[cand], cand).scaled(1 + eps / 2)
-        ok = lhs >= rhs
-        checks.append(CheckRecord("bound_agreement", cand, _fmt_radical(lhs),
-                                  _fmt_radical(rhs), ok, "exact-root"))
-        if ok:
-            s = cand
-            break
-    if cand >= supplied:
-        us = us[:cand + 1]
+    # each count runs from the root to a predicted depth, and the next
+    # one starts only if s is not found by then
+    spent = sum(x.us)
+
+    def count_to(n: int) -> None:
+        nonlocal spent
+        if n >= len(x.us):
+            depth = _agreement_target(x.us, b, x.eps, n, n_budget, spent)
+            x.us = list(count_saws(g, None, depth, workers=workers).counts)
+            spent += sum(x.us)
+
+    s = _first_hold(_AGREEMENT, x, r, n_budget, checks, count_to)
+    last = n_budget if s is None else s
+    if last >= supplied:
+        x.us = x.us[:last + 1]
     if s is None:
-        return SearchOutcome("exhausted",
-                             f"no agreement index s within budget {n_budget}",
-                             r, eps, None, None, checks, ef, ds, us)
+        return outcome(f"no agreement index s within budget {n_budget}", r)
+    x.s = s
 
-    # search 3: earliest block length m
-    b_s = b.value_at(s)
-    m = None
-    for cand in range(1, n_budget + 1):
-        ok, recs = _block_checks(ef, ds, b_s, eps, cand)
-        checks.extend(recs)
-        if ok:
-            m = cand
-            break
+    m = _first_hold(_BLOCK, x, 1, n_budget, checks)
     if m is None:
-        return SearchOutcome("exhausted",
-                             f"no block length m within budget {n_budget}",
-                             r, eps, s, None, checks, ef, ds, us)
-    return SearchOutcome("found", None, r, eps, s, m, checks, ef, ds, us)
+        return outcome(f"no block length m within budget {n_budget}", r, s)
+    return outcome(None, r, s, m)
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +499,6 @@ def _golden_min(fn: Callable, lo: float, hi: float,
             fd = fn(d)
     cands = [(fn(lo), lo), (fc, c), (fd, d), (fn(hi), hi)]
     return min(cands)[1]
-
-
-def _ln_g_interval(eps: Fraction, m: int, zeta: float) -> Interval:
-    """Outward interval for the log block entropy factor at a given split
-    fraction: binary-entropy term plus the margin-ratio and shrink terms."""
-    zi = Interval.point(zeta)
-    omz = Interval.point(1.0) - zi
-    ent = (-(zi * zi.log())) + (-(omz * omz.log()))
-    ratio = (1 + eps) / (1 - eps)
-    margin_term = (zi * Interval.from_fraction(ratio).log()).scale_int(m)
-    shrink_term = Interval.from_fraction(1 - eps).log().scale_int(m)
-    return ent + margin_term + shrink_term
 
 
 @dataclass(frozen=True)
@@ -357,26 +537,18 @@ def compute_R(epsilon: Fraction, m: int) -> ContractionR:
         return -z * math.log(z) - (1.0 - z) * math.log1p(-z) + z * c1 + c2
 
     zeta = _golden_min(ln_g, _ZETA_LO, _ZETA_HI)
-    g_iv = _ln_g_interval(epsilon, m, zeta)
-    ok_g = g_iv.hi < 0.0
-    ln_t = g_iv + Interval.from_fraction(_SLACK).log()
-    ok_t = ln_t.hi < 0.0
-    aux = (("split_fraction", float_repr(zeta)),)
-    checks = (
-        CheckRecord("entropy_factor", m, float_repr(g_iv.hi), "0", ok_g,
-                    "interval-log", aux),
-        CheckRecord("block_factor", m, float_repr(ln_t.hi), "0", ok_t,
-                    "interval-log", aux),
-    )
-    if not (ok_g and ok_t):
+    x = _Inputs(eps=epsilon, zeta=zeta)
+    checks = tuple(_record(name, x, m) for name in _BLOCK.then)
+    ln_t = x.ln_block(m)
+    if not all(c.holds for c in checks):
         raise NoContractionError(
             f"entropy factor not below one at m={m} "
-            f"(ln upper endpoint {max(g_iv.hi, ln_t.hi)!r})", checks)
-    ln_R = ln_t.div_int(m)
-    a_iv = Interval.point(zeta).div_int(2 * m)
-    return ContractionR(zeta, g_iv, ln_t, ln_R,
+            f"(ln upper endpoint {ln_t.hi!r})", checks)
+    ln_R = x.ln_R(m)
+    return ContractionR(zeta, x.ln_entropy(m), ln_t, ln_R,
                         t=math.exp(ln_t.hi), R=math.exp(ln_R.hi),
-                        a=zeta / (2 * m), a_iv=a_iv, checks=checks)
+                        a=zeta / (2 * m), a_iv=_density(zeta, m),
+                        checks=checks)
 
 
 @dataclass(frozen=True)
@@ -412,46 +584,15 @@ def compute_S(epsilon: Fraction, m: int, degree: int, ell: int,
     if len(counts) < 2 * m + 1:
         raise CertificateError(
             f"directed counts up to {2 * m} required, have {len(counts) - 1}")
-    denom = (2 * m + 2) * degree ** (2 * ell + 1)
-    kappa = a_iv.div_int(denom)
-    ssum = sum(counts[1:2 * m + 1])
-
-    if ssum == 0:
-        # No directed SAWs at all: the rewiring weight vanishes and the
-        # ratio is exactly zero.  Represent ln S as [-inf, -inf] and skip
-        # interval arithmetic that would produce inf - inf.
-        ninf = float("-inf")
-        checks = (
-            CheckRecord("rewiring_exponent_positive", m,
-                        float_repr(kappa.lo), "0", kappa.lo > 0.0,
-                        "interval-log"),
-            CheckRecord("rewiring_contraction", m, "-inf", "0", True,
-                        "interval-log"),
-        )
-        if kappa.lo <= 0.0:
-            raise NoContractionError("rewiring exponent not positive", checks)
-        return ContractionS(kappa, Interval.point(0.0), 1.0,
-                            Interval(ninf, ninf), Interval(ninf, ninf),
-                            S=0.0, checks=checks)
-
-    Z = mu_upper.pow_int(2 * ell).scale_int(2 * ell) * Interval.from_int(ssum)
-    ln_f = -(Z.recip().log1p())
-    ok_f = ln_f.hi < 0.0
-    ok_k = kappa.lo > 0.0
-    ln_S = kappa * ln_f
-    ok_S = ln_S.hi < 0.0
-    eta = 1.0 / (1.0 + Z.hi)
-    checks = (
-        CheckRecord("rewiring_exponent_positive", m, float_repr(kappa.lo),
-                    "0", ok_k, "interval-log"),
-        CheckRecord("rewiring_factor", m, float_repr(ln_f.hi), "0", ok_f,
-                    "interval-log"),
-        CheckRecord("rewiring_contraction", m, float_repr(ln_S.hi), "0",
-                    ok_S, "interval-log"),
-    )
-    if not (ok_f and ok_k and ok_S):
+    x = _Inputs(ds=counts, a_iv=a_iv, mu_upper=mu_upper, degree=degree,
+                ell=ell)
+    Z, ln_f, ln_S = x.rewiring(m)
+    # with no directed SAW up to 2m there is no rewiring factor to record
+    checks = tuple(_record(name, x, m) for name in _REWIRING
+                   if Z.hi or name != "rewiring_factor")
+    if not all(c.holds for c in checks):
         raise NoContractionError("rewiring factor not below one", checks)
-    return ContractionS(kappa, Z, eta, ln_f, ln_S,
+    return ContractionS(x.kappa(m), Z, 1.0 / (1.0 + Z.hi), ln_f, ln_S,
                         S=math.exp(ln_S.hi), checks=checks)
 
 
@@ -516,28 +657,13 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
 
     outcome = find_epsilon_m(q, family, b, None, budget, workers=workers, g=g)
     checks = list(outcome.checks)
-    ef, ds, us = outcome.event_free, outcome.directed, outcome.undirected
+    x = _Inputs(ef=outcome.event_free, ds=outcome.directed,
+                us=outcome.undirected, bound=b, eps=outcome.epsilon,
+                s=outcome.s, degree=g.degree, ell=family.length)
 
-    params: dict = {
-        "decay_index": outcome.r,
-        "margin": None if outcome.epsilon is None else str(outcome.epsilon),
-        "agreement_index": outcome.s,
-        "block_length": None,
-        "split_fraction": None,
-        "block_factor": None,
-        "occurrence_density": None,
-        "entropy_ratio": None,
-        "ln_entropy_ratio": None,
-        "rewiring_exponent": None,
-        "rewiring_weight": None,
-        "rewiring_fraction": None,
-        "rewiring_ratio": None,
-        "ln_rewiring_ratio": None,
-        "mu_upper_index": None,
-        "mu_upper": None,
-        "ratio_bound": None,
-        "ln_ratio_bound": None,
-    }
+    params = dict.fromkeys(_PARAMETERS)
+    params.update(decay_index=outcome.r, agreement_index=outcome.s,
+                  margin=None if x.eps is None else str(x.eps))
 
     def payload_with(status: str, reason: Optional[str]) -> dict:
         return {
@@ -552,9 +678,9 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
             "reason": reason,
             "parameters": params,
             "counts": {
-                "event_free": [str(c) for c in ef],
-                "directed": [str(c) for c in ds],
-                "undirected": [str(c) for c in us],
+                "event_free": [str(c) for c in x.ef],
+                "directed": [str(c) for c in x.ds],
+                "undirected": [str(c) for c in x.us],
                 "lower_bound": _bound_entries_json(b, max(budget, 1)),
             },
             "checks": [c.to_json() for c in checks],
@@ -564,45 +690,32 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
         return RatioCertificate(
             payload_with("inconclusive-budget", outcome.reason))
 
-    eps, s = outcome.epsilon, outcome.s
-    b_s = b.value_at(s)
-
     # entropy contraction, retrying at later valid block lengths
     contraction = None
     m = outcome.m
-    while m is not None and m <= budget:
+    while m is not None:
         try:
-            contraction = compute_R(eps, m)
+            contraction = compute_R(x.eps, m)
             checks.extend(contraction.checks)
             break
         except NoContractionError as e:
             checks.extend(e.args[1])
-            nxt = None
-            for cand in range(m + 1, budget + 1):
-                ok, recs = _block_checks(ef, ds, b_s, eps, cand)
-                checks.extend(recs)
-                if ok:
-                    nxt = cand
-                    break
-            m = nxt
+            m = _first_hold(_BLOCK, x, m + 1, budget, checks)
     if contraction is None:
-        params["block_length"] = None
         return RatioCertificate(payload_with(
             "inconclusive-budget",
             f"no block length with entropy contraction within budget {budget}"))
 
     # rewiring contraction; needs directed counts to 2m and the upper
     # root at the largest computed undirected index
-    if len(ds) < 2 * m + 1:
-        ds = list(count_directed_saws(q, 2 * m, workers=workers).counts)
-    n0 = len(us) - 1
-    if n0 < 1:
-        us = list(count_saws(g, None, 1, workers=workers).counts)
-        n0 = 1
-    mu_upper = log_of_count_root(us[n0], n0).exp()
+    if len(x.ds) < 2 * m + 1:
+        x.ds = list(count_directed_saws(q, 2 * m, workers=workers).counts)
+    n0 = len(x.us) - 1
+    x.zeta, x.a_iv, x.mu_upper = \
+        contraction.zeta, contraction.a_iv, _upper_root(x.us, n0)
     try:
-        rewiring = compute_S(eps, m, g.degree, family.length,
-                             contraction.a_iv, ds, mu_upper)
+        rewiring = compute_S(x.eps, m, g.degree, family.length,
+                             contraction.a_iv, x.ds, x.mu_upper)
         checks.extend(rewiring.checks)
     except NoContractionError as e:
         checks.extend(e.args[1])
@@ -610,27 +723,23 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
         return RatioCertificate(payload_with(
             "inconclusive-budget", "rewiring factor not below one"))
 
-    ln_final = max(contraction.ln_R.hi, rewiring.ln_S.hi)
-    ok_final = ln_final < 0.0
-    checks.append(CheckRecord("final_ratio", m, float_repr(ln_final), "0",
-                              ok_final, "interval-log"))
-
+    checks.append(_record("final_ratio", x, m))
+    ok_final = checks[-1].holds
     params.update({
         "block_length": m,
         "split_fraction": float_repr(contraction.zeta),
         "block_factor": float_repr(contraction.t),
         "occurrence_density": float_repr(contraction.a),
         "entropy_ratio": float_repr(contraction.R),
-        "ln_entropy_ratio": float_repr(contraction.ln_R.hi),
         "rewiring_exponent": float_repr(rewiring.kappa.lo),
         "rewiring_weight": float_repr(rewiring.Z.hi),
         "rewiring_fraction": float_repr(rewiring.eta),
         "rewiring_ratio": float_repr(rewiring.S),
-        "ln_rewiring_ratio": float_repr(rewiring.ln_S.hi),
         "mu_upper_index": n0,
-        "mu_upper": float_repr(mu_upper.hi),
-        "ratio_bound": float_repr(math.exp(ln_final)),
-        "ln_ratio_bound": float_repr(ln_final),
+        "mu_upper": float_repr(x.mu_upper.hi),
+        "ratio_bound": float_repr(math.exp(x.ln_final(m))),
+        **{key: float_repr(value(x, m)) for key, value in
+           _LN_PARAMETERS.items()},
     })
     # a recorded failed probe (an early decay candidate, say) does not
     # invalidate certification; only the selected chain must hold, and
@@ -657,11 +766,13 @@ class VerifyReport:
 
 _INDEX_PARAMETERS = ("decay_index", "agreement_index", "block_length",
                      "mu_upper_index")
-_LN_PARAMETERS = ("ln_entropy_ratio", "ln_rewiring_ratio", "ln_ratio_bound")
 _SERIES = ("event_free", "directed", "undirected")
 # the rewiring exponent divides by degree**(2*cycle_length + 1), which
 # must stay inside the float range of the interval arithmetic
 _MAX_DENOM_BITS = 1000
+# what a formula raises when the stored inputs cannot feed it
+_UNREPLAYABLE = (ArithmeticError, AttributeError, LookupError, TypeError,
+                 ValueError)
 
 
 def _is_int(v, least: int) -> bool:
@@ -674,6 +785,14 @@ def _float_of(v) -> Optional[float]:
         return float(v) if isinstance(v, str) else None
     except ValueError:
         return None
+
+
+def _close(a: float, b: float) -> bool:
+    """Equal to relative 1e-12, and an infinity only to itself.  The
+    stored logs are often near 1e-19, so an absolute floor would let
+    them drift anywhere below it."""
+    return a == b or (math.isfinite(a) and math.isfinite(b) and
+                      abs(a - b) <= _REPLAY_RTOL * max(abs(a), abs(b)))
 
 
 @lru_cache(maxsize=8)
@@ -690,18 +809,21 @@ class _Malformed(ValueError):
 
 
 def _parse_payload(payload) -> tuple:
-    """(status, params, budget, degree, ell, (ef, ds, us), bound, checks)
-    from a certificate payload, or :class:`_Malformed` for the first
-    field that cannot be replayed.
+    """(status, params, budget, inputs, split, checks) from a certificate
+    payload, or :class:`_Malformed` for the first field that cannot be
+    replayed.  ``inputs`` holds the counts, the bound table, the degree
+    and the cycle length; ``split`` maps an index to the split fraction
+    stored on the factor records there.
 
     The top level is an object of the certificate format; ``degree``
     >= 2, ``cycle_length`` >= 1 and ``budget`` >= 0 are integers, with
     degree**(2*cycle_length+1) inside the float range; every stored
     count c_n is an integer in [0, degree**n]; the lower-bound table is
-    a non-empty list of exact roots of index at most max(budget, 2);
-    every check parses as a :class:`CheckRecord` with a string name and
-    method and an index in 1..max(budget, 1); the interval factor checks
-    carry a numeric lhs and a split fraction in (0, 1).
+    a non-decreasing list of exact roots of index at most max(budget, 2),
+    labelled n = 1..k in order; every check parses as a
+    :class:`CheckRecord` with a string name and method and an index in
+    1..max(budget, 1); an interval check carries a numeric lhs, and a
+    factor check a split fraction in (0, 1).
     """
     if not isinstance(payload, dict):
         raise _Malformed("certificate is not a JSON object")
@@ -743,22 +865,32 @@ def _parse_payload(payload) -> tuple:
                      if not 0 <= v <= cap)
             raise _Malformed(f"counts.{key}[{n}] = {counts[key][n]!r} is "
                              f"not an integer in [0, degree**{n}]")
+    entries = counts.get("lower_bound")
     try:
-        bound = [(e["n"], Radical.from_json(e["value"]))
-                 for e in counts.get("lower_bound")]
+        labels = [e["n"] for e in entries]
+        values = tuple(Radical.from_json(e["value"]) for e in entries)
     except (KeyError, OverflowError, TypeError, ValueError):
         raise _Malformed("counts.lower_bound is not a list of exact roots") \
             from None
+    if labels != list(range(1, len(labels) + 1)) or \
+            not all(type(n) is int for n in labels):
+        raise _Malformed("counts.lower_bound is not labelled n = 1..k "
+                         "in order")
     top = max(budget, 2)
-    if not bound or not all(_is_int(n, 1) and r.idx <= top
-                            for n, r in bound):
-        raise _Malformed("counts.lower_bound is not a non-empty list of "
-                         f"indices n >= 1 and roots of index 1..{top}")
+    if not all(v.idx <= top for v in values):
+        raise _Malformed(f"counts.lower_bound holds a root of index above "
+                         f"{top}")
+    try:
+        bound = LowerBoundSequence(
+            str(payload.get("graph")), values,
+            tuple(e.get("provenance") for e in entries))
+    except BoundError:
+        raise _Malformed("counts.lower_bound is empty or decreases") from None
     raw = payload.get("checks")
     if not isinstance(raw, list):
         raise _Malformed("checks is not a list")
     top = max(budget, 1)
-    checks = []
+    checks, split = [], {}
     for i, c in enumerate(raw):
         try:
             rec = CheckRecord.from_json(c)
@@ -770,18 +902,20 @@ def _parse_payload(payload) -> tuple:
         if not 1 <= rec.index <= top:
             raise _Malformed(f"checks[{i}].index = {rec.index} is not in "
                              f"1..{top}")
-        if rec.method == "interval-log" and \
-                rec.name in ("entropy_factor", "block_factor"):
+        check = _CHECKS.get(rec.name)
+        if check is not None and _SPLIT in check.reads:
             zeta = _float_of(dict(rec.aux).get("split_fraction"))
             if zeta is None or not 0.0 < zeta < 1.0:
                 raise _Malformed(f"checks[{i}].aux.split_fraction is not a "
                                  "number in (0, 1)")
-            if _float_of(rec.lhs) is None:
-                raise _Malformed(
-                    f"checks[{i}].lhs = {rec.lhs!r} is not a number")
+            split[rec.index] = zeta
+        if check is not None and check.method == _INTERVAL and \
+                _float_of(rec.lhs) is None:
+            raise _Malformed(f"checks[{i}].lhs = {rec.lhs!r} is not a number")
         checks.append(rec)
-    return (status, payload.get("parameters"), budget, degree, ell, series,
-            bound, checks)
+    inputs = _Inputs(ef=series[0], ds=series[1], us=series[2], bound=bound,
+                     degree=degree, ell=ell)
+    return status, payload.get("parameters"), budget, inputs, split, checks
 
 
 def _parameter_fault(params, status, budget: int) -> Optional[str]:
@@ -826,20 +960,71 @@ def _parameter_fault(params, status, budget: int) -> Optional[str]:
     return None
 
 
-def verify_certificate(cert) -> VerifyReport:
-    """Replay every stored inequality from the certificate's raw integer
-    counts and interval arithmetic; no graph enumeration happens here.
+def _replay_fault(c: CheckRecord, x: _Inputs) -> Optional[str]:
+    """Why the stored record c does not replay through its table entry
+    on x, or None.  A factor check is evaluated at its own stored split
+    fraction."""
+    check = _CHECKS.get(c.name)
+    if check is None:
+        return "is not a known check"
+    if c.method != check.method:
+        return f"method {c.method!r} is not {check.method!r}"
+    if _SPLIT in check.reads:
+        zeta = float(dict(c.aux)["split_fraction"])
+        if zeta != x.zeta:
+            x = _Inputs(**{**vars(x), "zeta": zeta})
+    try:
+        lhs, rhs = check.sides(x, c.index)
+    except _UNREPLAYABLE:
+        return "not replayable from stored counts"
+    holds = check.holds(lhs, rhs)
+    if holds != c.holds:
+        return f"verdict mismatch: stored {c.holds}, replayed {holds}"
+    fmt = _FORMAT[check.method]
+    if c.rhs != fmt(rhs) or (c.lhs != fmt(lhs) if check.method == _EXACT
+                             else not _close(lhs, float(c.lhs))):
+        return (f"value mismatch: stored {c.lhs} vs {c.rhs}, "
+                f"replayed {fmt(lhs)} vs {fmt(rhs)}")
+    return None
 
-    Checks performed: every field well-formed (see ``_parse_payload``) and
-    the load-bearing parameters too (see ``_parameter_fault``), each
-    fault reported as one FAIL line and an early return; margin =
-    1/decay_index exactly; stored bound entries non-decreasing; every
-    exact search check re-derived from the stored counts with matching
-    verdict; earliest-index discipline for
-    the decay, agreement and block searches; every interval check
-    re-evaluated at its stored parameters with matching verdict and
-    endpoint (to relative 1e-12); the final bound re-derived; the status
-    consistent with the verdicts.
+
+def _earliest_fault(search: _Search, checks: list, lo: int,
+                    chosen: int) -> Optional[str]:
+    """Why the records do not show ``chosen`` as the first index from lo
+    at which ``search`` holds, or None: the search's records probe each
+    candidate lo..chosen in turn, and no earlier candidate holds (or,
+    where the search has follow-up checks, passes those too)."""
+    k = len(search.names)
+    probes = [c for c in checks if c.name in search.names]
+    order = [(n, name) for n in range(lo, chosen + 1) for name in search.names]
+    if not order or [(c.index, c.name) for c in probes] != order:
+        return f"{search.what} search does not probe {lo}..{chosen} " \
+               "contiguously"
+    holds = [all(c.holds for c in probes[i:i + k])
+             for i in range(0, len(probes), k)]
+    for n, ok in zip(range(lo, chosen), holds):
+        if ok:
+            then = [c.holds for c in checks
+                    if c.name in search.then and c.index == n]
+            if len(then) != len(search.then) or all(then):
+                return f"{search.what} {chosen} is not the earliest: " \
+                       f"{n} holds"
+    if not holds[-1]:
+        return f"{search.what} {chosen} does not hold"
+    return None
+
+
+def verify_certificate(cert) -> VerifyReport:
+    """Replay a certificate from its stored counts and interval
+    arithmetic alone; no graph enumeration happens here.
+
+    A malformed field or load-bearing parameter (see ``_parse_payload``
+    and ``_parameter_fault``) is one FAIL line and an early return.
+    Otherwise the report checks margin = 1/decay_index exactly, every
+    record through its table entry (see ``_replay_fault``), the
+    earliest-index discipline of each search (see ``_earliest_fault``),
+    the stored log parameters against the chain values they repeat, and
+    the status against the verdicts.
     """
     payload = cert.payload if isinstance(cert, RatioCertificate) else cert
     lines: list = []
@@ -854,8 +1039,7 @@ def verify_certificate(cert) -> VerifyReport:
         lines.append("ok   " + msg)
 
     try:
-        status, params, budget, degree, ell, (ef, ds, us), bound, checks = \
-            _parse_payload(payload)
+        status, params, budget, x, split, checks = _parse_payload(payload)
     except _Malformed as e:
         fail(str(e))
         claimed = payload.get("status") if isinstance(payload, dict) else None
@@ -865,198 +1049,78 @@ def verify_certificate(cert) -> VerifyReport:
     if fault is not None:
         fail(fault)
         return VerifyReport(False, status, lines)
+    note("lower-bound entries non-decreasing")
 
-    bound.sort()
-    bvals = [v for _, v in bound]
-    for earlier, later in zip(bvals, bvals[1:]):
-        if not earlier <= later:
-            fail("lower-bound entries decrease")
-            break
-    else:
-        note("lower-bound entries non-decreasing")
-
-    def b_at(n: int) -> Radical:
-        if not bvals:
-            raise ValueError("empty bound table")
-        return bvals[min(n, len(bvals)) - 1]
-
-    by_name: dict = {}
-    for c in checks:
-        by_name.setdefault(c.name, []).append(c)
-
-    r = params.get("decay_index")
-    eps = None if params.get("margin") is None else Fraction(params["margin"])
-    s = params.get("agreement_index")
-    m = params.get("block_length")
-
+    r, m = params.get("decay_index"), params.get("block_length")
+    x.eps = None if params.get("margin") is None else \
+        Fraction(params["margin"])
     if r is not None:
-        if eps != Fraction(1, r):
-            fail(f"margin {eps} != 1/{r}")
+        if x.eps != Fraction(1, r):
+            fail(f"margin {x.eps} != 1/{r}")
         else:
             note(f"margin = 1/{r} exactly")
 
-    # -- replay exact search checks ---------------------------------------
-    # the margin factors, made once: Fraction arithmetic is a large part
-    # of a replay (a null margin makes every scaling below a TypeError)
-    up, half_up, down = (None, None, None) if eps is None else \
-        (1 + eps, 1 + eps / 2, 1 - eps)
+    # the chain at the block length reads the split fraction stored on
+    # the factor records there
+    x.s, x.zeta = params.get("agreement_index"), split.get(m)
+    if x.zeta is not None:
+        x.a_iv = _density(x.zeta, m)
+    try:
+        x.mu_upper = _upper_root(x.us, params.get("mu_upper_index"))
+    except _UNREPLAYABLE:
+        pass                          # the checks that read it fail below
 
-    def replay_exact(c: CheckRecord) -> Optional[bool]:
-        n = c.index
+    faults = [_replay_fault(c, x) for c in checks]
+    exact = [(c, f) for c, f in zip(checks, faults) if c.method != _INTERVAL]
+    for c, fault in exact:
+        if fault is not None:
+            fail(f"{c.name}[{c.index}] {fault}")
+    note(f"{sum(f is None for _, f in exact)} exact search checks replayed")
+
+    for search in (_DECAY, _AGREEMENT, _BLOCK):
+        chosen = params.get(search.param)
+        if chosen is None:
+            continue
+        lo = 1 if search.start is None else params[search.start]
+        fault = _earliest_fault(search, checks, lo, chosen)
+        if fault is not None:
+            fail(fault)
+        else:
+            note(f"{search.what} {chosen} is the earliest"
+                 + (" workable" if search.then else ""))
+
+    for c, fault in zip(checks, faults):
+        if c.method != _INTERVAL:
+            continue
+        if fault is not None:
+            fail(f"{c.name}[{c.index}] {fault}")
+        elif _SPLIT in _CHECKS[c.name].reads:
+            note(f"{c.name}[{c.index}] replayed")
+
+    for key, value in _LN_PARAMETERS.items():
+        stored = params.get(key)
+        if stored is None:
+            continue
         try:
-            if c.name == "event_decay":
-                return Radical.nth_root(ef[n], n) < b_at(n).scaled(
-                    Fraction(n - 1, n))
-            if c.name == "bound_agreement":
-                return (b_at(n).scaled(up)
-                        >= Radical.nth_root(us[n], n).scaled(half_up))
-            if c.name == "block_event_decay":
-                return Radical.nth_root(ef[n], n) < b_at(s).scaled(down)
-            if c.name == "block_growth":
-                return Radical.nth_root(ds[n], n) <= b_at(s).scaled(up)
-        except (IndexError, TypeError):
-            return None
-        return None
-
-    exact_names = ("event_decay", "bound_agreement", "block_event_decay",
-                   "block_growth")
-    n_exact = 0
-    for c in checks:
-        if c.name not in exact_names:
+            got = value(x, m)
+        except _UNREPLAYABLE:
+            fail(f"parameters.{key} not replayable from stored counts")
             continue
-        got = replay_exact(c)
-        if got is None:
-            fail(f"{c.name}[{c.index}] not replayable from stored counts")
-        elif got != c.holds:
-            fail(f"{c.name}[{c.index}] verdict mismatch: "
-                 f"stored {c.holds}, replayed {got}")
-        else:
-            n_exact += 1
-    note(f"{n_exact} exact search checks replayed")
-
-    # -- earliest-index discipline -----------------------------------------
-    if r is not None:
-        decays = sorted(by_name.get("event_decay", []), key=lambda c: c.index)
-        if [c.index for c in decays] != list(range(1, r + 1)):
-            fail("decay search does not probe 1..r contiguously")
-        elif any(c.holds for c in decays[:-1]) or not decays[-1].holds:
-            fail("decay index is not the earliest hold")
-        else:
-            note(f"decay index {r} is the earliest")
-    if s is not None:
-        agrees = sorted(by_name.get("bound_agreement", []),
-                        key=lambda c: c.index)
-        if [c.index for c in agrees] != list(range(r, s + 1)):
-            fail("agreement search does not probe r..s contiguously")
-        elif any(c.holds for c in agrees[:-1]) or not agrees[-1].holds:
-            fail("agreement index is not the earliest hold")
-        else:
-            note(f"agreement index {s} is the earliest")
-    if m is not None:
-        pairs: dict = {}
-        for c in checks:
-            if c.name in ("block_event_decay", "block_growth"):
-                pairs.setdefault(c.index, {})[c.name] = c.holds
-        entropy = {c.index: c for c in by_name.get("block_factor", [])}
-        bad = False
-        for cand in range(1, m):
-            p = pairs.get(cand)
-            if p is None or len(p) < 2:
-                fail(f"block candidate {cand} missing from the record")
-                bad = True
-            elif all(p.values()):
-                e = entropy.get(cand)
-                if e is None or e.holds:
-                    fail(f"block candidate {cand} passed its exact checks "
-                         "but shows no failed contraction")
-                    bad = True
-        p = pairs.get(m)
-        if p is None or not all(p.values()):
-            fail(f"chosen block length {m} lacks passing exact checks")
-            bad = True
-        if not bad:
-            note(f"block length {m} is the earliest workable")
-
-    # -- replay interval checks ---------------------------------------------
-    def close(a: float, b: float) -> bool:
-        if a == b:
-            return True
-        return abs(a - b) <= _REPLAY_RTOL * max(1.0, abs(a), abs(b))
-
-    n0 = params.get("mu_upper_index")
-    a_iv = kappa = Z = ln_f = ln_S = ln_R = None
-    for c in checks:
-        if c.method != "interval-log":
-            continue
-        aux = dict(c.aux)
-        if c.name in ("entropy_factor", "block_factor"):
-            if eps is None:
-                fail(f"{c.name}[{c.index}] has no margin to replay at")
-                continue
-            zeta = float(aux["split_fraction"])
-            g_iv = _ln_g_interval(eps, c.index, zeta)
-            val = g_iv.hi if c.name == "entropy_factor" else \
-                (g_iv + Interval.from_fraction(_SLACK).log()).hi
-            got = val < 0.0
-            if got != c.holds:
-                fail(f"{c.name}[{c.index}] interval verdict mismatch")
-            elif not close(val, float(c.lhs)):
-                fail(f"{c.name}[{c.index}] endpoint drift: "
-                     f"stored {c.lhs}, replayed {float_repr(val)}")
-            else:
-                note(f"{c.name}[{c.index}] replayed")
-            if c.name == "block_factor" and c.holds and c.index == m:
-                ln_R = (g_iv + Interval.from_fraction(_SLACK).log()) \
-                    .div_int(m)
-                a_iv = Interval.point(zeta).div_int(2 * m)
-
-    if m is not None and ln_R is not None and a_iv is not None:
-        denom = (2 * m + 2) * degree ** (2 * ell + 1)
-        kappa = a_iv.div_int(denom)
-        ssum = sum(ds[1:2 * m + 1]) if len(ds) >= 2 * m + 1 else None
-        if ssum is None:
-            fail("directed counts too short for the rewiring weight")
-        elif n0 is None or n0 >= len(us) or us[n0] < 1:
-            fail("invalid upper-root index")
-        else:
-            mu_upper = log_of_count_root(us[n0], n0).exp()
-            if ssum == 0:
-                ln_S = Interval(float("-inf"), float("-inf"))
-            else:
-                Z = mu_upper.pow_int(2 * ell).scale_int(2 * ell) \
-                    * Interval.from_int(ssum)
-                ln_f = -(Z.recip().log1p())
-                ln_S = kappa * ln_f
-            stored = params.get("ln_rewiring_ratio")
-            if stored is not None and not close(ln_S.hi, float(stored)):
-                fail(f"ln rewiring ratio drift: stored {stored}, "
-                     f"replayed {float_repr(ln_S.hi)}")
-            stored_R = params.get("ln_entropy_ratio")
-            if stored_R is not None and not close(ln_R.hi, float(stored_R)):
-                fail(f"ln entropy ratio drift: stored {stored_R}, "
-                     f"replayed {float_repr(ln_R.hi)}")
-            ln_final = max(ln_R.hi, ln_S.hi)
-            stored_F = params.get("ln_ratio_bound")
-            if stored_F is not None and not close(ln_final, float(stored_F)):
-                fail("ln final bound drift")
-            if status == "certified":
-                if not ln_final < 0.0:
-                    fail("claimed certified but replayed bound is not < 1")
-                else:
-                    note(f"final ratio bound replayed: "
-                         f"ln = {float_repr(ln_final)} < 0")
-    elif status == "certified":
-        fail("claimed certified but contraction data incomplete")
+        if not _close(got, float(stored)):
+            fail(f"parameters.{key} drift: stored {stored}, "
+                 f"replayed {float_repr(got)}")
 
     # -- status consistency ---------------------------------------------------
     if status == "certified":
-        sel = [c for c in checks
-               if c.name in ("entropy_factor", "block_factor") and
-               c.index == m] + \
-              [c for c in checks if c.name.startswith("rewiring")] + \
-              [c for c in checks if c.name == "final_ratio"]
-        if not all(c.holds for c in sel):
-            fail("certified status but a selected-chain check is false")
+        chain = [(c, f) for c, f in zip(checks, faults)
+                 if c.name in _CHAIN and c.index == m]
+        if "final_ratio" not in (c.name for c, _ in chain) or \
+                not all(c.holds for c, _ in chain):
+            fail(f"certified status but the chain at block length {m} "
+                 "does not hold")
+        elif all(f is None for _, f in chain):
+            note(f"final ratio bound replayed: "
+                 f"ln = {float_repr(x.ln_final(m))} < 0")
     elif status != "inconclusive-budget":
         fail(f"unknown status {status!r}")
 

@@ -75,8 +75,9 @@ class Radical:
 
     def scaled(self, q: Fraction | int) -> "Radical":
         """Exact product with a nonnegative rational."""
-        q = Fraction(q)
-        if q < 0:
+        if type(q) is not Fraction:  # re-wrapping was much of a replay
+            q = Fraction(q)
+        if q.numerator < 0:
             raise ValueError("Radical is nonnegative-only")
         return Radical.make(self.num * q.numerator, self.den * q.denominator,
                             self.rad, self.idx)

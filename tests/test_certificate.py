@@ -13,14 +13,14 @@ import scipy.optimize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sawkit.bounds import LowerBoundSequence
+from sawkit.bounds import LowerBoundSequence, bridge_bounds
 from sawkit.certificate import (CertificateError, CheckRecord,
-                                NoContractionError, RatioCertificate,
-                                certify_ratio, compute_R, compute_S,
-                                find_epsilon_m, verify_certificate)
+                                NoContractionError, RatioCertificate, _BLOCK,
+                                _earliest_fault, certify_ratio, compute_R,
+                                compute_S, find_epsilon_m, verify_certificate)
 from sawkit.cli import run
 from sawkit.events import build_cycle_family
-from sawkit.exact import Interval
+from sawkit.exact import Interval, float_repr
 from sawkit.graphs import catalog
 from sawkit.quotient import build_quotient, sublattice_action
 
@@ -335,6 +335,40 @@ def _interval_check(p):
     return next(c for c in p["checks"] if c["name"] == "entropy_factor")
 
 
+@pytest.fixture(scope="module")
+def zd1_bridges_cert(z1, q_z1mod3):
+    _, b = bridge_bounds(1, 10, workers=1)
+    return certify_ratio(z1, q_z1mod3, build_cycle_family(q_z1mod3), b,
+                         budget=10, workers=1)
+
+
+@pytest.fixture(scope="module")
+def zd2_bridges_cert(z2, q_z2mod22):
+    _, b = bridge_bounds(2, 12, workers=1)
+    return certify_ratio(z2, q_z2mod22, build_cycle_family(q_z2mod22), b,
+                         budget=12, workers=1)
+
+
+def _on(cert, edit):
+    """``edit`` applied to the certificate of fixture ``cert`` instead of
+    the ladder's."""
+    edit.cert = cert
+    return edit
+
+
+def _bound_table(edit):
+    def mutate(p):
+        p["counts"]["lower_bound"] = edit(p["counts"]["lower_bound"])
+    return mutate
+
+
+# the labels of a bridge table shifted by +5, and its n = 1 entry dropped
+_LABELS_PLUS_5 = _bound_table(lambda t: [dict(e, n=e["n"] + 5) for e in t])
+_FIRST_DROPPED = _bound_table(lambda t: t[1:])
+_FIRST_DROPPED_RELABELLED = _bound_table(
+    lambda t: [dict(e, n=e["n"] - 1) for e in t[1:]])
+
+
 @pytest.mark.parametrize("mutate,text", [
     (lambda p: _interval_check(p).pop("aux"), "split_fraction"),
     (lambda p: _interval_check(p).update(aux=["split_fraction"]),
@@ -355,16 +389,153 @@ def _interval_check(p):
      "counts.directed[1]"),
     (lambda p: p["parameters"].update(block_length=10 ** 7),
      "block_length"),
+    pytest.param(lambda p: p["checks"][0].update(index=1.9),
+                 "checks[0] is not a check record", id="index-float"),
+    pytest.param(lambda p: p["checks"][0].update(index="1"),
+                 "checks[0] is not a check record", id="index-string"),
+    pytest.param(lambda p: p["checks"][0].update(index=True),
+                 "checks[0] is not a check record", id="index-bool"),
+    pytest.param(lambda p: p["checks"][0].update(holds=0),
+                 "checks[0] is not a check record", id="holds-int"),
+    pytest.param(lambda p: p["checks"][0].update(holds=[]),
+                 "checks[0] is not a check record", id="holds-list"),
+    pytest.param(lambda p: p["checks"][0].update(holds="false"),
+                 "checks[0] is not a check record", id="holds-string"),
+    pytest.param(lambda p: p["checks"].append(dict(p["checks"][0],
+                                                   name="made_up")),
+                 "made_up[1] is not a known check", id="unknown-name"),
+    pytest.param(lambda p: _interval_check(p).update(method="exact-root"),
+                 "entropy_factor[4] method 'exact-root' is not",
+                 id="entropy-method-exact"),
+    pytest.param(lambda p: _interval_check(p).update(method="interval"),
+                 "entropy_factor[4] method 'interval' is not",
+                 id="entropy-method-other"),
+    pytest.param(_on("zd1_bridges_cert", _LABELS_PLUS_5),
+                 "counts.lower_bound", id="zd1-bound-labels-plus-5"),
+    pytest.param(_on("zd1_bridges_cert", _FIRST_DROPPED),
+                 "counts.lower_bound", id="zd1-bound-first-dropped"),
+    pytest.param(_on("zd2_bridges_cert", _LABELS_PLUS_5),
+                 "counts.lower_bound", id="zd2-bound-labels-plus-5"),
+    pytest.param(_on("zd2_bridges_cert", _FIRST_DROPPED),
+                 "counts.lower_bound", id="zd2-bound-first-dropped"),
 ])
-def test_malformed_field_is_one_fail_line(ladder_cert, mutate, text, tmp_path,
+def test_malformed_field_is_one_fail_line(request, mutate, text, tmp_path,
                                           capsys):
-    bad = _tampered(ladder_cert, mutate)
+    cert = request.getfixturevalue(getattr(mutate, "cert", "ladder_cert"))
+    bad = _tampered(cert, mutate)
     _fails_once(verify_certificate(bad), text)
     path = str(tmp_path / "bad.json")
     bad.save(path)
     assert run(["verify", path]) == 4
     out = capsys.readouterr()
     assert out.out.startswith("CONTRADICTION") and "Traceback" not in out.err
+
+
+def test_relabelled_bound_table_is_read_by_its_labels(zd1_bridges_cert,
+                                                      zd2_bridges_cert):
+    # dropping n = 1 and relabelling the rest n - 1 gives a well-labelled
+    # table.  On Z^2 every check that reads a moved value fails; on Z the
+    # bridge roots are all 1, so every value a check reads is unchanged
+    # and the certificate is the same proof.
+    rep = verify_certificate(_tampered(zd2_bridges_cert,
+                                       _FIRST_DROPPED_RELABELLED))
+    assert not rep.ok
+    assert any("event_decay[2] value mismatch" in line for line in rep.lines)
+    rep = verify_certificate(_tampered(zd1_bridges_cert,
+                                       _FIRST_DROPPED_RELABELLED))
+    assert rep.ok, rep.lines
+
+
+# -- every record pinned: counts read, values, names, methods ----------------
+
+def _read_counts(payload):
+    """(series, n) for every count a stored check of the payload reads:
+    undirected[r..s], event_free[1..max(r, m)] and directed[1..2m]."""
+    p = payload["parameters"]
+    r, s, m = p["decay_index"], p["agreement_index"], p["block_length"]
+    return ([("undirected", n) for n in range(r, s + 1)]
+            + [("event_free", n) for n in range(1, max(r, m) + 1)]
+            + [("directed", n) for n in range(1, 2 * m + 1)])
+
+
+def test_every_count_a_check_reads_is_pinned(ladder_cert):
+    read = _read_counts(ladder_cert.payload)
+    assert len(read) == 22
+    missed = []
+    for key, n in read:
+        for delta in (1, -1):
+            def edit(p):
+                p["counts"][key][n] = str(int(p["counts"][key][n]) + delta)
+            rep = verify_certificate(_tampered(ladder_cert, edit))
+            if rep.ok or not rep.summary().startswith("CONTRADICTION"):
+                missed.append((key, n, delta))
+    assert missed == []
+
+
+def _records(payload, names):
+    return [i for i, c in enumerate(payload["checks"]) if c["name"] in names]
+
+
+def _changed(record):
+    """Other values for a record's lhs: half an interval endpoint or
+    -inf, or an exact side written with one more factor."""
+    if record["method"] == "interval-log":
+        return [float_repr(float(record["lhs"]) / 2), "-inf"]
+    return [record["lhs"] + "*1"]
+
+
+REWIRING_AND_FINAL = ("rewiring_exponent_positive", "rewiring_factor",
+                      "rewiring_contraction", "final_ratio")
+EXACT = ("event_decay", "bound_agreement", "block_event_decay",
+         "block_growth")
+
+
+@pytest.mark.parametrize("names", [REWIRING_AND_FINAL, EXACT],
+                         ids=["rewiring-and-final", "exact"])
+def test_changed_lhs_is_caught(ladder_cert, names):
+    # each edit keeps the verdict, so only the replayed value catches it
+    indices = _records(ladder_cert.payload, names)
+    assert len(indices) >= len(names)
+    for i, lhs in ((i, lhs) for i in indices
+                   for lhs in _changed(ladder_cert.payload["checks"][i])):
+        def edit(p):
+            p["checks"][i]["lhs"] = lhs
+        rep = verify_certificate(_tampered(ladder_cert, edit))
+        name = ladder_cert.payload["checks"][i]["name"]
+        assert not rep.ok, (i, name, lhs)
+        assert any(line.startswith(f"FAIL {name}[")
+                   and "value mismatch" in line for line in rep.lines), \
+            rep.lines
+
+
+def test_later_decay_index_is_not_the_earliest(ladder_cert):
+    # ladder/3 first holds at r = 4; a claimed r = 5 whose probes run to
+    # 5 is not the earliest
+    def later(p):
+        assert p["checks"][3]["name"] == "event_decay"
+        p["parameters"].update(decay_index=5, margin="1/5")
+        p["checks"].insert(4, dict(p["checks"][3], index=5))
+    rep = verify_certificate(_tampered(ladder_cert, later))
+    assert not rep.ok
+    assert "FAIL decay index 5 is not the earliest: 4 holds" in rep.lines
+
+
+def _probe(name, n, holds):
+    return CheckRecord(name, n, "", "", holds, "exact-root")
+
+
+def test_block_search_moves_on_only_past_a_failed_contraction():
+    passing = [_probe(name, n, True) for n in (1, 2) for name in _BLOCK.names]
+    assert _earliest_fault(_BLOCK, passing, 1, 2) == \
+        "block length 2 is not the earliest: 1 holds"
+    failed = [_probe("entropy_factor", 1, True),
+              _probe("block_factor", 1, False)]
+    assert _earliest_fault(_BLOCK, passing + failed, 1, 2) is None
+    assert _earliest_fault(_BLOCK, passing[:3], 1, 2) == \
+        "block length search does not probe 1..2 contiguously"
+    last_fails = passing[:3] + [_probe("block_growth", 2, False)]
+    assert _earliest_fault(_BLOCK, failed + last_fails, 1, 2) == \
+        "block length 2 does not hold"
 
 
 @pytest.mark.parametrize("doc", ["null", "[1, 2]", "3", '"x"'])

@@ -18,8 +18,8 @@ import pytest
 
 from sawkit import certificate
 from sawkit.bounds import LowerBoundSequence, bridge_bounds
-from sawkit.certificate import (CheckRecord, SearchOutcome, _block_checks,
-                                _fmt_radical, certify_ratio, find_epsilon_m)
+from sawkit.certificate import (CheckRecord, SearchOutcome, _fmt_radical,
+                                certify_ratio, find_epsilon_m)
 from sawkit.cli import _lower_bound_for, run
 from sawkit.counting import (_stabiliser, count_directed_saws, count_saws,
                              lattice_stabiliser)
@@ -90,9 +90,17 @@ def _stepwise_search(q, family, b, a_n=None, n_budget=10, workers=None,
     b_s = b.value_at(s)
     m = None
     for cand in range(1, n_budget + 1):
-        ok, recs = _block_checks(ef, ds, b_s, eps, cand)
-        checks.extend(recs)
-        if ok:
+        lhs1 = Radical.nth_root(ef[cand], cand)
+        rhs1 = b_s.scaled(1 - eps)
+        lhs2 = Radical.nth_root(ds[cand], cand)
+        rhs2 = b_s.scaled(1 + eps)
+        checks.append(CheckRecord("block_event_decay", cand,
+                                  _fmt_radical(lhs1), _fmt_radical(rhs1),
+                                  lhs1 < rhs1, "exact-root"))
+        checks.append(CheckRecord("block_growth", cand, _fmt_radical(lhs2),
+                                  _fmt_radical(rhs2), lhs2 <= rhs2,
+                                  "exact-root"))
+        if lhs1 < rhs1 and lhs2 <= rhs2:
             m = cand
             break
     if m is None:
