@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .counting import (_IdTable, _choose_pdepth, _lattice_act, _lattice_codec,
+from .counting import (_IdTable, _lattice_act, _lattice_codec,
                        _merge_prefixes, _run_split, lattice_stabiliser,
                        resolve_workers)
 from .exact import Radical
@@ -116,11 +116,10 @@ def bridge_counts(d: int, n_max: int, workers: Optional[int] = None) -> list:
     xs: list = []
     fn = partial(_bridge_counts_from, table=table, xs=xs, x1=x1,
                  n_total=n_max)
-    pdepth = _choose_pdepth(n_max, workers)
     maps = [slot_map for *_, slot_map in
             lattice_stabiliser(lat, fix_first=True)]
-    tasks = _merge_prefixes(table.row, _lattice_act(table, lat.cells), start,
-                            pdepth, maps)
+    pdepth, tasks = _merge_prefixes(table.row, _lattice_act(table, lat.cells),
+                                    start, n_max, workers, maps)
     # the head run extends xs over the prefixes' ids; the maps fix the
     # first coordinate, so a whole orbit keeps x >= 1 or none of it does
     head = fn(((start,), (), 1), n_total=pdepth - 1)

@@ -397,7 +397,9 @@ def _add_common(p, graph=True, quotient=False):
     p.add_argument("--out", metavar="FILE",
                    help="write output atomically to FILE instead of stdout")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: SAW_WORKERS or 1)")
+                   help="worker processes (default: SAW_WORKERS or 1); "
+                   "a pool starts only when the work estimated from a "
+                   "sample reaches its break-even, else counts run inline")
     p.add_argument("--deterministic", action="store_true",
                    help="suppress the timestamp field in outputs")
     if graph:

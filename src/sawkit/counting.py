@@ -16,7 +16,10 @@ All counts are exact Python integers.  The engines are:
 Parallel runs partition the search by short prefixes and sum exact integer
 subtree counts.  Integer addition is associative and commutative, so the
 worker count and scheduling cannot change any output; the test-suite
-compares 1-worker and multi-worker runs bit for bit.
+compares 1-worker and multi-worker runs bit for bit.  A process pool
+starts only when the work left, estimated from a sample of the prefix
+tasks run inline first, reaches the break-even of starting one
+(:func:`_run_split`); smaller counts finish inline.
 
 On a periodic lattice the prefixes are first merged under the start
 vertex's stabiliser (:func:`lattice_stabiliser`): an automorphism fixing
@@ -87,7 +90,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     """Explicit argument, else the SAW_WORKERS environment variable, else 1."""
     if workers is None:
         env = os.environ.get("SAW_WORKERS", "").strip()
-        workers = int(env) if env else 1
+        if not env:
+            return 1
+        if not (env.isdecimal() and int(env) >= 1):
+            raise ValueError(
+                f"SAW_WORKERS must be a positive integer, not {env!r}")
+        return int(env)
     workers = int(workers)
     if workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -391,10 +399,12 @@ def _stabiliser(dimension: int, cells: int, edges: tuple, cell: int,
     return tuple(found.values())
 
 
-def _merge_prefixes(steps, act, start, pdepth, maps):
-    """One task (path, slot indices, weight) per orbit of ``maps`` on the
-    SAW prefixes of pdepth steps from ``start``; the weight sums the
-    orbit's prefix weights.  With no maps every prefix is its own orbit.
+def _merge_prefixes(steps, act, start, n_max: int, workers: int,
+                    maps=()) -> tuple:
+    """(pdepth, tasks) for a count to depth n_max: one task (path, slot
+    indices, weight) per orbit of ``maps`` on the SAW prefixes of pdepth
+    steps from ``start``; the weight sums the orbit's prefix weights.
+    With no maps every prefix is its own orbit.
 
     ``steps(v)`` lists the slots (next vertex, multiplicity) out of v and
     ``act(map, v, k)`` the slot onto which a map fixing v carries slot k.
@@ -402,9 +412,18 @@ def _merge_prefixes(steps, act, start, pdepth, maps):
     endpoint, so they act on its next step; steps in one orbit of that
     action share the subtree counts of the first of them, which is kept
     with their summed weight and with the maps that also fix it.
+
+    One worker splits at min(3, n_max) steps, as the split runs inline.
+    More workers split at 4 steps from n_max = 8 on, and grow on while
+    there are fewer than _SPLIT_TASKS orbits and fewer than n_max // 2
+    steps, so that no one task is a large share of the count:
+    :func:`_run_split` runs the first tasks inline before it starts a pool.
     """
+    pdepth = 4 if workers > 1 and n_max >= 8 else min(3, n_max)
     level = [((start,), (), 1, tuple(maps))]
-    for _ in range(pdepth):
+    depth = 0
+    while depth < pdepth or (workers > 1 and 0 < len(level) < _SPLIT_TASKS
+                             and depth < n_max // 2):
         grown = []
         for path, slots, weight, stab in level:
             v = path[-1]
@@ -422,7 +441,8 @@ def _merge_prefixes(steps, act, start, pdepth, maps):
                                          if j == k)]
             grown.extend(orbits.values())
         level = grown
-    return [(path, slots, weight) for path, slots, weight, _ in level]
+        depth += 1
+    return depth, [(path, slots, weight) for path, slots, weight, _ in level]
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +518,28 @@ def _quotient_maps(q: QuotientGraph, table: _IdTable, start: int) -> tuple:
 # Parallel driver
 # ---------------------------------------------------------------------------
 
+# When a process pool pays for itself, in expanded nodes.  Measured on a
+# 2-CPU host (Python 3.11, min of 7 runs per point): a 2-process pool
+# costs 10-17 ms from start to shutdown with the table sent to it (6-8 ms
+# bare), and the kernel expands 3.1-4.6 M nodes/s (6.8 M/s on augmented
+# zd:2, whose nodes are mostly leaves).  Two processes halve the time of
+# the work they get, so they pay once it exceeds about 2 * 12 ms * 4 M/s,
+# which is _POOL_BREAK_EVEN_NODES.  The 1-vs-2-worker curves agree: with
+# a pool for every count, two workers first beat one at about 63k nodes
+# in all (zd:3, n = 6..10), 121k (zd:2, n = 9..15; zd:3 cube quotient,
+# n = 7..10), 139k (ladder, n = 16..30), 174k (square-octagon,
+# n = 14..24) and 272k (augmented zd:2, n = 7..10).  On those curves a
+# 5k, 10k or 20k-node sample gives the same decision except at the cube
+# quotient n = 10, whose estimates straddle the break-even (101k, 101k,
+# 93k); the sample runs serially, so the smaller one costs less.
+# _SPLIT_TASKS merged tasks keep the first task a small share of a large
+# count: 1.3% on zd:2 at n = 15 and 1.7% on the ladder at n = 28, against
+# 8.8% and 12.9% at the 4-step split.
+_POOL_SAMPLE_NODES = 10_000
+_POOL_BREAK_EVEN_NODES = 100_000
+_SPLIT_TASKS = 64
+
+
 @lru_cache(maxsize=None)
 def _note_clamp(workers: int, cpus: int) -> None:
     print(f"note: {workers} workers requested, {cpus} CPUs available; "
@@ -507,32 +549,41 @@ def _note_clamp(workers: int, cpus: int) -> None:
 def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
     """Head counts (depths below pdepth) followed by the summed task counts.
 
-    At most min(workers, CPU count, task count) processes are started; a
-    request above the CPU count is noted once on stderr.
+    With more than one process allowed, tasks first run inline in order
+    until they have expanded _POOL_SAMPLE_NODES nodes.  A task's nodes are
+    its summed counts over its weight; for a bridge task these are the
+    bridges it counts, fewer than the nodes it expands, so bridge counts
+    start a pool later than they could.  A pool starts for the remaining
+    tasks only if their estimated nodes, the sample's nodes per task
+    times the tasks left, reach _POOL_BREAK_EVEN_NODES; otherwise they
+    finish inline too.  The decision depends on node counts alone, never
+    on time, and the sums cannot depend on it.  At most min(workers, CPU
+    count, tasks left) processes are started, and none for a single
+    task; a request above the CPU count is noted once on stderr.
     """
     tail = [0] * (n_max - pdepth + 1)
     cpus = os.cpu_count() or 1
     if workers > cpus:
         _note_clamp(workers, cpus)
     procs = min(workers, cpus, len(tasks))
+    parts, sampled = [], 0
     if procs > 1:
-        chunk = max(1, len(tasks) // (4 * procs))
-        with ProcessPoolExecutor(max_workers=procs) as ex:
-            parts = list(ex.map(task_fn, tasks, chunksize=chunk))
-    else:
-        parts = [task_fn(t) for t in tasks]
+        while len(parts) < len(tasks) and sampled < _POOL_SAMPLE_NODES:
+            task = tasks[len(parts)]
+            parts.append(task_fn(task))
+            sampled += sum(parts[-1]) // task[2]
+        rest = tasks[len(parts):]
+        procs = min(procs, len(rest))
+        if procs > 1 and (sampled * len(rest)
+                          >= _POOL_BREAK_EVEN_NODES * len(parts)):
+            chunk = max(1, len(rest) // (4 * procs))
+            with ProcessPoolExecutor(max_workers=procs) as ex:
+                parts.extend(ex.map(task_fn, rest, chunksize=chunk))
+    parts.extend(task_fn(t) for t in tasks[len(parts):])
     for p in parts:
         for i, v in enumerate(p):
             tail[i] += v
     return list(head) + tail
-
-
-def _choose_pdepth(n_max: int, workers: int = 1) -> int:
-    # Deeper prefixes give the pool more tasks to balance; single-worker
-    # runs keep the split shallow (it is executed inline either way).
-    if workers > 1 and n_max >= 8:
-        return 4
-    return min(3, n_max)
 
 
 def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
@@ -540,9 +591,9 @@ def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
     """sigma_0..sigma_n_max (n_max >= 1) of the SAWs from id ``start``:
     the depths below the split from a direct run, the others summed over
     the prefix tasks merged under ``maps`` (see :func:`_merge_prefixes`)."""
-    pdepth = _choose_pdepth(n_max, workers)
+    pdepth, tasks = _merge_prefixes(table.row, act, start, n_max, workers,
+                                    maps)
     head = _counts_from(((start,), (), 1), table, pdepth - 1)
-    tasks = _merge_prefixes(table.row, act, start, pdepth, maps)
     fn = partial(_counts_from, table=table, n_total=n_max)
     return _run_split(head, tasks, fn, n_max, pdepth, workers)
 
@@ -556,15 +607,16 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
                max_nodes: Optional[int] = None) -> WalkCounts:
     """Exact sigma_0..sigma_n_max from v0 (default: the origin).
 
-    Parallel edges count as distinct SAWs.  With ``max_nodes`` set, the
-    series is counted one depth at a time: pass n is the full count to
-    depth n, charged sum_{j<n} sigma_j nodes.  It runs only if the
-    charges of the passes so far, its own included, stay within
-    ``max_nodes``; otherwise the result holds the depths already counted
-    and ``truncated=True``.  On a simple graph the charge is the number
-    of nodes a depth-first search to depth n expands.  On a multigraph
-    sigma counts each walk with its edge multiplicities, and so does the
-    charge.
+    Parallel edges count as distinct SAWs.  With ``max_nodes`` set, depth
+    n is charged sum_{j<n} sigma_j nodes and is counted only if the
+    charges of depths 1..n stay within ``max_nodes``; otherwise the
+    result holds the depths that fit and ``truncated=True``.  On a simple
+    graph the charge is the number of nodes a depth-first search to depth
+    n expands.  On a multigraph sigma counts each walk with its edge
+    multiplicities, and so does the charge.  The series is counted in one
+    pass to the deepest n that fits when every depth not yet counted is
+    bounded by sigma_{j+1} <= (degree - 1) * sigma_j; a further pass runs
+    only if the counted sigma show that more depths fit.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -576,14 +628,32 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
     if max_nodes is None:
         counts = _saw_series(g, v0, n_max, workers)
         return WalkCounts(g.graph_id, v0, False, tuple(counts))
-    counts, spent = [1], 0
-    for n in range(1, n_max + 1):
-        spent += sum(counts)
+    counts = [1]
+    while True:
+        n = _budget_reach(counts, n_max, max_nodes, g.degree)
+        if n < len(counts):
+            return WalkCounts(g.graph_id, v0, False, tuple(counts[:n + 1]),
+                              truncated=n < n_max)
+        counts = _saw_series(g, v0, n, workers)
+
+
+def _budget_reach(counts, n_max: int, max_nodes: int, degree: int) -> int:
+    """The deepest n <= n_max whose charges, sum_{j<p} sigma_j for each
+    depth p = 1..n, sum to at most ``max_nodes``, with sigma_j taken from
+    ``counts`` and bounded past them: a SAW of length j >= 1 cannot step
+    back along its last edge, so sigma_{j+1} <= (degree - 1) * sigma_j,
+    and sigma_1 <= degree (both weighted by multiplicity)."""
+    sigma = list(counts)
+    n = spent = below = 0
+    while n < n_max:
+        below += sigma[n]
+        spent += below
         if spent > max_nodes:
-            return WalkCounts(g.graph_id, v0, False, tuple(counts),
-                              truncated=True)
-        counts.append(_saw_series(g, v0, n, workers)[n])
-    return WalkCounts(g.graph_id, v0, False, tuple(counts))
+            break
+        n += 1
+        if n == len(sigma):
+            sigma.append(sigma[-1] * (degree - 1 if n > 1 else degree))
+    return n
 
 
 def _saw_series(g: GraphHandle, v0, n_max: int, workers: int) -> list:

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .counting import (_IdTable, _choose_pdepth, _merge_prefixes,
-                       _quotient_maps, _quotient_table)
+from .counting import (_IdTable, _merge_prefixes, _quotient_maps,
+                       _quotient_table)
 from .exact import Radical
 from .quotient import QuotientGraph, TypeReport, classify_type
 
@@ -261,12 +261,12 @@ def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
         raise ValueError("n_max must be >= 0")
     table, s0 = _quotient_table(q, start)
     run = _event_free_walker(table, family, k)
-    pdepth = _choose_pdepth(n_max)
-    if pdepth == 0:
+    if n_max == 0:
         return run(((s0,), (), 1), 0)
+    pdepth, tasks = _merge_prefixes(table.row, table.act, s0, n_max, 1,
+                                    _quotient_maps(q, table, s0))
     counts = run(((s0,), (), 1), pdepth - 1) + [0] * (n_max - pdepth + 1)
-    for task in _merge_prefixes(table.row, table.act, s0, pdepth,
-                                _quotient_maps(q, table, s0)):
+    for task in tasks:
         for i, c in enumerate(run(task, n_max), pdepth):
             counts[i] += c
     return counts

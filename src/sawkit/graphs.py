@@ -340,10 +340,6 @@ class CayleyGraph(GraphHandle):
         raise RewriteLimitError(
             f"rewriting did not terminate within {self._MAX_PASSES} passes")
 
-    def inverse_word(self, word: tuple) -> tuple:
-        inv = self.presentation.inverse
-        return self.reduce_word(tuple(inv[i] for i in reversed(word)))
-
     def relators_close(self, v: tuple) -> bool:
         """Every relator, walked from v, returns to v (closed walk)."""
         return all(self.reduce_word(v + r) == v

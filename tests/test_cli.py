@@ -64,6 +64,15 @@ def test_count_refuses_a_negative_budget(capsys):
     assert got.out == "" and "max_nodes" in got.err
 
 
+def test_count_names_a_bad_saw_workers(capsys, monkeypatch):
+    monkeypatch.setenv("SAW_WORKERS", "abc")
+    assert run(["count", "--graph", "zd:2", "--n", "3"]) == 4
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == ("error: SAW_WORKERS must be a positive integer, "
+                       "not 'abc'\n")
+
+
 def test_count_start_key(capsys):
     assert run(["count", "--graph", "zd:2", "--n", "2",
                 "--start", "0:5,-1"]) == 0

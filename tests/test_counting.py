@@ -5,15 +5,18 @@ path-list enumeration, written before the engines) and must never be
 edited to match an engine.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+import sawkit.counting as counting
 from oracles import (naive_directed_saw_counts, naive_directed_walk_counts,
                      naive_saw_counts, naive_walk_counts)
 from sawkit.counting import (WalkCounts, count_directed_saws,
                              count_directed_walks, count_saws, count_walks,
                              resolve_workers)
 from sawkit.exact import Radical
-from sawkit.graphs import augment, catalog
+from sawkit.graphs import PeriodicLattice, augment, catalog
 
 # [frozen]
 SAW_Z2_10 = [1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100]
@@ -106,6 +109,59 @@ def test_budget_boundary(graph, series):
         assert below.counts == tuple(series[:n]) and below.truncated
 
 
+def _per_depth_budget(g, n_max, max_nodes):
+    """The budgeted count one depth at a time, each depth a fresh count
+    from the root: the reference the one-pass count must equal."""
+    counts, spent = [1], 0
+    for n in range(1, n_max + 1):
+        spent += sum(counts)
+        if spent > max_nodes:
+            return tuple(counts), True
+        counts.append(count_saws(g, n_max=n).counts[n])
+    return tuple(counts), False
+
+
+# zd(2) with doubled x-edges: a multigraph of degree 6
+DOUBLED = PeriodicLattice(2, 1, [(0, 0, (1, 0), 2), (0, 0, (0, 1), 1)])
+
+
+@pytest.mark.parametrize("graph,n_max", [
+    ("zd(2)", 9), ("ladder", 12), ("square-octagon", 12), ("doubled", 7),
+    ("tree(4)", 8)])
+def test_one_pass_budget_matches_per_depth_loop(graph, n_max):
+    g = DOUBLED if graph == "doubled" else catalog(graph)
+    series = count_saws(g, n_max=n_max).counts
+    stops, charge = [0], 0
+    for n in range(1, n_max + 1):
+        charge += sum(series[:n])
+        stops.append(charge)
+    for budget in sorted({b + d for b in stops for d in (-1, 0, 1)} - {-1}):
+        got = count_saws(g, n_max=n_max, max_nodes=budget)
+        assert (got.counts, got.truncated) == \
+            _per_depth_budget(g, n_max, budget), budget
+
+
+def test_budget_covering_the_series_counts_once(monkeypatch, z2):
+    passes = []
+    inner = counting._saw_series
+
+    def metered(g, v0, n, workers):
+        out = inner(g, v0, n, workers)
+        passes.append(sum(out))
+        return out
+    monkeypatch.setattr(counting, "_saw_series", metered)
+    wc = count_saws(z2, n_max=10, max_nodes=10 ** 9)
+    assert wc.counts == tuple(SAW_Z2_10) and not wc.truncated
+    assert passes == [sum(SAW_Z2_10)]
+    # at exactly the series' charge the bound sigma_{n+1} <= 3 sigma_n
+    # stops the first pass one depth short, and the counts show the rest fits
+    passes.clear()
+    charge = sum(sum(SAW_Z2_10[:n]) for n in range(1, 11))
+    assert count_saws(z2, n_max=10, max_nodes=charge).counts == \
+        tuple(SAW_Z2_10)
+    assert passes == [sum(SAW_Z2_10[:10]), sum(SAW_Z2_10)]
+
+
 def test_worker_count_does_not_change_counts(z2, q_z2mod22):
     base = count_saws(z2, n_max=8, workers=1)
     assert count_saws(z2, n_max=8, workers=4).counts == base.counts
@@ -149,6 +205,40 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("SAW_WORKERS", "3")
     assert resolve_workers() == 3
     assert resolve_workers(2) == 2               # argument wins
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("SAW_WORKERS", bad)
+        with pytest.raises(ValueError, match="SAW_WORKERS must be a "
+                                             "positive integer"):
+            resolve_workers()
+
+
+@pytest.fixture
+def spy_pools(monkeypatch):
+    """The max_workers of every real pool started, on a host that reports
+    two CPUs."""
+    pools = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
+    return pools
+
+
+@pytest.mark.parametrize("graph,n,pooled", [("zd(3)", 8, []),
+                                            ("zd(2)", 15, [2])])
+def test_pool_starts_only_past_the_break_even(spy_pools, graph, n, pooled):
+    # zd:3 at n=8 expands about 15k nodes after the split, below the
+    # break-even; zd:2 at n=15 about 1.3M
+    g = catalog(graph)
+    one = count_saws(g, n_max=n, workers=1).counts
+    for _ in range(2):
+        spy_pools.clear()
+        assert count_saws(g, n_max=n, workers=2).counts == one
+        assert spy_pools == pooled
 
 
 def test_workers_clamped_to_cpus_and_tasks(monkeypatch, capsys, z2):
@@ -173,6 +263,10 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch, capsys, z2):
 
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    # send every task to the pool, though zd:2 at n=10 is below the
+    # break-even
+    monkeypatch.setattr(counting, "_POOL_SAMPLE_NODES", 0)
+    monkeypatch.setattr(counting, "_POOL_BREAK_EVEN_NODES", 0)
     counting._note_clamp.cache_clear()
     assert run(["count", "--graph", "zd:2", "--n", "10"]) == 0
     want = capsys.readouterr()

@@ -182,6 +182,10 @@ def test_directed_counts_match_across_workers(monkeypatch):
 
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
+    # and send every task to it, though these counts are below the
+    # break-even
+    monkeypatch.setattr(counting, "_POOL_SAMPLE_NODES", 0)
+    monkeypatch.setattr(counting, "_POOL_BREAK_EVEN_NODES", 0)
     cases = [("zd:3", "3 0 0;0 3 0;0 0 3", 9), ("zd:2", "2 1;0 3", 9),
              ("ladder", "3", 10), ("square-octagon", "1 -1", 12),
              ("tree-with-end(3)", "child-swap", 10)]

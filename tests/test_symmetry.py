@@ -141,9 +141,10 @@ def test_orbit_prefixes_on_the_square_lattice():
     z2 = catalog("zd(2)")
     source, encode, _x1 = _lattice_codec(z2, 3)
     table = _IdTable(source)
-    tasks = _merge_prefixes(table.row, _lattice_act(table, z2.cells),
-                            table.intern(encode(z2.origin())), 3,
-                            [m[3] for m in lattice_stabiliser(z2)])
+    pdepth, tasks = _merge_prefixes(table.row, _lattice_act(table, z2.cells),
+                                    table.intern(encode(z2.origin())), 3, 1,
+                                    [m[3] for m in lattice_stabiliser(z2)])
+    assert pdepth == 3
     # straight, turn-then-straight, straight-then-turn, two equal turns,
     # two opposite turns; together the 36 three-step SAWs
     assert len(tasks) == 5
@@ -185,6 +186,10 @@ def test_merged_counts_match_across_workers(doubled, monkeypatch):
 
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
+    # and send every task to it, though these counts are below the
+    # break-even
+    monkeypatch.setattr(counting, "_POOL_SAMPLE_NODES", 0)
+    monkeypatch.setattr(counting, "_POOL_BREAK_EVEN_NODES", 0)
     # the word graph runs the unmerged split, and its table pickles with
     # the handle inside
     for g, n in ((catalog("zd(2)"), 9), (catalog("square-octagon"), 10),
