@@ -25,9 +25,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .counting import (_IdTable, _lattice_act, _lattice_codec,
-                       _merge_prefixes, _run_split, lattice_stabiliser,
-                       resolve_workers)
+from .counting import _lattice_split, _split_counts
 from .exact import Radical
 from .graphs import catalog
 
@@ -103,28 +101,16 @@ def bridge_counts(d: int, n_max: int, workers: Optional[int] = None) -> list:
     """
     if d < 1:
         raise BoundError("bridge counts need dimension >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    workers = resolve_workers(workers)
-    if n_max == 0:
-        return [1]
-
     lat = catalog(f"zd:{d}")
-    source, encode, x1 = _lattice_codec(lat, n_max)
-    table = _IdTable(source)
-    start = table.intern(encode(lat.origin()))
+    table, start, maps, act, x1 = _lattice_split(lat, lat.origin(), n_max,
+                                                 fix_first=True)
     xs: list = []
-    fn = partial(_bridge_counts_from, table=table, xs=xs, x1=x1,
-                 n_total=n_max)
-    maps = [slot_map for *_, slot_map in
-            lattice_stabiliser(lat, fix_first=True)]
-    pdepth, tasks = _merge_prefixes(table.row, _lattice_act(table, lat.cells),
-                                    start, n_max, workers, maps)
-    # the head run extends xs over the prefixes' ids; the maps fix the
+    # the direct run extends xs over the prefixes' ids; the maps fix the
     # first coordinate, so a whole orbit keeps x >= 1 or none of it does
-    head = fn(((start,), (), 1), n_total=pdepth - 1)
-    tasks = [t for t in tasks if min(xs[o] for o in t[0][1:]) >= 1]
-    return _run_split(head, tasks, fn, n_max, pdepth, workers)
+    return _split_counts(
+        table, start, n_max, workers, maps, act,
+        partial(_bridge_counts_from, table=table, xs=xs, x1=x1),
+        lambda task: min(xs[o] for o in task[0][1:]) >= 1)
 
 
 # ---------------------------------------------------------------------------

@@ -836,7 +836,13 @@ def _parse_payload(payload) -> tuple:
         raise _Malformed(f"degree = {degree!r} is not an integer >= 2")
     if not _is_int(ell, 1):
         raise _Malformed(f"cycle_length = {ell!r} is not a positive integer")
-    if (2 * ell + 1) * math.log2(degree) > _MAX_DENOM_BITS:
+    # capped, the product never overflows; past the cap it exceeds the
+    # limit anyway, as log2(degree) >= 1
+    if min(2 * ell + 1, _MAX_DENOM_BITS + 1) * math.log2(degree) \
+            > _MAX_DENOM_BITS:
+        if 3 * math.log2(degree) > _MAX_DENOM_BITS:
+            raise _Malformed(f"degree = {degree} puts degree**3 beyond the "
+                             "float range")
         raise _Malformed(f"cycle_length = {ell} puts "
                          "degree**(2*cycle_length+1) beyond the float range")
     if not _is_int(budget, 0):

@@ -36,7 +36,7 @@ from .events import EventError, build_cycle_family, build_event_profile, \
     event_series
 from .exact import Radical, float_repr
 from .graphs import CATALOG_NAMES, GraphError, PeriodicLattice, \
-    augment, catalog, load_spec_file
+    augment, catalog, load_spec_file, spec_text
 from .quotient import QuotientError, build_quotient, \
     check_representative_independence, check_symmetry, classify_type, \
     hermite_rows, sublattice_action, tree_action
@@ -376,14 +376,7 @@ def cmd_augment(args) -> int:
         _series_output(args, ga.graph_id, ga.key_str(wc.start),
                        list(wc.counts), False, "saws")
         return 0
-    buf = io.StringIO()
-    buf.write(f"# {ga.graph_id}\n")
-    buf.write("kind lattice\n")
-    buf.write(f"dimension {ga.dimension}\n")
-    buf.write(f"cells {ga.cells}\n")
-    for (i, j, off, m) in ga.edges:
-        buf.write("edge " + " ".join(str(t) for t in (i, j, *off, m)) + "\n")
-    _emit(buf.getvalue(), args.out)
+    _emit(f"# {ga.graph_id}\n" + spec_text(ga), args.out)
     return 0
 
 

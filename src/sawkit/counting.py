@@ -13,13 +13,16 @@ All counts are exact Python integers.  The engines are:
   non-backtracking walk: sigma_n = d(d-1)**(n-1);
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
 
-Parallel runs partition the search by short prefixes and sum exact integer
-subtree counts.  Integer addition is associative and commutative, so the
-worker count and scheduling cannot change any output; the test-suite
-compares 1-worker and multi-worker runs bit for bit.  A process pool
-starts only when the work left, estimated from a sample of the prefix
-tasks run inline first, reaches the break-even of starting one
-(:func:`_run_split`); smaller counts finish inline.
+Every split series, here and in :mod:`sawkit.bounds` (Z^d bridges) and
+:mod:`sawkit.events` (event-free quotient series), runs through
+:func:`_split_counts`: it partitions the search by short prefixes, by one
+rule for every worker count, and sums exact integer subtree counts; a
+caller supplies only the task walker.  Integer addition is associative
+and commutative, so neither the worker count nor scheduling can change
+any output; the test-suite compares 1-worker and multi-worker runs bit
+for bit.  A process pool starts only when the work left, estimated from
+a sample of the prefix tasks run inline first, reaches the break-even of
+starting one (:func:`_run_split`); smaller counts finish inline.
 
 On a periodic lattice the prefixes are first merged under the start
 vertex's stabiliser (:func:`lattice_stabiliser`): an automorphism fixing
@@ -242,10 +245,13 @@ def _lattice_x1(cells, B, W, v):
     return v // cells % W - B
 
 
-def _lattice_codec(lat: PeriodicLattice, n_max: int):
-    """(row source, encode, x_1) for walks of up to n_max steps, where
-    x_1 gives the first coordinate of a packed vertex a walk from the
-    origin reaches; the row source and x_1 are picklable."""
+def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
+                   fix_first: bool = False) -> tuple:
+    """(table, start id, maps, act, x_1) for a split count from lattice
+    vertex v0 to n_max steps: an id table on packed keys, the slot maps
+    of :func:`lattice_stabiliser` (those fixing x_1 too, with
+    ``fix_first``) and their ``act``, and x_1 of a packed key.  The
+    table's row source and x_1 are picklable."""
     maxoff = max((abs(c) for _, _, off, _ in lat.edges for c in off), default=1)
     B = maxoff * max(n_max, 1) + 1
     W = 2 * B + 1
@@ -253,11 +259,6 @@ def _lattice_codec(lat: PeriodicLattice, n_max: int):
     weights = [C]
     for _ in range(lat.dimension - 1):
         weights.append(weights[-1] * W)
-
-    def encode(v):
-        c, x = v
-        return c + sum((xi + B) * w for xi, w in zip(x, weights))
-
     moves = []
     for cell in range(C):
         row = []
@@ -265,18 +266,16 @@ def _lattice_codec(lat: PeriodicLattice, n_max: int):
             add = (tc - cell) + sum(di * w for di, w in zip(delta, weights))
             row.append((add, m))
         moves.append(tuple(row))
-    return (partial(_lattice_row, tuple(moves)), encode,
-            partial(_lattice_x1, C, B, W))
-
-
-def _lattice_act(table: _IdTable, cells: int):
-    """``act`` for :func:`_merge_prefixes` on a table of packed lattice
-    keys, under the slot tables of :func:`lattice_stabiliser` maps."""
+    table = _IdTable(partial(_lattice_row, tuple(moves)))
+    c0, x0 = v0
+    start = table.intern(c0 + sum((xi + B) * w for xi, w in zip(x0, weights)))
     keys = table.keys
+    maps = [slot_map for *_, slot_map in
+            lattice_stabiliser(lat, c0, fix_first)]
 
     def act(slot_map, i, k):
-        return slot_map[keys[i] % cells][k]
-    return act
+        return slot_map[keys[i] % C][k]
+    return table, start, maps, act, partial(_lattice_x1, C, B, W)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +398,7 @@ def _stabiliser(dimension: int, cells: int, edges: tuple, cell: int,
     return tuple(found.values())
 
 
-def _merge_prefixes(steps, act, start, n_max: int, workers: int,
-                    maps=()) -> tuple:
+def _merge_prefixes(steps, act, start, n_max: int, maps=()) -> tuple:
     """(pdepth, tasks) for a count to depth n_max: one task (path, slot
     indices, weight) per orbit of ``maps`` on the SAW prefixes of pdepth
     steps from ``start``; the weight sums the orbit's prefix weights.
@@ -413,17 +411,16 @@ def _merge_prefixes(steps, act, start, n_max: int, workers: int,
     action share the subtree counts of the first of them, which is kept
     with their summed weight and with the maps that also fix it.
 
-    One worker splits at min(3, n_max) steps, as the split runs inline.
-    More workers split at 4 steps from n_max = 8 on, and grow on while
-    there are fewer than _SPLIT_TASKS orbits and fewer than n_max // 2
-    steps, so that no one task is a large share of the count:
-    :func:`_run_split` runs the first tasks inline before it starts a pool.
+    Prefixes take at least min(3, n_max) steps and grow on while there
+    are fewer than _SPLIT_TASKS orbits and fewer than n_max // 2 steps,
+    for every worker count: no one task is then a large share of the
+    count, as :func:`_run_split` runs the first tasks inline before it
+    starts a pool, and deeper merged prefixes expand fewer nodes.
     """
-    pdepth = 4 if workers > 1 and n_max >= 8 else min(3, n_max)
     level = [((start,), (), 1, tuple(maps))]
     depth = 0
-    while depth < pdepth or (workers > 1 and 0 < len(level) < _SPLIT_TASKS
-                             and depth < n_max // 2):
+    while depth < min(3, n_max) or (0 < len(level) < _SPLIT_TASKS
+                                    and depth < n_max // 2):
         grown = []
         for path, slots, weight, stab in level:
             v = path[-1]
@@ -587,15 +584,26 @@ def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
 
 
 def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
-                  maps=(), act=None) -> list:
-    """sigma_0..sigma_n_max (n_max >= 1) of the SAWs from id ``start``:
-    the depths below the split from a direct run, the others summed over
-    the prefix tasks merged under ``maps`` (see :func:`_merge_prefixes`)."""
-    pdepth, tasks = _merge_prefixes(table.row, act, start, n_max, workers,
-                                    maps)
-    head = _counts_from(((start,), (), 1), table, pdepth - 1)
-    fn = partial(_counts_from, table=table, n_total=n_max)
-    return _run_split(head, tasks, fn, n_max, pdepth, workers)
+                  maps=(), act=None, walker=None, live=None) -> list:
+    """Counts for depths 0..n_max of the walks from id ``start``: the
+    depths below the split from a direct run, the others summed over the
+    prefix tasks merged under ``maps`` (see :func:`_merge_prefixes`).
+    ``walker(task, n_total=n)`` counts depths len(path)-1..n of a task
+    (default: SAWs, :func:`_counts_from`) and is pickled for a pool;
+    ``live(task)``, if given, drops tasks after the direct run."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    workers = resolve_workers(workers)
+    walker = walker or partial(_counts_from, table=table)
+    root = ((start,), (), 1)
+    if n_max == 0:
+        return walker(root, n_total=0)
+    pdepth, tasks = _merge_prefixes(table.row, act, start, n_max, maps)
+    head = walker(root, n_total=pdepth - 1)
+    if live is not None:
+        tasks = [t for t in tasks if live(t)]
+    return _run_split(head, tasks, partial(walker, n_total=n_max), n_max,
+                      pdepth, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -657,18 +665,13 @@ def _budget_reach(counts, n_max: int, max_nodes: int, degree: int) -> int:
 
 
 def _saw_series(g: GraphHandle, v0, n_max: int, workers: int) -> list:
-    if n_max == 0:
-        return [1]
     if g.is_acyclic:
         # SAW == non-backtracking walk on a tree: d*(d-1)**(n-1) exactly.
         d = g.degree
         return [1] + [d * (d - 1) ** (n - 1) for n in range(1, n_max + 1)]
     if isinstance(g, PeriodicLattice):
-        source, encode, _x1 = _lattice_codec(g, n_max)
-        table = _IdTable(source)
-        maps = [slot_map for *_, slot_map in lattice_stabiliser(g, v0[0])]
-        return _split_counts(table, table.intern(encode(v0)), n_max, workers,
-                             maps, _lattice_act(table, g.cells))
+        table, s0, maps, act, _x1 = _lattice_split(g, v0, n_max)
+        return _split_counts(table, s0, n_max, workers, maps, act)
     table = _IdTable(g.neighbors)
     return _split_counts(table, table.intern(v0), n_max, workers)
 
@@ -679,16 +682,10 @@ def count_directed_saws(q: QuotientGraph, n_max: int, start=None,
     (default: the origin's orbit), which must be given by its canonical
     key.  Parallel directed edges are distinct; loops never appear in a
     SAW of length >= 1."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    workers = resolve_workers(workers)
     table, s0 = _quotient_table(q, start)
-    start = table.keys[s0]
-    if n_max == 0:
-        return WalkCounts(q.quotient_id, start, True, (1,))
     counts = _split_counts(table, s0, n_max, workers,
                            _quotient_maps(q, table, s0), table.act)
-    return WalkCounts(q.quotient_id, start, True, tuple(counts))
+    return WalkCounts(q.quotient_id, table.keys[s0], True, tuple(counts))
 
 
 def count_walks(g: GraphHandle, v0=None, n_max: int = 0) -> list:
@@ -696,27 +693,24 @@ def count_walks(g: GraphHandle, v0=None, n_max: int = 0) -> list:
     frontier dynamic programming.  Used by the walk-correspondence checks."""
     v0 = g.origin() if v0 is None else v0
     g.validate_key(v0)
-    counts = [1]
-    frontier = {v0: 1}
-    for _ in range(n_max):
-        nxt: dict = {}
-        for u, c in frontier.items():
-            for (w, _lab, m) in g.neighbors(u):
-                nxt[w] = nxt.get(w, 0) + c * m
-        counts.append(sum(nxt.values()))
-        frontier = nxt
-    return counts
+    return _walk_counts(g.neighbors, v0, n_max)
 
 
 def count_directed_walks(q: QuotientGraph, n_max: int, start=None) -> list:
     """All directed n-step walks on the quotient (loops usable)."""
     start = q.origin_orbit() if start is None else start
+    return _walk_counts(q.drow, start, n_max)
+
+
+def _walk_counts(source, v0, n_max: int) -> list:
+    """Walk counts for depths 0..n_max from v0, where ``source(v)`` lists
+    v's out-slots as (target, ..., multiplicity) tuples."""
     counts = [1]
-    frontier = {start: 1}
+    frontier = {v0: 1}
     for _ in range(n_max):
         nxt: dict = {}
-        for o, c in frontier.items():
-            for t, m in q.drow(o):
+        for u, c in frontier.items():
+            for t, *_, m in source(u):
                 nxt[t] = nxt.get(t, 0) + c * m
         counts.append(sum(nxt.values()))
         frontier = nxt

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .counting import (_IdTable, _merge_prefixes, _quotient_maps,
-                       _quotient_table)
+from .counting import (_IdTable, _quotient_maps, _quotient_table,
+                       _split_counts)
 from .exact import Radical
 from .quotient import QuotientGraph, TypeReport, classify_type
 
@@ -251,25 +251,15 @@ def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
     quotient's start stabiliser, whose maps carry the family sets at o
     onto those at the image of o, and every merged task runs inline; a
     task replays the arrivals along its prefix, so a prefix that already
-    holds an event adds nothing.  Depths below the split come from a
-    direct run.
+    holds an event adds nothing.
     """
     if k < 1 or k > family.length:
         raise EventParameterError(
             f"threshold k={k} outside 1..{family.length}")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     table, s0 = _quotient_table(q, start)
-    run = _event_free_walker(table, family, k)
-    if n_max == 0:
-        return run(((s0,), (), 1), 0)
-    pdepth, tasks = _merge_prefixes(table.row, table.act, s0, n_max, 1,
-                                    _quotient_maps(q, table, s0))
-    counts = run(((s0,), (), 1), pdepth - 1) + [0] * (n_max - pdepth + 1)
-    for task in tasks:
-        for i, c in enumerate(run(task, n_max), pdepth):
-            counts[i] += c
-    return counts
+    # one worker: the walker is a closure, which cannot be pickled
+    return _split_counts(table, s0, n_max, 1, _quotient_maps(q, table, s0),
+                         table.act, _event_free_walker(table, family, k))
 
 
 # ---------------------------------------------------------------------------

@@ -641,9 +641,14 @@ def load_spec_file(path: str) -> PeriodicLattice:
                            graph_id=f"file:{os.path.basename(path)}")
 
 
-def dump_spec_file(g: PeriodicLattice, path: str) -> None:
+def spec_text(g: PeriodicLattice) -> str:
+    """The spec-file lines of ``g``, as :func:`load_spec_file` reads them."""
     lines = ["kind lattice", f"dimension {g.dimension}", f"cells {g.cells}"]
     for (i, j, off, m) in g.edges:
         lines.append("edge " + " ".join(str(t) for t in (i, j, *off, m)))
+    return "\n".join(lines) + "\n"
+
+
+def dump_spec_file(g: PeriodicLattice, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(spec_text(g))

@@ -166,6 +166,15 @@ def tree_action(name: str) -> SubgroupAction:
 # The quotient graph
 # ---------------------------------------------------------------------------
 
+def _orbit_tally(g: GraphHandle, orbit_of, v) -> tuple:
+    """Sorted (orbit, mult) tally of the neighbors of v in g."""
+    counts: dict = {}
+    for w in g.expanded_neighbors(v):
+        t = orbit_of(w)
+        counts[t] = counts.get(t, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 class QuotientGraph:
     """Directed multigraph of orbits, built by :func:`build_quotient`.
 
@@ -257,12 +266,8 @@ class QuotientGraph:
         loops included, computed from the canonical representative."""
         row = self._rows.get(o)
         if row is None:
-            counts: dict = {}
-            for w in self.base.expanded_neighbors(self.rep_of(o)):
-                t = self.orbit_of(w)
-                counts[t] = counts.get(t, 0) + 1
-            row = tuple(sorted(counts.items()))
-            self._rows[o] = row
+            row = self._rows[o] = _orbit_tally(self.base, self.orbit_of,
+                                               self.rep_of(o))
         return row
 
     def dmult(self, o, t) -> int:
@@ -334,14 +339,8 @@ def check_representative_independence(g: GraphHandle, action: SubgroupAction,
     per-orbit neighbor multiplicities as its orbit's canonical
     representative?  True for genuine symmetry actions; False flags a
     corrupted adjacency table or a non-symmetry."""
-    for u in ball(g, g.origin(), radius):
-        counts: dict = {}
-        for w in g.expanded_neighbors(u):
-            t = q.orbit_of(w)
-            counts[t] = counts.get(t, 0) + 1
-        if tuple(sorted(counts.items())) != q.drow(q.orbit_of(u)):
-            return False
-    return True
+    return all(_orbit_tally(g, q.orbit_of, u) == q.drow(q.orbit_of(u))
+               for u in ball(g, g.origin(), radius))
 
 
 def check_symmetry(q: QuotientGraph, probe_radius: int = 4) -> bool:

@@ -1,7 +1,7 @@
 """Smoke test of the benchmark harness at toy sizes.
 
-Runs ``bench/run.py --toy`` for the ``count``, ``certify`` and ``verify``
-workloads in a subprocess and checks that every CLI output and
+Runs ``bench/run.py --toy`` for the ``count``, ``count-2w``, ``certify``
+and ``verify`` workloads in a subprocess and checks that every CLI output and
 certificate still matches the recorded references (the run's ``correct``
 flag) and that the end-to-end metric names are the ones
 ``BENCHMARK.json`` declares.  The ``verify`` run pins the report bytes of
@@ -19,7 +19,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["count", "certify", "verify"])
+@pytest.mark.parametrize("workload",
+                         ["count", "count-2w", "certify", "verify"])
 def test_toy_bench_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"), "--toy",

@@ -385,6 +385,8 @@ _FIRST_DROPPED_RELABELLED = _bound_table(
     (lambda p: p["checks"][0].update(name=None), "checks[0]"),
     (lambda p: p.update(degree=0), "degree"),
     (lambda p: p.update(cycle_length=10 ** 7), "cycle_length"),
+    (lambda p: p.update(cycle_length=10 ** 400), "cycle_length = 1000"),
+    (lambda p: p.update(degree=10 ** 400), "degree = 1000"),
     (lambda p: p["counts"]["directed"].__setitem__(1, "1" + "0" * 400),
      "counts.directed[1]"),
     (lambda p: p["parameters"].update(block_length=10 ** 7),

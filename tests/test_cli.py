@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -214,6 +216,28 @@ def test_ratio_verify_chain(tmp_path, capsys):
     assert run(["verify", cert]) == 4
     out, _ = lines_of(capsys)
     assert out[0].startswith("CONTRADICTION")
+
+
+@pytest.mark.parametrize("field", ["cycle_length", "degree"])
+def test_verify_huge_field_exits_4_without_traceback(tmp_path, capsys, field):
+    # the saw command itself, not run(): an uncaught error would exit 1
+    cert = str(tmp_path / "cert.json")
+    assert run(["ratio", *Z1MOD3, "--mu-exact", "1", "--budget", "10",
+                "--deterministic", "--out", cert]) == 0
+    capsys.readouterr()
+    payload = json.loads(open(cert).read())
+    payload[field] = 10 ** 400
+    with open(cert, "w") as fh:
+        json.dump(payload, fh)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "sawkit", "verify", cert],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("CONTRADICTION")
+    assert f"{field} = 1000" in proc.stdout
 
 
 def test_ratio_inconclusive_exit_code(tmp_path, capsys):

@@ -15,10 +15,13 @@ from oracles import naive_bridge_counts, naive_saw_counts
 from sawkit.bounds import bridge_counts
 from sawkit import counting
 from sawkit.cli import run
-from sawkit.counting import (_IdTable, _lattice_act, _lattice_codec,
-                             _merge_prefixes, count_saws, lattice_stabiliser)
+from sawkit.counting import (_IdTable, _lattice_split,
+                             _merge_prefixes, count_directed_saws, count_saws,
+                             lattice_stabiliser)
+from sawkit.events import build_cycle_family, event_free_series
 from sawkit.graphs import (CayleyGraph, PeriodicLattice, augment, ball,
                            catalog, load_spec_file)
+from sawkit.quotient import build_quotient, sublattice_action
 from test_counting import (SAW_LADDER_10, SAW_SQOCT_10, SAW_Z2_10,
                            SAW_Z2DIAG_8)
 from test_graphs import Z2_PRESENTATION
@@ -139,11 +142,8 @@ def test_every_map_is_an_automorphism_fixing_the_start(name, doubled):
 
 def test_orbit_prefixes_on_the_square_lattice():
     z2 = catalog("zd(2)")
-    source, encode, _x1 = _lattice_codec(z2, 3)
-    table = _IdTable(source)
-    pdepth, tasks = _merge_prefixes(table.row, _lattice_act(table, z2.cells),
-                                    table.intern(encode(z2.origin())), 3, 1,
-                                    [m[3] for m in lattice_stabiliser(z2)])
+    table, s0, maps, act, _x1 = _lattice_split(z2, z2.origin(), 3)
+    pdepth, tasks = _merge_prefixes(table.row, act, s0, 3, maps)
     assert pdepth == 3
     # straight, turn-then-straight, straight-then-turn, two equal turns,
     # two opposite turns; together the 36 three-step SAWs
@@ -200,18 +200,46 @@ def test_merged_counts_match_across_workers(doubled, monkeypatch):
     assert pools == [2] * 5
 
 
+def test_task_lists_do_not_depend_on_workers(monkeypatch):
+    # every split series records its merged tasks as _run_split gets them
+    seen = []
+    real = counting._run_split
+
+    def spy(head, tasks, task_fn, n_max, pdepth, workers):
+        seen.append((pdepth, tasks))
+        return real(head, tasks, task_fn, n_max, pdepth, workers)
+
+    monkeypatch.setattr(counting, "_run_split", spy)
+    cube = build_quotient(catalog("zd:3"), sublattice_action(
+        [[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
+    for count in (lambda w: count_saws(catalog("zd:2"), n_max=12, workers=w),
+                  lambda w: count_saws(catalog("ladder"), n_max=22,
+                                       workers=w),
+                  lambda w: count_directed_saws(cube, 8, workers=w)):
+        lists = []
+        for workers in (1, 2):
+            seen.clear()
+            count(workers)
+            lists.append(list(seen))
+        assert len(lists[0]) == 1 and lists[0] == lists[1]
+        assert len(lists[0][0][1]) > 1
+    # the event-free series splits the cube quotient as its directed
+    # count does, on one worker
+    seen.clear()
+    event_free_series(cube, build_cycle_family(cube), 3, 8)
+    assert seen == lists[0]
+
+
 def test_a_process_resumes_the_table_it_received():
     # the pool pickles the table with every chunk of tasks; the copies one
     # process unpickles are one table, which keeps the rows it has built
-    source, encode, _x1 = _lattice_codec(catalog("zd(2)"), 6)
-    table = _IdTable(source)
-    s0 = table.intern(encode((0, (0, 0))))
+    table, s0, *_ = _lattice_split(catalog("zd(2)"), (0, (0, 0)), 6)
     blob = pickle.dumps(table)
     first = pickle.loads(blob)
     assert first is not table and first.keys == table.keys
     assert len(first.row(s0)) == 4 and len(table.keys) == 1
     assert pickle.loads(blob) is first and len(first.keys) == 5
-    assert pickle.loads(pickle.dumps(_IdTable(source))) is not first
+    assert pickle.loads(pickle.dumps(_IdTable(table.source))) is not first
 
 
 @pytest.mark.parametrize("d,n", [(1, 10), (2, 8), (3, 6)])
