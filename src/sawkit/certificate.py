@@ -33,9 +33,12 @@ Each inequality is written once, as an entry of the check table
 ``_CHECKS``: its method, the :class:`_Inputs` it reads, and its formula.
 The producer and the verifier evaluate checks only through it, and each
 search is one :class:`_Search` shared by the producer and the verifier's
-earliest-index check.  The split fraction is a stored input: the verifier
-never re-runs the minimizer, whose float result can differ across libm
-builds.
+earliest-index check.  Likewise each stored float parameter is an entry
+of ``_FLOAT_PARAMETERS``, the chain value it repeats: the producer
+writes the entries and the verifier replays them.  The producer runs
+all three stages on one :class:`_Inputs`.  The split fraction is a
+stored input: the verifier never re-runs the minimizer, whose float
+result can differ across libm builds.
 
 A display caveat: ``ratio_bound`` is exp(``ln_ratio_bound``) and can
 round to exactly "1" when the margin under one is below float
@@ -207,10 +210,12 @@ class _Inputs:
         shrink_term = Interval.from_fraction(1 - self.eps).log().scale_int(m)
         return ent + margin_term + shrink_term
 
+    @_step
     def ln_block(self, m: int) -> Interval:
         """ln t = ln g + ln(1 + 1e-9)."""
         return self.ln_entropy(m) + _LN_SLACK
 
+    @_step
     def kappa(self, m: int) -> Interval:
         """The rewiring exponent a / ((2m+2) * degree**(2*ell+1))."""
         return self.a_iv.div_int((2 * m + 2)
@@ -235,6 +240,7 @@ class _Inputs:
         ln_f = -(Z.recip().log1p())
         return Z, ln_f, self.kappa(m) * ln_f
 
+    @_step
     def ln_R(self, m: int) -> Interval:
         """ln R = ln t / m, the per-step entropy ratio."""
         return self.ln_block(m).div_int(m)
@@ -298,10 +304,22 @@ _CHECKS = {
 }
 _REWIRING = ("rewiring_exponent_positive", "rewiring_factor",
              "rewiring_contraction")
-# the stored log parameters, each the chain value it repeats
-_LN_PARAMETERS = {
+# the stored float parameters, each the chain value at the block length
+# m that it repeats: certify writes them and verify replays them
+_FLOAT_PARAMETERS = {
+    "split_fraction": lambda x, m: x.zeta,
+    "block_factor": lambda x, m: math.exp(x.ln_block(m).hi),
+    "occurrence_density": lambda x, m: x.zeta / (2 * m),
+    "entropy_ratio": lambda x, m: math.exp(x.ln_R(m).hi),
     "ln_entropy_ratio": lambda x, m: x.ln_R(m).hi,
+    "rewiring_exponent": lambda x, m: x.kappa(m).lo,
+    "rewiring_weight": lambda x, m: x.rewiring(m)[0].hi,
+    # the minimizing rewiring fraction 1/(1+Z)
+    "rewiring_fraction": lambda x, m: 1.0 / (1.0 + x.rewiring(m)[0].hi),
+    "rewiring_ratio": lambda x, m: math.exp(x.rewiring(m)[2].hi),
     "ln_rewiring_ratio": lambda x, m: x.rewiring(m)[2].hi,
+    "mu_upper": lambda x, m: x.mu_upper.hi,
+    "ratio_bound": lambda x, m: math.exp(x.ln_final(m)),
     "ln_ratio_bound": _Inputs.ln_final,
 }
 
@@ -501,99 +519,64 @@ def _golden_min(fn: Callable, lo: float, hi: float,
     return min(cands)[1]
 
 
-@dataclass(frozen=True)
-class ContractionR:
-    """Entropy-side contraction: split fraction, block factor t, per-step
-    ratio R = t**(1/m), and the occurrence density a = zeta/(2m)."""
+def compute_R(x: _Inputs, m: int) -> tuple:
+    """Minimize the block entropy factor at block length m, set the split
+    fraction ``x.zeta`` and the occurrence density ``x.a_iv`` = zeta/(2m)
+    there, and return the factor records.
 
-    zeta: float
-    ln_g: Interval
-    ln_t: Interval
-    ln_R: Interval
-    t: float
-    R: float
-    a: float
-    a_iv: Interval
-    checks: tuple
-
-
-def compute_R(epsilon: Fraction, m: int) -> ContractionR:
-    """Minimize the block entropy factor and derive (zeta, t, a, R).
-
-    Raises :class:`NoContractionError` when the interval-verified factor
-    fails to drop below one (the caller may retry with a larger block
-    length).  The minimizer runs in plain floats; soundness comes from
-    the interval re-evaluation at the chosen point (any point with a
-    verified factor below one is a valid witness).
+    Raises :class:`NoContractionError`, carrying the records, when the
+    interval-verified factor fails to drop below one (the caller may
+    retry with a larger block length).  The minimizer runs in plain
+    floats; soundness comes from the interval re-evaluation at the
+    chosen point (any point with a verified factor below one is a valid
+    witness).  Its objective is a float copy of ``_Inputs.ln_entropy``:
+    minimizing the interval formula instead could move the chosen point,
+    and with it the certificate bytes.
     """
-    if not (0 < epsilon < 1):
+    if not (0 < x.eps < 1):
         raise CertificateError("margin must lie in (0, 1)")
     if m < 1:
         raise CertificateError("block length must be >= 1")
-    c1 = m * math.log(float((1 + epsilon) / (1 - epsilon)))
-    c2 = m * math.log(float(1 - epsilon))
+    c1 = m * math.log(float((1 + x.eps) / (1 - x.eps)))
+    c2 = m * math.log(float(1 - x.eps))
 
     def ln_g(z: float) -> float:
         return -z * math.log(z) - (1.0 - z) * math.log1p(-z) + z * c1 + c2
 
-    zeta = _golden_min(ln_g, _ZETA_LO, _ZETA_HI)
-    x = _Inputs(eps=epsilon, zeta=zeta)
+    x.zeta = _golden_min(ln_g, _ZETA_LO, _ZETA_HI)
+    x.a_iv = _density(x.zeta, m)
     checks = tuple(_record(name, x, m) for name in _BLOCK.then)
-    ln_t = x.ln_block(m)
     if not all(c.holds for c in checks):
         raise NoContractionError(
             f"entropy factor not below one at m={m} "
-            f"(ln upper endpoint {ln_t.hi!r})", checks)
-    ln_R = x.ln_R(m)
-    return ContractionR(zeta, x.ln_entropy(m), ln_t, ln_R,
-                        t=math.exp(ln_t.hi), R=math.exp(ln_R.hi),
-                        a=zeta / (2 * m), a_iv=_density(zeta, m),
-                        checks=checks)
+            f"(ln upper endpoint {x.ln_block(m).hi!r})", checks)
+    return checks
 
 
-@dataclass(frozen=True)
-class ContractionS:
-    """Rewiring-side contraction: exponent kappa, weight Z, optimal
-    rewiring fraction eta = 1/(1+Z), and the ratio S = (Z/(1+Z))**kappa."""
-
-    kappa: Interval
-    Z: Interval
-    eta: float
-    ln_f: Interval
-    ln_S: Interval
-    S: float
-    checks: tuple
-
-
-def compute_S(epsilon: Fraction, m: int, degree: int, ell: int,
-              a_iv: Interval, dcounts, mu_upper: Interval) -> ContractionS:
-    """Derive the rewiring contraction from the occurrence density.
+def compute_S(x: _Inputs, m: int) -> tuple:
+    """Bound the rewiring contraction at block length m from x's
+    occurrence density, directed counts, upper root, degree and cycle
+    length, and return the rewiring records.
 
     kappa = a / ((2m+2) * degree**(2*ell+1)); Z = 2*ell * mu_upper**(2*ell)
     times the sum of the directed counts up to 2m.  The minimizing
     rewiring fraction has the closed form eta = 1/(1+Z) (stationarity of
     eta*ln Z + eta*ln eta + (1-eta)*ln(1-eta)), at which the factor is
     exactly Z/(1+Z) — strictly below one whenever Z is finite, but often
-    within ulps of one, hence the log-space verdicts.  ``epsilon`` and
-    ``m`` are the parameters the density was derived at; only ``m``
-    enters the formulas again.
+    within ulps of one, hence the log-space verdicts.  Raises
+    :class:`NoContractionError`, carrying the records, when one fails.
     """
-    if m < 1 or ell < 1 or degree < 2:
+    if m < 1 or x.ell < 1 or x.degree < 2:
         raise CertificateError("need m >= 1, ell >= 1, degree >= 2")
-    counts = dcounts.counts if isinstance(dcounts, WalkCounts) else dcounts
-    if len(counts) < 2 * m + 1:
+    if len(x.ds) < 2 * m + 1:
         raise CertificateError(
-            f"directed counts up to {2 * m} required, have {len(counts) - 1}")
-    x = _Inputs(ds=counts, a_iv=a_iv, mu_upper=mu_upper, degree=degree,
-                ell=ell)
-    Z, ln_f, ln_S = x.rewiring(m)
+            f"directed counts up to {2 * m} required, have {len(x.ds) - 1}")
     # with no directed SAW up to 2m there is no rewiring factor to record
     checks = tuple(_record(name, x, m) for name in _REWIRING
-                   if Z.hi or name != "rewiring_factor")
+                   if x.rewiring(m)[0].hi or name != "rewiring_factor")
     if not all(c.holds for c in checks):
         raise NoContractionError("rewiring factor not below one", checks)
-    return ContractionS(x.kappa(m), Z, 1.0 / (1.0 + Z.hi), ln_f, ln_S,
-                        S=math.exp(ln_S.hi), checks=checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -691,56 +674,38 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
             payload_with("inconclusive-budget", outcome.reason))
 
     # entropy contraction, retrying at later valid block lengths
-    contraction = None
     m = outcome.m
     while m is not None:
         try:
-            contraction = compute_R(x.eps, m)
-            checks.extend(contraction.checks)
+            checks.extend(compute_R(x, m))
             break
         except NoContractionError as e:
             checks.extend(e.args[1])
             m = _first_hold(_BLOCK, x, m + 1, budget, checks)
-    if contraction is None:
+    if m is None:
         return RatioCertificate(payload_with(
             "inconclusive-budget",
             f"no block length with entropy contraction within budget {budget}"))
+    params["block_length"] = m
 
     # rewiring contraction; needs directed counts to 2m and the upper
     # root at the largest computed undirected index
     if len(x.ds) < 2 * m + 1:
         x.ds = list(count_directed_saws(q, 2 * m, workers=workers).counts)
     n0 = len(x.us) - 1
-    x.zeta, x.a_iv, x.mu_upper = \
-        contraction.zeta, contraction.a_iv, _upper_root(x.us, n0)
+    x.mu_upper = _upper_root(x.us, n0)
     try:
-        rewiring = compute_S(x.eps, m, g.degree, family.length,
-                             contraction.a_iv, x.ds, x.mu_upper)
-        checks.extend(rewiring.checks)
+        checks.extend(compute_S(x, m))
     except NoContractionError as e:
         checks.extend(e.args[1])
-        params["block_length"] = m
         return RatioCertificate(payload_with(
             "inconclusive-budget", "rewiring factor not below one"))
 
     checks.append(_record("final_ratio", x, m))
     ok_final = checks[-1].holds
-    params.update({
-        "block_length": m,
-        "split_fraction": float_repr(contraction.zeta),
-        "block_factor": float_repr(contraction.t),
-        "occurrence_density": float_repr(contraction.a),
-        "entropy_ratio": float_repr(contraction.R),
-        "rewiring_exponent": float_repr(rewiring.kappa.lo),
-        "rewiring_weight": float_repr(rewiring.Z.hi),
-        "rewiring_fraction": float_repr(rewiring.eta),
-        "rewiring_ratio": float_repr(rewiring.S),
-        "mu_upper_index": n0,
-        "mu_upper": float_repr(x.mu_upper.hi),
-        "ratio_bound": float_repr(math.exp(x.ln_final(m))),
-        **{key: float_repr(value(x, m)) for key, value in
-           _LN_PARAMETERS.items()},
-    })
+    params["mu_upper_index"] = n0
+    params.update((key, float_repr(value(x, m)))
+                  for key, value in _FLOAT_PARAMETERS.items())
     # a recorded failed probe (an early decay candidate, say) does not
     # invalidate certification; only the selected chain must hold, and
     # ok_final is the conjunction of that chain's verdicts.
@@ -928,7 +893,7 @@ def _parameter_fault(params, status, budget: int) -> Optional[str]:
     """Why the load-bearing parameters cannot be replayed, or None.
 
     Each index is null or an integer in 1..max(budget, 1), the margin
-    null or a fraction in (0, 1), each stored log bound null or a
+    null or a fraction in (0, 1), each stored float parameter null or a
     number; margin and decay index come together, an agreement index
     needs a decay index, and a certified status needs all five
     load-bearing parameters.
@@ -950,7 +915,7 @@ def _parameter_fault(params, status, budget: int) -> Optional[str]:
         if f is None or not 0 < f.numerator < f.denominator:
             return (f"parameters.margin = {margin!r} is not a fraction "
                     "in (0, 1)")
-    for key in _LN_PARAMETERS:
+    for key in _FLOAT_PARAMETERS:
         v = params.get(key)
         if v is not None and _float_of(v) is None:
             return f"parameters.{key} = {v!r} is not a number"
@@ -1029,8 +994,8 @@ def verify_certificate(cert) -> VerifyReport:
     Otherwise the report checks margin = 1/decay_index exactly, every
     record through its table entry (see ``_replay_fault``), the
     earliest-index discipline of each search (see ``_earliest_fault``),
-    the stored log parameters against the chain values they repeat, and
-    the status against the verdicts.
+    the stored float parameters against the chain values they repeat,
+    and the status against the verdicts.
     """
     payload = cert.payload if isinstance(cert, RatioCertificate) else cert
     lines: list = []
@@ -1103,12 +1068,12 @@ def verify_certificate(cert) -> VerifyReport:
         elif _SPLIT in _CHECKS[c.name].reads:
             note(f"{c.name}[{c.index}] replayed")
 
-    for key, value in _LN_PARAMETERS.items():
+    for key, value in _FLOAT_PARAMETERS.items():
         stored = params.get(key)
         if stored is None:
             continue
         try:
-            got = value(x, m)
+            got = float(value(x, m))
         except _UNREPLAYABLE:
             fail(f"parameters.{key} not replayable from stored counts")
             continue

@@ -166,8 +166,15 @@ def _series_output(args, graph_label: str, start_label: str, counts: list,
 
 
 def cmd_count(args) -> int:
+    quotient = args.sublattice is not None or args.action is not None
+    if quotient and args.start is not None:
+        raise UsageError("--start does not apply to a quotient count, "
+                         "which starts at the origin's orbit")
+    if args.max_nodes is not None and (quotient or args.walks):
+        raise UsageError("--max-nodes applies only to SAW counts on a "
+                         "graph, not to a quotient or --walks count")
     g = _graph_from(args)
-    if args.sublattice is not None or args.action is not None:
+    if quotient:
         q = _quotient_from(args, g)
         if args.walks:
             counts = count_directed_walks(q, args.n)

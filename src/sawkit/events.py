@@ -242,6 +242,17 @@ def _event_free_walker(table: _IdTable, family: CycleFamily, k: int):
     return run
 
 
+def _check_event_params(family: CycleFamily, k: int, m: Optional[int],
+                        r: int) -> None:
+    if k < 1 or k > family.length:
+        raise EventParameterError(
+            f"threshold k={k} outside 1..{family.length}")
+    if m is not None and m < 0:
+        raise EventParameterError("window half-width m must be >= 0")
+    if r < 0:
+        raise EventParameterError("occurrence allowance r must be >= 0")
+
+
 def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
                       n_max: int, start=None) -> list:
     """Exact zero-occurrence counts for every depth 0..n_max in one pass.
@@ -253,9 +264,7 @@ def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
     task replays the arrivals along its prefix, so a prefix that already
     holds an event adds nothing.
     """
-    if k < 1 or k > family.length:
-        raise EventParameterError(
-            f"threshold k={k} outside 1..{family.length}")
+    _check_event_params(family, k, None, 0)
     table, s0 = _quotient_table(q, start)
     # one worker: the walker is a closure, which cannot be pickled
     return _split_counts(table, s0, n_max, 1, _quotient_maps(q, table, s0),
@@ -343,17 +352,6 @@ def _windowed_series(q: QuotientGraph, family: CycleFamily, k: int,
     return counts
 
 
-def _check_event_params(family: CycleFamily, k: int, m: Optional[int],
-                        r: int) -> None:
-    if k < 1 or k > family.length:
-        raise EventParameterError(
-            f"threshold k={k} outside 1..{family.length}")
-    if m is not None and m < 0:
-        raise EventParameterError("window half-width m must be >= 0")
-    if r < 0:
-        raise EventParameterError("occurrence allowance r must be >= 0")
-
-
 def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
                  m: Optional[int] = None, r: int = 0, start=None) -> list:
     """Exact numbers of directed SAWs from ``start`` (a canonical orbit
@@ -366,11 +364,11 @@ def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
     ``r >= n+1`` is guaranteed unconstraining.  The unwindowed
     zero-occurrence series comes from :func:`event_free_series`.
     """
+    if r == 0 and m is None:
+        return event_free_series(q, family, k, n_max, start=start)
     _check_event_params(family, k, m, r)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if r == 0 and m is None:
-        return event_free_series(q, family, k, n_max, start=start)
     return _windowed_series(q, family, k, m, r, n_max, start)
 
 
@@ -379,7 +377,6 @@ def count_with_events(q: QuotientGraph, v0, n: int, family: CycleFamily,
     """Exact number of n-step directed SAWs from v0 (an orbit key;
     ``None`` means the origin's orbit) with at most r event occurrences:
     entry n of :func:`event_series`."""
-    _check_event_params(family, k, m, r)
     if n < 0:
         raise ValueError("n must be >= 0")
     return event_series(q, family, k, n, m, r, start=v0)[n]

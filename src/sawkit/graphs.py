@@ -21,8 +21,8 @@ machinery in :mod:`sawkit.quotient` relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 
 # ---------------------------------------------------------------------------

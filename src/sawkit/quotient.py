@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (GraphHandle, GraphError, PeriodicLattice, TreeWithEnd,
-                     ball, ball_with_dist)
+                     ball)
 
 
 class QuotientError(GraphError):

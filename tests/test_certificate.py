@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from sawkit.bounds import LowerBoundSequence, bridge_bounds
 from sawkit.certificate import (CertificateError, CheckRecord,
                                 NoContractionError, RatioCertificate, _BLOCK,
-                                _earliest_fault, certify_ratio, compute_R,
-                                compute_S, find_epsilon_m, verify_certificate)
+                                _FLOAT_PARAMETERS, _Inputs, _earliest_fault,
+                                certify_ratio, compute_R, compute_S,
+                                find_epsilon_m, verify_certificate)
 from sawkit.cli import run
 from sawkit.events import build_cycle_family
 from sawkit.exact import Interval, float_repr
@@ -127,20 +128,27 @@ def test_inconclusive_certificate(z1, q_z1mod3):
     assert "budget is zero" in empty.payload["reason"]
 
 
+def _parameter(x, m, key):
+    """The stored float parameter ``key`` of the chain x at block length m."""
+    return _FLOAT_PARAMETERS[key](x, m)
+
+
 def test_compute_R_golden_values():
-    c = compute_R(Fraction(1, 2), 2)
-    assert c.ln_t.hi < 0 and c.ln_R.hi < 0
-    assert 0.24 < c.t < 0.26 and 0.49 < c.R < 0.51
-    assert c.zeta == pytest.approx(1e-9)
-    assert c.a == pytest.approx(c.zeta / 4)
-    assert all(rec.holds for rec in c.checks)
+    x = _Inputs(eps=Fraction(1, 2))
+    records = compute_R(x, 2)
+    assert x.ln_block(2).hi < 0 and x.ln_R(2).hi < 0
+    assert 0.24 < _parameter(x, 2, "block_factor") < 0.26
+    assert 0.49 < _parameter(x, 2, "entropy_ratio") < 0.51
+    assert x.zeta == pytest.approx(1e-9)
+    assert _parameter(x, 2, "occurrence_density") == pytest.approx(x.zeta / 4)
+    assert all(rec.holds for rec in records)
 
 
 def test_compute_R_no_contraction():
     # a margin so tiny that the m*ln(1-eps) shrink cannot beat the
     # binary-entropy term anywhere on the split-fraction domain
     with pytest.raises(NoContractionError) as ei:
-        compute_R(Fraction(1, 10 ** 10), 1)
+        compute_R(_Inputs(eps=Fraction(1, 10 ** 10)), 1)
     records = ei.value.args[1]
     assert any(not rec.holds for rec in records)
 
@@ -155,21 +163,30 @@ def test_split_fraction_is_a_grid_minimum():
     def ln_g(z):
         return -z * math.log(z) - (1 - z) * math.log1p(-z) + z * c1 + c2
 
-    c = compute_R(eps, m)
+    x = _Inputs(eps=eps)
+    compute_R(x, m)
     grid = [10 ** -9 + i * (1 - 2e-9) / 4096 for i in range(4097)]
-    assert ln_g(c.zeta) <= min(ln_g(z) for z in grid) + 1e-12
+    assert ln_g(x.zeta) <= min(ln_g(z) for z in grid) + 1e-12
+
+
+def _rewiring_inputs(ds):
+    """Inputs at margin 1/2 for the rewiring side: degree 2, cycle
+    length 3, directed counts ``ds`` and the upper root 2**(1/4)."""
+    return _Inputs(eps=Fraction(1, 2), degree=2, ell=3, ds=ds,
+                   mu_upper=Interval.point(2 ** 0.25))
 
 
 def test_compute_S_golden_values():
-    c = compute_R(Fraction(1, 2), 2)
-    mu = Interval.point(2 ** 0.25)
-    s = compute_S(Fraction(1, 2), 2, degree=2, ell=3,
-                  a_iv=c.a_iv, dcounts=[1, 2, 2, 0, 0], mu_upper=mu)
+    x = _rewiring_inputs([1, 2, 2, 0, 0])
+    compute_R(x, 2)
+    compute_S(x, 2)
+    Z, _, ln_S = x.rewiring(2)
     # Z = 6 * mu^6 * (2+2+0+0) = 24 * 2^(3/2)
-    assert s.Z.lo == pytest.approx(24 * 2 ** 1.5, rel=1e-12)
-    assert s.eta == pytest.approx(1 / (1 + 24 * 2 ** 1.5), rel=1e-9)
-    assert s.ln_S.hi < 0 and 0 < s.S <= 1.0
-    assert s.kappa.lo > 0
+    assert Z.lo == pytest.approx(24 * 2 ** 1.5, rel=1e-12)
+    assert _parameter(x, 2, "rewiring_fraction") == \
+        pytest.approx(1 / (1 + 24 * 2 ** 1.5), rel=1e-9)
+    assert ln_S.hi < 0 and 0 < _parameter(x, 2, "rewiring_ratio") <= 1.0
+    assert x.kappa(2).lo > 0
 
 
 def test_rewiring_fraction_matches_numeric_minimizer():
@@ -189,12 +206,13 @@ def test_rewiring_fraction_matches_numeric_minimizer():
 
 
 def test_compute_S_misuse():
-    c = compute_R(Fraction(1, 2), 2)
-    mu = Interval.point(2 ** 0.25)
+    x = _rewiring_inputs([1, 2])
+    compute_R(x, 2)
     with pytest.raises(CertificateError):
-        compute_S(Fraction(1, 2), 2, 2, 3, c.a_iv, [1, 2], mu)   # too short
+        compute_S(x, 2)                                       # too short
+    x.ds = [1, 2, 2, 0, 0]
     with pytest.raises(CertificateError):
-        compute_S(Fraction(1, 2), 0, 2, 3, c.a_iv, [1, 2, 2, 0, 0], mu)
+        compute_S(x, 0)
 
 
 def test_certify_ratio_misuse(z2, q_z1mod3):
@@ -570,26 +588,26 @@ _VALUES = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
 
 
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_single_field_mutations_never_raise(ladder_cert, data):
-    payload = json.loads(ladder_cert.to_json())
-    path = data.draw(st.sampled_from(list(_field_paths(payload))))
-    value = data.draw(_VALUES)
+def _mutated(payload, path, value):
+    """The payload with the field at ``path`` set to ``value`` (deleted
+    for _DELETE); the empty path is the whole document."""
     if not path:
-        payload = None if value is _DELETE else value
+        return None if value is _DELETE else value
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
     else:
-        parent = payload
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is _DELETE:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
+        parent[path[-1]] = value
+    return payload
+
+
+def _assert_verdict(payload):
+    """The verifier gives the payload a verdict, and the CLI the same
+    verdict as an exit code, with no traceback."""
     rep = verify_certificate(payload)
     assert rep.ok in (True, False)
-    # the CLI gives the same verdict as an exit code
     text = json.dumps(payload)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -601,3 +619,46 @@ def test_single_field_mutations_never_raise(ladder_cert, data):
     assert code == (4 if not rep.ok else
                     0 if rep.status == "certified" else 3)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_single_field_mutations_never_raise(ladder_cert, data):
+    payload = json.loads(ladder_cert.to_json())
+    path = data.draw(st.sampled_from(list(_field_paths(payload))))
+    _assert_verdict(_mutated(payload, path, data.draw(_VALUES)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_several_field_mutations_never_raise(ladder_cert, data):
+    # each later path is drawn from the document the earlier edits left
+    payload = json.loads(ladder_cert.to_json())
+    for _ in range(data.draw(st.integers(2, 4))):
+        path = data.draw(st.sampled_from(list(_field_paths(payload))))
+        payload = _mutated(payload, path, data.draw(_VALUES))
+    _assert_verdict(payload)
+
+
+FLOAT_PARAMETERS = ("split_fraction", "block_factor", "occurrence_density",
+                    "entropy_ratio", "ln_entropy_ratio", "rewiring_exponent",
+                    "rewiring_weight", "rewiring_fraction", "rewiring_ratio",
+                    "ln_rewiring_ratio", "mu_upper", "ratio_bound",
+                    "ln_ratio_bound")
+
+
+@pytest.mark.parametrize("field", FLOAT_PARAMETERS)
+def test_changed_float_parameter_is_a_contradiction(ladder_cert, field):
+    params = ladder_cert.payload["parameters"]
+    assert set(params) == set(LOAD_BEARING + FLOAT_PARAMETERS)
+    stored = float(params[field])
+
+    def change(p):
+        p["parameters"][field] = "0.5" if stored in (0.0, 1.0) else \
+            float_repr(2 * stored)
+    rep = verify_certificate(_tampered(ladder_cert, change))
+    assert rep.summary().startswith("CONTRADICTION: certified")
+    assert any(line.startswith(f"FAIL parameters.{field} drift")
+               for line in rep.lines), rep.lines

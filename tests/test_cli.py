@@ -75,6 +75,22 @@ def test_count_names_a_bad_saw_workers(capsys, monkeypatch):
                        "not 'abc'\n")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--graph", "zd:2", "--sublattice", "2 0;0 2", "--start", "0:1,0"],
+     "--start"),
+    ([*Z1MOD3, "--max-nodes", "1"], "--max-nodes"),
+    (["--graph", "tree-with-end(3)", "--action", "child-swap",
+      "--max-nodes", "1"], "--max-nodes"),
+    (["--graph", "zd:2", "--walks", "--max-nodes", "1"], "--max-nodes"),
+], ids=["start-on-quotient", "budget-on-quotient", "budget-on-action",
+        "budget-on-walks"])
+def test_count_refuses_a_flag_it_would_ignore(argv, flag, capsys):
+    assert run(["count", *argv, "--n", "3"]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith(f"usage error: {flag} ")
+
+
 def test_count_start_key(capsys):
     assert run(["count", "--graph", "zd:2", "--n", "2",
                 "--start", "0:5,-1"]) == 0
