@@ -38,8 +38,7 @@ from .certificate import (CertificateError, CheckRecord, NoContractionError,
                           RatioCertificate, SearchOutcome, VerifyReport,
                           certify_ratio, compute_R, compute_S, find_epsilon_m,
                           verify_certificate)
-from .balls import (ball_growth_bounded, ball_sizes_uniform, balls_isomorphic,
-                    induced_ball_edges)
+from .balls import ball_sizes_uniform, balls_isomorphic, induced_ball_edges
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "CertificateError", "CheckRecord", "NoContractionError",
     "RatioCertificate", "SearchOutcome", "VerifyReport", "certify_ratio",
     "compute_R", "compute_S", "find_epsilon_m", "verify_certificate",
-    "ball_growth_bounded", "ball_sizes_uniform", "balls_isomorphic",
-    "induced_ball_edges",
+    "ball_sizes_uniform", "balls_isomorphic", "induced_ball_edges",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Radius-ball witnesses: transitivity, growth, and ball isomorphism.
+"""Radius-ball witnesses: transitivity and ball isomorphism.
 
 These checks turn assertions that are global for infinite graphs
 (vertex-transitivity, isomorphism of two one-ended lattices) into finite
@@ -21,17 +21,6 @@ def ball_sizes_uniform(g: GraphHandle, radius: int = 3,
     base = len(ball(g, g.origin(), radius))
     for v in sorted(ball(g, g.origin(), sample_radius)):
         if len(ball(g, v, radius)) != base:
-            return False
-    return True
-
-
-def ball_growth_bounded(g: GraphHandle, radius: int = 6) -> bool:
-    """|ball(origin, r)| < degree**(r+1) for r <= radius (crude volume
-    bound every locally finite graph satisfies; guards against neighbor
-    functions that leak duplicates)."""
-    dist = ball_with_dist(g, g.origin(), radius)
-    for r in range(radius + 1):
-        if sum(1 for d in dist.values() if d <= r) >= g.degree ** (r + 1):
             return False
     return True
 

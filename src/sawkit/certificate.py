@@ -58,7 +58,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import accumulate, repeat
@@ -81,7 +80,10 @@ _ZETA_LO = 1e-9
 _ZETA_HI = 1.0 - 1e-9
 _GSS_ITERS = 60                               # interval ~ 0.618**60 < 1e-12
 _REPLAY_RTOL = 1e-12
-_JUMP_COST = 16          # a count's nodes, at most, per node spent before it
+# a count's predicted nodes, at most, per node spent before it; no count
+# goes deeper, so a count past the agreement index wastes at most this
+# many times the nodes of the counts before it
+_JUMP_COST = 16
 # the stored parameters, in their order in the certificate
 _PARAMETERS = ("decay_index", "margin", "agreement_index", "block_length",
                "split_fraction", "block_factor", "occurrence_density",
@@ -103,22 +105,39 @@ class NoContractionError(Exception):
 # Check records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRecord:
+class _Plain:
+    """Equality and repr over ``__slots__``: a plain base class for the
+    result records, because each dataclass costs every import of this
+    module about 0.7 ms."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and \
+            other._values() == self._values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+
+class CheckRecord(_Plain):
     """One recorded inequality: what was compared, how, and the verdict.
 
     ``lhs``/``rhs`` are the two sides as the check's table entry formats
-    them; ``aux`` holds an input stored on the record itself (the split
-    fraction a factor check was evaluated at).
+    them; ``method`` is "exact-root" or "interval-log"; ``aux`` holds an
+    input stored on the record itself (the split fraction a factor check
+    was evaluated at), as sorted (key, value-string) pairs.
     """
 
-    name: str
-    index: int
-    lhs: str
-    rhs: str
-    holds: bool
-    method: str                      # "exact-root" | "interval-log"
-    aux: tuple = ()                  # sorted (key, value-string) pairs
+    __slots__ = ("name", "index", "lhs", "rhs", "holds", "method", "aux")
+
+    def __init__(self, name: str, index: int, lhs: str, rhs: str,
+                 holds: bool, method: str, aux: tuple = ()):
+        self.name, self.index, self.lhs, self.rhs = name, index, lhs, rhs
+        self.holds, self.method, self.aux = holds, method, aux
 
     def to_json(self) -> dict:
         d = {"name": self.name, "index": self.index, "lhs": self.lhs,
@@ -379,22 +398,22 @@ def _first_hold(search: _Search, x: _Inputs, lo: int, hi: int, checks: list,
 # Stage 1: exact searches
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SearchOutcome:
-    """Result of the three exact searches plus everything needed to
-    replay them: the integer series actually consumed and the bound
-    entries actually compared."""
+class SearchOutcome(_Plain):
+    """Result of the three exact searches ("found" or "exhausted", and
+    why) plus everything needed to replay them: the integer series
+    actually consumed and the bound entries actually compared."""
 
-    status: str                      # "found" | "exhausted"
-    reason: Optional[str]
-    r: Optional[int]
-    epsilon: Optional[Fraction]
-    s: Optional[int]
-    m: Optional[int]
-    checks: list = field(default_factory=list)
-    event_free: list = field(default_factory=list)
-    directed: list = field(default_factory=list)
-    undirected: list = field(default_factory=list)
+    __slots__ = ("status", "reason", "r", "epsilon", "s", "m", "checks",
+                 "event_free", "directed", "undirected")
+
+    def __init__(self, status: str, reason: Optional[str], r: Optional[int],
+                 epsilon: Optional[Fraction], s: Optional[int],
+                 m: Optional[int], checks=(), event_free=(), directed=(),
+                 undirected=()):
+        self.status, self.reason, self.r, self.epsilon, self.s, self.m = \
+            status, reason, r, epsilon, s, m
+        self.checks, self.event_free, self.directed, self.undirected = \
+            list(checks), list(event_free), list(directed), list(undirected)
 
 
 def _agreement_target(us: list, b: LowerBoundSequence, eps: Fraction,
@@ -403,30 +422,41 @@ def _agreement_target(us: list, b: LowerBoundSequence, eps: Fraction,
     holding the undirected counts ``us`` and having expanded ``spent``
     nodes so far.
 
-    It is the first depth at which sigma_n, extrapolated from the last
-    count by the parity-averaged ratio sqrt(sigma_k / sigma_{k-2}),
-    meets the agreement inequality, cut short where a count to it would
-    expand more than _JUMP_COST times ``spent`` nodes (a count to n
-    expands sigma_0 + ... + sigma_n).  Depth lo itself is always
-    allowed.  The choice affects only the cost of the search: every
-    depth is still counted exactly, from the root.
+    sigma_n is extrapolated from the last count by the parity-averaged
+    ratio sqrt(sigma_k / sigma_{k-2}), and a count to n is predicted to
+    expand sigma_0 + ... + sigma_n nodes.  The deciding depth is the
+    first depth at which the extrapolated sigma_n meets the agreement
+    inequality, or hi.  The greedy depth is the deciding depth, cut
+    short where a count would expand more than _JUMP_COST times
+    ``spent`` nodes; depth lo itself is always allowed.  Where the
+    greedy depth falls short of the deciding depth, a later count will
+    go there unless agreement comes sooner, so the search looks ahead:
+    it counts instead to the first depth in lo..greedy from which one
+    more capped count reaches the deciding depth, rather than to a depth
+    that count would pass by one or two.  No count is deeper than the greedy one, so the cap
+    still bounds what a count past the agreement index wastes.  The
+    choice affects only the cost of the search: every depth is still
+    counted exactly, from the root.
     """
     k = len(us) - 1
     if k < 2 or not us[k - 2] or not us[k]:
         return lo
     rho = math.sqrt(us[k] / us[k - 2])
-    sigma, nodes = float(us[k]), float(sum(us))
+    sigma, total = float(us[k]), float(sum(us))
     lift = float(1 + eps) / float(1 + eps / 2)
-    target = lo
+    nodes = {}                       # the predicted cost of a count to n
     for n in range(k + 1, hi + 1):
         sigma *= rho
-        nodes += sigma
-        if n > lo and nodes > _JUMP_COST * spent:
-            break
-        target = n
+        total += sigma
+        nodes[n] = total
         if n >= lo and float(b.value_at(n)) * lift >= sigma ** (1 / n):
             break
-    return target
+    deciding = n
+    greedy = max([lo] + [t for t in nodes if nodes[t] <= _JUMP_COST * spent])
+    if greedy < deciding:
+        return next((t for t in range(lo, greedy) if nodes[deciding]
+                     <= _JUMP_COST * (spent + nodes[t])), greedy)
+    return greedy
 
 
 def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
@@ -438,13 +468,15 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
     ``a_n`` optionally supplies precomputed undirected counts for the
     base graph; anything missing (including the zero-occurrence and
     directed series) is computed here.  The agreement search counts
-    past the supplied depths only as far as :func:`_agreement_target`
-    predicts it needs, and again only if the agreement index is not
-    found there; ``undirected`` then holds the counts to the agreement
-    index (to the budget when none is found), or the supplied counts
-    when the search never went past them.  All comparisons are exact;
-    the budget-exhausted outcomes carry the reason and the partial
-    state.
+    past the supplied depths to the depth :func:`_agreement_target`
+    picks, and again only if the agreement index is not found there:
+    each count goes no deeper than the cost cap allows, and one that
+    cannot reach the predicted agreement depth stops where the next
+    capped count can.  ``undirected`` then holds the counts to the
+    agreement index (to the budget when none is found), or the supplied
+    counts when the search never went past them.  All comparisons are
+    exact; the budget-exhausted outcomes carry the reason and the
+    partial state.
     """
     if n_budget < 1:
         return SearchOutcome("exhausted", "budget is zero", None, None,
@@ -718,11 +750,14 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
 # Replay verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerifyReport:
-    ok: bool
-    status: str                      # status claimed by the certificate
-    lines: list
+class VerifyReport(_Plain):
+    """The verdict, the status the certificate claims, and the report
+    lines."""
+
+    __slots__ = ("ok", "status", "lines")
+
+    def __init__(self, ok: bool, status: str, lines: list):
+        self.ok, self.status, self.lines = ok, status, lines
 
     def summary(self) -> str:
         head = "verified" if self.ok else "CONTRADICTION"

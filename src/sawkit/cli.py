@@ -239,6 +239,12 @@ def cmd_type(args) -> int:
 
 
 def cmd_events(args) -> int:
+    if args.grid:
+        for flag in ("k", "m", "r"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} does not apply to --grid, which "
+                                 "tabulates every k with m unwindowed and "
+                                 "r = 0")
     g = _graph_from(args)
     q = _quotient_from(args, g)
     rep = classify_type(q)
@@ -261,14 +267,15 @@ def cmd_events(args) -> int:
         else:
             _emit(_csv(["n", "k", "m", "r", "count"], rows), args.out)
         return 0
-    series = event_series(q, family, k, args.n, args.m, args.r)
+    r = 0 if args.r is None else args.r
+    series = event_series(q, family, k, args.n, args.m, r)
     rows = [(n, series[n]) for n in range(args.n + 1)]
     if args.format == "json":
         doc = {"quotient": q.quotient_id, "cycle_length": str(family.length),
                "k": str(k), "m": None if args.m is None else str(args.m),
-               "r": str(args.r),
+               "r": str(r),
                "rows": [{"n": n, "count": str(c)} for n, c in rows]}
-        if args.r == 0 and args.m is None and args.n >= 1:
+        if r == 0 and args.m is None and args.n >= 1:
             doc["lambda_upper"] = float_repr(
                 float(Radical.nth_root(series[args.n], args.n)))
         _emit(_json_doc(doc), args.out)
@@ -461,10 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="occurrence threshold (default: full cycle length)")
     p.add_argument("--m", type=int, default=None,
                    help="window half-width (default: unwindowed)")
-    p.add_argument("--r", type=int, default=0,
+    p.add_argument("--r", type=int, default=None,
                    help="occurrence allowance (default 0)")
     p.add_argument("--grid", action="store_true",
-                   help="emit the full (n,k,m,r) profile grid")
+                   help="emit the (n,k,m,r) profile grid over every k; "
+                   "refuses --k, --m and --r")
     p.set_defaults(fn=cmd_events)
 
     p = sub.add_parser("bounds", help="lower-bound sequences b_n")

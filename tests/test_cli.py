@@ -197,6 +197,23 @@ def test_events_grid(capsys):
         (k, n) for k in (1, 2, 3) for n in (1, 2, 3)}
 
 
+@pytest.mark.parametrize("flag,value", [("--k", "2"), ("--m", "1"),
+                                        ("--r", "1"), ("--r", "0")])
+def test_events_grid_refuses_a_flag_it_would_ignore(flag, value, capsys):
+    assert run(["events", *Z1MOD3, "--n", "3", "--grid", flag, value]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith(f"usage error: {flag} ")
+
+
+def test_events_explicit_r_zero_is_the_default(capsys):
+    assert run(["events", *Z1MOD3, "--n", "4", "--format", "json"]) == 0
+    default = capsys.readouterr().out
+    assert run(["events", *Z1MOD3, "--n", "4", "--format", "json",
+                "--r", "0"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_bounds_bridges(capsys):
     assert run(["bounds", "--dimension", "2", "--n", "6"]) == 0
     out, _ = lines_of(capsys)

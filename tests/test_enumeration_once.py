@@ -3,7 +3,7 @@
 * The agreement search counts to a predicted index instead of once per
   candidate; its outcome and the certificate bytes are checked against
   the step-by-step search it replaced, kept here as the reference, and
-  its cost in nodes against that reference's.
+  its cost in nodes against that reference's and its own last count's.
 * Cycle families are built once per cell on sublattice quotients and
   translated; the translated sets are checked against per-orbit builds.
 * The lattice stabiliser is cached on the lattice's content.
@@ -112,15 +112,17 @@ def _stepwise_search(q, family, b, a_n=None, n_budget=10, workers=None,
 
 class _NodeMeter:
     """Wraps ``count_saws`` in the certificate module and sums the nodes
-    of its runs: sigma_0 + ... + sigma_t for a run to depth t."""
+    of its runs: sigma_0 + ... + sigma_t for a run to depth t.  ``last``
+    holds the nodes of the last run."""
 
     def __init__(self, monkeypatch):
-        self.nodes = 0
+        self.nodes = self.last = 0
         inner = certificate.count_saws
 
         def counted(*args, **kwargs):
             out = inner(*args, **kwargs)
-            self.nodes += sum(out.counts)
+            self.last = sum(out.counts)
+            self.nodes += self.last
             return out
         monkeypatch.setattr(certificate, "count_saws", counted)
 
@@ -192,6 +194,42 @@ def test_prediction_counts_fewer_times(monkeypatch):
     assert (out.r, out.s) == (4, 13)
     assert len(out.undirected) == 14
     assert depths[0] == 4 and max(depths) < 30 and len(depths) <= 4
+
+
+# (graph, sublattice rows, --mu-exact value or None for bridges, budget,
+# the most nodes all counts of the search may expand, or None)
+GUARD_CASES = [
+    ("zd:2", "2 0;0 2", None, 12, None),
+    ("zd:2", "2 0;0 2", None, 13, 1_700_000),
+    ("zd:2", "2 0;0 2", None, 16, None),
+    ("square-octagon", "1 -1", "1.8", 18, 340_000),
+]
+
+
+@pytest.mark.parametrize("graph,rows,mu,budget,most", GUARD_CASES)
+def test_agreement_search_costs_little_more_than_its_last_count(
+        graph, rows, mu, budget, most, monkeypatch):
+    # the counts before the last one add at most a quarter to its nodes
+    q = _quotient(graph, rows)
+    meter = _NodeMeter(monkeypatch)
+    find_epsilon_m(q, build_cycle_family(q), _bound(q.base, mu, budget),
+                   None, budget, workers=1)
+    assert meter.nodes <= 1.25 * meter.last, (meter.nodes, meter.last)
+    assert most is None or meter.nodes <= most, meter.nodes
+
+
+def test_agreement_target_looks_ahead_to_the_deciding_depth():
+    # zd:2 mod (2Z)^2 with bridge bounds has eps = 1/2 and no predicted
+    # agreement within budget 13; after counts to 2, 4, 6, 8 and 10 the
+    # cost cap allows a count to 12, but a count to 12 would leave one
+    # more count to reach 13, so the search counts to 11 instead
+    g = catalog("zd:2")
+    us = list(count_saws(g, None, 10).counts)
+    spent = 1 + sum(sum(count_saws(g, None, d).counts)
+                    for d in (2, 4, 6, 8, 10))
+    b = _bound(g, None, 13)
+    assert certificate._agreement_target(us, b, Fraction(1, 2), 11, 13,
+                                         spent) != 12
 
 
 # ---------------------------------------------------------------------------
