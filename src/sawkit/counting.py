@@ -14,10 +14,12 @@ All counts are exact Python integers.  The engines are:
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
 
 Every split series, here and in :mod:`sawkit.bounds` (Z^d bridges) and
-:mod:`sawkit.events` (event-free quotient series), runs through
+:mod:`sawkit.events` (both event series), runs through
 :func:`_split_counts`: it partitions the search by short prefixes, by one
 rule for every worker count, and sums exact integer subtree counts; a
-caller supplies only the task walker.  Integer addition is associative
+caller supplies only the task walker.  On one worker with at most one
+map it runs the walker once from the root instead, as such a split
+merges nothing and starts no pool.  Integer addition is associative
 and commutative, so neither the worker count nor scheduling can change
 any output; the test-suite compares 1-worker and multi-worker runs bit
 for bit.  A process pool starts only when the work left, estimated from
@@ -588,6 +590,8 @@ def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
     """Counts for depths 0..n_max of the walks from id ``start``: the
     depths below the split from a direct run, the others summed over the
     prefix tasks merged under ``maps`` (see :func:`_merge_prefixes`).
+    On one worker with at most one map, where the split would merge
+    nothing and start no pool, one direct run counts every depth.
     ``walker(task, n_total=n)`` counts depths len(path)-1..n of a task
     (default: SAWs, :func:`_counts_from`) and is pickled for a pool;
     ``live(task)``, if given, drops tasks after the direct run."""
@@ -596,8 +600,8 @@ def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
     workers = resolve_workers(workers)
     walker = walker or partial(_counts_from, table=table)
     root = ((start,), (), 1)
-    if n_max == 0:
-        return walker(root, n_total=0)
+    if n_max == 0 or (workers == 1 and len(maps) <= 1):
+        return walker(root, n_total=n_max)
     pdepth, tasks = _merge_prefixes(table.row, act, start, n_max, maps)
     head = walker(root, n_total=pdepth - 1)
     if live is not None:

@@ -10,26 +10,22 @@ unwindowed form, or by the positions within j±m in the windowed form
 (windows truncate at the walk's ends).  The central quantity is the
 exact number of n-step directed SAWs with at most r occurrences.
 
-The zero-occurrence, unwindowed counts are the growth series the ratio
-certificate consumes, so they get a dedicated pruned kernel on interned
-orbit and family-set ids: each family set carries a live intersection
-count with the walk and an anchor count (how many visited orbits it is
-attached to), and a branch dies the moment an anchored set's count
-reaches k.  Counter growth is monotone along extensions, which is what
-makes the pruning sound and lets one pass produce the counts at every
-depth.  The kernel's prefixes are merged under the quotient's start
-stabiliser, as in :mod:`sawkit.counting`.  The general (windowed /
-r > 0) series is one DFS as well: occurrences only accumulate along an
-extension, so it prunes once they exceed r, and it re-evaluates only
-the positions whose window can still widen.
-
-Event evaluation, and hence every count here, is single-pass
-deterministic; worker settings cannot affect the results.
+Both series run through :func:`sawkit.counting._split_counts` on
+interned orbit and family-set ids (:func:`_quotient_series`), their
+prefixes merged under the quotient's start stabiliser; where that is
+the identity alone, the walker runs once from the root.  The unwindowed
+zero-occurrence counts, which the ratio certificate consumes, come from
+a pruned walker that keeps each set's live intersection count with the
+walk; every other series from a walker that marks a position once, when
+it occurs.  Occurrences only accumulate along an extension, so a branch
+dies once they exceed r, and one pass gives every depth.  Worker
+settings cannot affect any count here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .counting import (_IdTable, _quotient_maps, _quotient_table,
@@ -151,92 +147,93 @@ def build_cycle_family(q: QuotientGraph, report: Optional[TypeReport] = None,
 
 
 # ---------------------------------------------------------------------------
-# Zero-occurrence series (pruned kernel)
+# Walkers on interned orbit and family-set ids
 # ---------------------------------------------------------------------------
+
+class _WalkSets:
+    """A walk's positions and the family sets it meets, on a table's ids.
+
+    ``pos[o]`` is orbit o's position on the walk: -1 off it, -2 until o
+    is first reached and :meth:`attach` interns the sets attached to it.
+    Per set id, ``mems`` holds the member ids and ``owners`` the orbits
+    the set is attached to; ``through[o]`` lists the sets containing o.
+    Every set contains the orbits it is attached to.
+    """
+
+    def __init__(self, table: _IdTable, family: CycleFamily):
+        self.table, self.family, self.set_ids = table, family, {}
+        self.pos, self.through, self.mems, self.owners = [], [], [], []
+
+    def grow(self) -> None:
+        """Pad the per-orbit lists to the table's ids."""
+        n = len(self.table.keys)
+        self.pos.extend([-2] * (n - len(self.pos)))
+        self.through.extend([] for _ in range(n - len(self.through)))
+
+    def attach(self, o: int) -> None:
+        for s in self.family.sets_at(self.table.keys[o]):
+            sid = self.set_ids.get(s)
+            if sid is None:
+                sid = self.set_ids[s] = len(self.mems)
+                self.mems.append(tuple(map(self.table.intern, sorted(s))))
+                self.owners.append([])
+                self.grow()
+                for t in self.mems[sid]:
+                    self.through[t].append(sid)
+            self.owners[sid].append(o)
+
 
 def _event_free_walker(table: _IdTable, family: CycleFamily, k: int):
     """``run(task, n_total)``: the zero-occurrence counts of the walks
     extending a prefix task (orbit-id path, slot indices, weight), for
     depths len(path)-1 .. n_total.
 
-    State, indexed by orbit id: ``members[o]`` lists the ids of the known
-    family sets through o, ``anchors[o]`` the ids of the sets attached to
-    o (None until o is first reached).  Indexed by set id: ``live`` is
-    the set's intersection count with the walk, ``anchored`` the number
-    of visited orbits it is attached to.  A node dies when a set with
-    ``anchored`` above zero reaches ``live`` >= k.  Sets are interned
-    when an orbit they are attached to is first reached, with ``live``
-    counted from the orbits already visited; all other mutations are
-    undone on departure, stack-fashion.
+    ``live[s]`` is set s's intersection count with the walk, counted
+    from the walk when s is interned and kept stack-fashion after.  A
+    node dies when a set through its orbit reaches ``live`` >= k with
+    one of its owners on the walk.
     """
-    visited, rows, row_of, keys = \
-        table.visited, table.rows, table.row, table.keys
-    members: list = []
-    anchors: list = []
+    ws = _WalkSets(table, family)
+    pos, through, mems, owners = ws.pos, ws.through, ws.mems, ws.owners
+    rows, row_of = table.rows, table.row
     live: list = []
-    anchored: list = []
-    set_ids: dict = {}
-
-    def grow():
-        members.extend([] for _ in range(len(keys) - len(members)))
-        anchors.extend([None] * (len(keys) - len(anchors)))
-
-    def attach(o):
-        sids = []
-        for s in family.sets_at(keys[o]):
-            sid = set_ids.get(s)
-            if sid is None:
-                sid = set_ids[s] = len(live)
-                ids = [table.intern(t) for t in sorted(s)]
-                grow()
-                for t in ids:
-                    members[t].append(sid)
-                live.append(sum(visited[t] for t in ids))
-                anchored.append(0)
-            sids.append(sid)
-        grow()
-        anchors[o] = sids = tuple(sids)
-        return sids
 
     def run(task, n_total):
         path, _slots, weight = task
-        counts = [0] * (n_total - len(path) + 2)
-        limit = len(counts) - 1
+        base = len(path) - 1
+        counts = [0] * (n_total - base + 1)
+        ws.grow()
 
-        # Depths count from the path's endpoint; the path's other orbits
-        # sit at negative depths and are replayed, not counted.
-        def rec(o, depth, wt):
-            anc = anchors[o] if o < len(anchors) else None
-            if anc is None:
-                anc = attach(o)
-            visited[o] = 1
-            mem = members[o]
+        # the path's orbits before its endpoint are replayed, not counted
+        def rec(o, d, wt):
+            if pos[o] == -2:
+                ws.attach(o)
+                live.extend(sum(pos[t] >= 0 for t in mems[s])
+                            for s in range(len(live), len(mems)))
+            pos[o] = d
             alive = True
-            for s in mem:
-                c = live[s] + 1
-                live[s] = c
-                if c >= k and anchored[s]:
-                    alive = False
-            for s in anc:
-                anchored[s] += 1
-                if live[s] >= k:
+            for s in through[o]:
+                c = live[s] = live[s] + 1
+                if c >= k and alive and any(pos[a] >= 0 for a in owners[s]):
                     alive = False
             if alive:
-                if depth < 0:
-                    rec(path[depth], depth + 1, wt)
+                if d < base:
+                    rec(path[d + 1], d + 1, wt)
                 else:
-                    counts[depth] += wt
-                    if depth < limit:
-                        for t, m in rows[o] or row_of(o):
-                            if not visited[t]:
-                                rec(t, depth + 1, wt * m)
-            for s in mem:
+                    counts[d - base] += wt
+                    if d < n_total:
+                        row = rows[o]
+                        if row is None:
+                            row = row_of(o)
+                            ws.grow()
+                        for t, m in row:
+                            if pos[t] < 0:
+                                rec(t, d + 1, wt * m)
+            for s in through[o]:
                 live[s] -= 1
-            for s in anc:
-                anchored[s] -= 1
-            visited[o] = 0
+            pos[o] = -1
 
-        rec(path[0], 1 - len(path), weight)
+        rec(path[0], 0, weight)
         return counts
 
     return run
@@ -253,103 +250,99 @@ def _check_event_params(family: CycleFamily, k: int, m: Optional[int],
         raise EventParameterError("occurrence allowance r must be >= 0")
 
 
-def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
-                      n_max: int, start=None) -> list:
-    """Exact zero-occurrence counts for every depth 0..n_max in one pass.
-
-    Runs on interned orbit ids (see :func:`_event_free_walker` for the
-    walk state).  The prefixes of the split are merged under the
-    quotient's start stabiliser, whose maps carry the family sets at o
-    onto those at the image of o, and every merged task runs inline; a
-    task replays the arrivals along its prefix, so a prefix that already
-    holds an event adds nothing.
-    """
-    _check_event_params(family, k, None, 0)
+def _quotient_series(q: QuotientGraph, start, n_max: int, walker_of) -> list:
+    """The counts of ``walker_of(table)`` for depths 0..n_max, split on an
+    id table of q's orbit keys with its prefixes merged under the start
+    stabiliser, whose maps carry the family sets at o onto those at the
+    image of o and keep every orbit's position on the walk."""
     table, s0 = _quotient_table(q, start)
     # one worker: the walker is a closure, which cannot be pickled
     return _split_counts(table, s0, n_max, 1, _quotient_maps(q, table, s0),
-                         table.act, _event_free_walker(table, family, k))
+                         table.act, walker_of(table))
+
+
+def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
+                      n_max: int, start=None) -> list:
+    """Exact zero-occurrence counts for every depth 0..n_max in one pass
+    of :func:`_event_free_walker` through :func:`_quotient_series`; a
+    task replays the arrivals along its prefix, so a prefix that already
+    holds an event adds nothing."""
+    _check_event_params(family, k, None, 0)
+    return _quotient_series(q, start, n_max,
+                            partial(_event_free_walker, family=family, k=k))
 
 
 # ---------------------------------------------------------------------------
 # General windowed / bounded-occurrence counting
 # ---------------------------------------------------------------------------
 
-def _windowed_series(q: QuotientGraph, family: CycleFamily, k: int,
-                     m: Optional[int], r: int, n_max: int, start) -> list:
-    """The counts at most r occurrences allow, for every depth 0..n_max,
-    from one DFS on interned orbit ids.
+def _windowed_walker(table: _IdTable, family: CycleFamily, k: int,
+                     m: Optional[int], r: int):
+    """``run(task, n_total)``: the counts at most r occurrences allow of
+    the walks extending a prefix task, for depths len(path)-1 .. n_total.
 
-    ``pos[o]`` is orbit o's position on the walk (-1 off it).  A
-    position's window only widens as the walk grows, and the walk's
-    orbit set only grows, so a position's event, once it occurs, keeps
-    occurring, and a node whose total exceeds r has no counted extension.
-    With a window, position j is settled once j + m <= depth (its window
-    is full); ``settled`` carries the occurrences among the settled
-    positions, and each node re-evaluates only the positions
-    depth-m..depth.  Without one no position is ever settled.
+    A window only widens as the walk grows, so an occurrence never goes
+    away and a position is marked once, when it occurs.  The sets
+    through the orbit at a new position d reach both d and every earlier
+    position whose window holds d; no other position gained a member,
+    and none other is evaluated.  A node whose marks exceed r has no
+    counted extension.
     """
-    table, s0 = _quotient_table(q, start)
-    rows, row_of, keys = table.rows, table.row, table.keys
-    sets: list = []
-    pos: list = []
-    path: list = []
-    counts = [0] * (n_max + 1)
+    ws = _WalkSets(table, family)
+    pos, through, mems, owners = ws.pos, ws.through, ws.mems, ws.owners
+    rows, row_of = table.rows, table.row
 
-    def grow():
-        sets.extend([None] * (len(keys) - len(sets)))
-        pos.extend([-1] * (len(keys) - len(pos)))
+    def run(task, n_total):
+        path, _slots, weight = task
+        base = len(path) - 1
+        counts = [0] * (n_total - base + 1)
+        marked = bytearray(n_total + 1)
+        windows = [(0, n_total) if m is None else (max(0, j - m), j + m)
+                   for j in range(n_total + 1)]
+        ws.grow()
 
-    def sets_at(o):
-        got = sets[o]
-        if got is None:
-            got = sets[o] = tuple(tuple(table.intern(t) for t in sorted(s))
-                                  for s in family.sets_at(keys[o]))
-            grow()
-        return got
-
-    def occurs(j, depth):
-        if m is None:
-            lo, hi = 0, depth
-        else:
-            lo, hi = max(0, j - m), j + m
-        for s in sets_at(path[j]):
-            hits = 0
-            for t in s:
+        def occurs(s, j):
+            lo, hi = windows[j]
+            c = 0
+            for t in mems[s]:
                 if lo <= pos[t] <= hi:
-                    hits += 1
-            if hits >= k:
-                return True
-        return False
+                    c += 1
+            return c >= k
 
-    def rec(o, depth, wt, settled):
-        pos[o] = depth
-        path.append(o)
-        first, done = (0, -1) if m is None else (max(0, depth - m), depth - m)
-        total = settled
-        for j in range(first, depth + 1):
-            if occurs(j, depth):
-                total += 1
-                if total > r:
-                    break
-                if j == done:
-                    settled += 1
-        if total <= r:
-            counts[depth] += wt
-            if depth < n_max:
-                row = rows[o]
-                if row is None:
-                    row = row_of(o)
-                    grow()
-                for t, mult in row:
-                    if pos[t] < 0:
-                        rec(t, depth + 1, wt * mult, settled)
-        path.pop()
-        pos[o] = -1
+        def rec(o, d, wt, occ):
+            if pos[o] == -2:
+                ws.attach(o)
+            pos[o] = d
+            lo = windows[d][0]
+            new = []
+            for s in through[o]:
+                for a in owners[s]:
+                    j = pos[a]
+                    if j >= lo and not marked[j] and occurs(s, j):
+                        marked[j] = 1
+                        new.append(j)
+            occ += len(new)
+            if occ <= r:
+                if d < base:
+                    rec(path[d + 1], d + 1, wt, occ)
+                else:
+                    counts[d - base] += wt
+                    if d < n_total:
+                        row = rows[o]
+                        if row is None:
+                            row = row_of(o)
+                            ws.grow()
+                        for t, mult in row:
+                            if pos[t] < 0:
+                                rec(t, d + 1, wt * mult, occ)
+            for j in new:
+                marked[j] = 0
+            pos[o] = -1
 
-    grow()
-    rec(s0, 0, 1, 0)
-    return counts
+        rec(path[0], 0, weight, 0)
+        return counts
+
+    return run
 
 
 def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
@@ -362,14 +355,16 @@ def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
     event, whose occurrences may involve vertices the walk only reaches
     later.  Occurrences are counted over all n+1 walk positions, so only
     ``r >= n+1`` is guaranteed unconstraining.  The unwindowed
-    zero-occurrence series comes from :func:`event_free_series`.
+    zero-occurrence series comes from :func:`event_free_series`, every
+    other one from :func:`_windowed_walker`; both run through
+    :func:`_split_counts`, which runs the walker once from the root when
+    the quotient's start stabiliser is the identity alone.
     """
     if r == 0 and m is None:
         return event_free_series(q, family, k, n_max, start=start)
     _check_event_params(family, k, m, r)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return _windowed_series(q, family, k, m, r, n_max, start)
+    return _quotient_series(q, start, n_max, partial(
+        _windowed_walker, family=family, k=k, m=m, r=r))
 
 
 def count_with_events(q: QuotientGraph, v0, n: int, family: CycleFamily,

@@ -170,19 +170,19 @@ def test_events_json_enumerates_once(capsys, monkeypatch):
 
 
 def test_events_windowed_enumerates_once(capsys, monkeypatch):
-    # one DFS gives the count at every depth, not one pass per depth
+    # one split pass gives the count at every depth, not one per depth
     calls = []
-    original = events._windowed_series
+    original = events._split_counts
 
     def counted(*args, **kwargs):
-        calls.append(args[2:6])
+        calls.append(args[2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(events, "_windowed_series", counted)
+    monkeypatch.setattr(events, "_split_counts", counted)
     assert run(["events", "--graph", "square-octagon", "--sublattice",
                 "1 -1", "--n", "12", "--m", "2", "--r", "1"]) == 0
     out = capsys.readouterr().out
-    assert calls == [(4, 2, 1, 12)]
+    assert calls == [12]
     # the bytes printed when every depth was enumerated on its own
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "37ece6e23c6653f17557c137d98e88c82bc3c02733142a33adc7c997c26c914b"

@@ -79,6 +79,17 @@ def test_event_free_series_matches_oracle(graph, rows):
                 (start, k)
 
 
+def test_windowed_series_matches_oracle_under_48_maps():
+    # the zd:3 cube quotient merges its prefixes under 48 maps
+    q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
+    fam = build_cycle_family(q)
+    for m in (None, 0, 2):
+        for r in (0, 1):
+            want = [naive_event_count(q, fam.sets_at, n, 3, m, r)
+                    for n in range(7)]
+            assert event_series(q, fam, 3, 6, m, r) == want, (m, r)
+
+
 class _AnchoredAt(CycleFamily):
     """The girth family with its sets attached only at the orbits that
     ``keep`` accepts, so that a walk can visit members of a known set
@@ -194,6 +205,24 @@ def test_directed_counts_match_across_workers(monkeypatch):
         assert count_directed_saws(q, n, workers=2).counts == \
             count_directed_saws(q, n, workers=1).counts, rows
     assert pools == [2] * len(cases)
+    # on one worker a quotient whose stabiliser is the identity alone
+    # merges nothing, so each of its series runs once from the root
+    merged = []
+    real = counting._merge_prefixes
+
+    def spy(*args):
+        merged.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_merge_prefixes", spy)
+    for graph, rows, n in cases[3:]:
+        q = _quotient(graph, rows)
+        fam = build_cycle_family(q)
+        count_directed_saws(q, n, workers=1)
+        event_free_series(q, fam, fam.length, n)
+        event_series(q, fam, fam.length, n, m=2, r=1)
+    count_directed_saws(_quotient(*cases[0][:2]), 6, workers=1)
+    assert merged == [6]
 
 
 def test_non_canonical_starts_are_refused(q_z2mod22):

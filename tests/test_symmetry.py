@@ -18,7 +18,8 @@ from sawkit.cli import run
 from sawkit.counting import (_IdTable, _lattice_split,
                              _merge_prefixes, count_directed_saws, count_saws,
                              lattice_stabiliser)
-from sawkit.events import build_cycle_family, event_free_series
+from sawkit.events import (build_cycle_family, event_free_series,
+                           event_series)
 from sawkit.graphs import (CayleyGraph, PeriodicLattice, augment, ball,
                            catalog, load_spec_file)
 from sawkit.quotient import build_quotient, sublattice_action
@@ -223,11 +224,14 @@ def test_task_lists_do_not_depend_on_workers(monkeypatch):
             lists.append(list(seen))
         assert len(lists[0]) == 1 and lists[0] == lists[1]
         assert len(lists[0][0][1]) > 1
-    # the event-free series splits the cube quotient as its directed
-    # count does, on one worker
-    seen.clear()
-    event_free_series(cube, build_cycle_family(cube), 3, 8)
-    assert seen == lists[0]
+    # both event series split the cube quotient as its directed count
+    # does, on one worker
+    fam = build_cycle_family(cube)
+    for series in (lambda: event_free_series(cube, fam, 3, 8),
+                   lambda: event_series(cube, fam, 3, 8, m=2, r=1)):
+        seen.clear()
+        series()
+        assert seen == lists[0]
 
 
 def test_a_process_resumes_the_table_it_received():
