@@ -398,17 +398,18 @@ def cmd_augment(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, graph=True, quotient=False):
-    p.add_argument("--format", choices=("json", "csv"), default="csv",
-                   help="output format (default csv)")
+def _add_common(p, graph=True, quotient=False, fmt=True, workers=True):
+    if fmt:
+        p.add_argument("--format", choices=("json", "csv"), default="csv",
+                       help="output format (default csv)")
     p.add_argument("--out", metavar="FILE",
                    help="write output atomically to FILE instead of stdout")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: SAW_WORKERS or 1); "
-                   "a pool starts only when the work estimated from a "
-                   "sample reaches its break-even, else counts run inline")
-    p.add_argument("--deterministic", action="store_true",
-                   help="suppress the timestamp field in outputs")
+    if workers:
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: SAW_WORKERS or 1); "
+                       "a pool starts only when the work estimated from a "
+                       "sample reaches its break-even, else counts run "
+                       "inline")
     if graph:
         p.add_argument("--graph", metavar="NAME",
                        help="catalog graph name (see `saw catalog`)")
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True, metavar="SUBCOMMAND")
 
     p = sub.add_parser("catalog", help="list built-in graphs")
-    _add_common(p, graph=False)
+    _add_common(p, graph=False, workers=False)
     p.set_defaults(fn=cmd_catalog)
 
     p = sub.add_parser("count", help="exact SAW or walk counts")
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("quotient", help="build a quotient and report on it")
-    _add_common(p, quotient=True)
+    _add_common(p, quotient=True, workers=False)
     p.add_argument("--report",
                    choices=("summary", "type", "symmetry", "independence"),
                    default="summary")
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_quotient)
 
     p = sub.add_parser("type", help="classify a quotient (shortcut)")
-    _add_common(p, quotient=True)
+    _add_common(p, quotient=True, workers=False)
     p.add_argument("--radius", type=int, default=4, help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_type)
 
@@ -483,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("ratio", help="finite-time ratio certificate")
-    _add_common(p, quotient=True)
+    _add_common(p, quotient=True, fmt=False)
+    p.add_argument("--deterministic", action="store_true",
+                   help="leave the timestamp field out of the certificate")
     p.add_argument("--budget", type=int, default=10,
                    help="search budget (maximum probe length)")
     p.add_argument("--mu-exact", metavar="Q",
@@ -491,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ratio)
 
     p = sub.add_parser("verify", help="replay a certificate file")
-    _add_common(p, graph=False)
+    _add_common(p, graph=False, fmt=False, workers=False)
     p.add_argument("certificate", metavar="FILE")
     p.set_defaults(fn=cmd_verify)
 

@@ -10,22 +10,22 @@ unwindowed form, or by the positions within j±m in the windowed form
 (windows truncate at the walk's ends).  The central quantity is the
 exact number of n-step directed SAWs with at most r occurrences.
 
-Both series run through :func:`sawkit.counting._split_counts` on
-interned orbit and family-set ids (:func:`_quotient_series`), their
+Every series runs through :func:`sawkit.counting._split_counts` on
+interned orbit and family-set ids (:func:`_quotient_series`), its
 prefixes merged under the quotient's start stabiliser; where that is
-the identity alone, the walker runs once from the root.  The unwindowed
-zero-occurrence counts, which the ratio certificate consumes, come from
-a pruned walker that keeps each set's live intersection count with the
-walk; every other series from a walker that marks a position once, when
-it occurs.  Occurrences only accumulate along an extension, so a branch
-dies once they exceed r, and one pass gives every depth.  Worker
-settings cannot affect any count here.
+the identity alone, the walker runs once from the root.  One walker,
+:func:`_event_walker`, counts every (k, m, r): it keeps each set's live
+intersection count with the walk and marks a position once, when it
+occurs; the unwindowed zero-occurrence counts, which the ratio
+certificate consumes, are its case m=None, r=0.  Occurrences only
+accumulate along an extension, so a branch dies once they exceed r, and
+one pass gives every depth.  Worker settings cannot affect any count
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .counting import (_IdTable, _quotient_maps, _quotient_table,
@@ -147,181 +147,94 @@ def build_cycle_family(q: QuotientGraph, report: Optional[TypeReport] = None,
 
 
 # ---------------------------------------------------------------------------
-# Walkers on interned orbit and family-set ids
+# The event walker on interned orbit and family-set ids
 # ---------------------------------------------------------------------------
 
-class _WalkSets:
-    """A walk's positions and the family sets it meets, on a table's ids.
+def _event_walker(table: _IdTable, family: CycleFamily, k: int,
+                  m: Optional[int], r: int):
+    """``run(task, n_total)``: the counts at most r occurrences allow of
+    the walks extending a prefix task (orbit-id path, slot indices,
+    weight), for depths len(path)-1 .. n_total.
 
     ``pos[o]`` is orbit o's position on the walk: -1 off it, -2 until o
-    is first reached and :meth:`attach` interns the sets attached to it.
-    Per set id, ``mems`` holds the member ids and ``owners`` the orbits
-    the set is attached to; ``through[o]`` lists the sets containing o.
-    Every set contains the orbits it is attached to.
-    """
-
-    def __init__(self, table: _IdTable, family: CycleFamily):
-        self.table, self.family, self.set_ids = table, family, {}
-        self.pos, self.through, self.mems, self.owners = [], [], [], []
-
-    def grow(self) -> None:
-        """Pad the per-orbit lists to the table's ids."""
-        n = len(self.table.keys)
-        self.pos.extend([-2] * (n - len(self.pos)))
-        self.through.extend([] for _ in range(n - len(self.through)))
-
-    def attach(self, o: int) -> None:
-        for s in self.family.sets_at(self.table.keys[o]):
-            sid = self.set_ids.get(s)
-            if sid is None:
-                sid = self.set_ids[s] = len(self.mems)
-                self.mems.append(tuple(map(self.table.intern, sorted(s))))
-                self.owners.append([])
-                self.grow()
-                for t in self.mems[sid]:
-                    self.through[t].append(sid)
-            self.owners[sid].append(o)
-
-
-def _event_free_walker(table: _IdTable, family: CycleFamily, k: int):
-    """``run(task, n_total)``: the zero-occurrence counts of the walks
-    extending a prefix task (orbit-id path, slot indices, weight), for
-    depths len(path)-1 .. n_total.
-
-    ``live[s]`` is set s's intersection count with the walk, counted
-    from the walk when s is interned and kept stack-fashion after.  A
-    node dies when a set through its orbit reaches ``live`` >= k with
-    one of its owners on the walk.
-    """
-    ws = _WalkSets(table, family)
-    pos, through, mems, owners = ws.pos, ws.through, ws.mems, ws.owners
-    rows, row_of = table.rows, table.row
-    live: list = []
-
-    def run(task, n_total):
-        path, _slots, weight = task
-        base = len(path) - 1
-        counts = [0] * (n_total - base + 1)
-        ws.grow()
-
-        # the path's orbits before its endpoint are replayed, not counted
-        def rec(o, d, wt):
-            if pos[o] == -2:
-                ws.attach(o)
-                live.extend(sum(pos[t] >= 0 for t in mems[s])
-                            for s in range(len(live), len(mems)))
-            pos[o] = d
-            alive = True
-            for s in through[o]:
-                c = live[s] = live[s] + 1
-                if c >= k and alive and any(pos[a] >= 0 for a in owners[s]):
-                    alive = False
-            if alive:
-                if d < base:
-                    rec(path[d + 1], d + 1, wt)
-                else:
-                    counts[d - base] += wt
-                    if d < n_total:
-                        row = rows[o]
-                        if row is None:
-                            row = row_of(o)
-                            ws.grow()
-                        for t, m in row:
-                            if pos[t] < 0:
-                                rec(t, d + 1, wt * m)
-            for s in through[o]:
-                live[s] -= 1
-            pos[o] = -1
-
-        rec(path[0], 0, weight)
-        return counts
-
-    return run
-
-
-def _check_event_params(family: CycleFamily, k: int, m: Optional[int],
-                        r: int) -> None:
-    if k < 1 or k > family.length:
-        raise EventParameterError(
-            f"threshold k={k} outside 1..{family.length}")
-    if m is not None and m < 0:
-        raise EventParameterError("window half-width m must be >= 0")
-    if r < 0:
-        raise EventParameterError("occurrence allowance r must be >= 0")
-
-
-def _quotient_series(q: QuotientGraph, start, n_max: int, walker_of) -> list:
-    """The counts of ``walker_of(table)`` for depths 0..n_max, split on an
-    id table of q's orbit keys with its prefixes merged under the start
-    stabiliser, whose maps carry the family sets at o onto those at the
-    image of o and keep every orbit's position on the walk."""
-    table, s0 = _quotient_table(q, start)
-    # one worker: the walker is a closure, which cannot be pickled
-    return _split_counts(table, s0, n_max, 1, _quotient_maps(q, table, s0),
-                         table.act, walker_of(table))
-
-
-def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
-                      n_max: int, start=None) -> list:
-    """Exact zero-occurrence counts for every depth 0..n_max in one pass
-    of :func:`_event_free_walker` through :func:`_quotient_series`; a
-    task replays the arrivals along its prefix, so a prefix that already
-    holds an event adds nothing."""
-    _check_event_params(family, k, None, 0)
-    return _quotient_series(q, start, n_max,
-                            partial(_event_free_walker, family=family, k=k))
-
-
-# ---------------------------------------------------------------------------
-# General windowed / bounded-occurrence counting
-# ---------------------------------------------------------------------------
-
-def _windowed_walker(table: _IdTable, family: CycleFamily, k: int,
-                     m: Optional[int], r: int):
-    """``run(task, n_total)``: the counts at most r occurrences allow of
-    the walks extending a prefix task, for depths len(path)-1 .. n_total.
+    is first reached and the sets attached to it are interned.  Per set
+    id, ``mems`` holds the member ids, ``owners`` the orbits the set is
+    attached to and ``live`` its members on the walk, counted when the
+    set is interned and kept stack-fashion after; ``through[o]`` lists
+    the sets containing o.  Every set contains the orbits it is attached
+    to.
 
     A window only widens as the walk grows, so an occurrence never goes
-    away and a position is marked once, when it occurs.  The sets
-    through the orbit at a new position d reach both d and every earlier
-    position whose window holds d; no other position gained a member,
-    and none other is evaluated.  A node whose marks exceed r has no
+    away and a position is marked once, when it occurs, by the node that
+    undoes the mark.  The sets through the orbit at a new position d
+    reach d and every earlier position whose window holds d; no other
+    position gained a member, and none other is evaluated.  A set can
+    hold k members in a window only with ``live`` >= k, which is the
+    whole test when m is None.  A node whose marks exceed r has no
     counted extension.
     """
-    ws = _WalkSets(table, family)
-    pos, through, mems, owners = ws.pos, ws.through, ws.mems, ws.owners
+    set_ids: dict = {}
+    pos, through, mems, owners, live = [], [], [], [], []
+    keys, intern = table.keys, table.intern
     rows, row_of = table.rows, table.row
+
+    def grow():
+        n = len(keys)
+        pos.extend([-2] * (n - len(pos)))
+        through.extend([] for _ in range(n - len(through)))
+
+    def attach(o):
+        for s in family.sets_at(keys[o]):
+            sid = set_ids.get(s)
+            if sid is None:
+                sid = set_ids[s] = len(mems)
+                mems.append(tuple(map(intern, sorted(s))))
+                owners.append([])
+                grow()
+                for t in mems[sid]:
+                    through[t].append(sid)
+                live.append(sum(pos[t] >= 0 for t in mems[sid]))
+            owners[sid].append(o)
+
+    def held(s, lo):
+        """Whether set s has k members at positions lo.. of the walk."""
+        c = 0
+        for t in mems[s]:
+            if pos[t] >= lo:
+                c += 1
+        return c >= k
 
     def run(task, n_total):
         path, _slots, weight = task
         base = len(path) - 1
         counts = [0] * (n_total - base + 1)
         marked = bytearray(n_total + 1)
-        windows = [(0, n_total) if m is None else (max(0, j - m), j + m)
-                   for j in range(n_total + 1)]
-        ws.grow()
+        # without a window every window is the whole walk, as with m = n
+        w = n_total if m is None else m
+        grow()
 
-        def occurs(s, j):
-            lo, hi = windows[j]
-            c = 0
-            for t in mems[s]:
-                if lo <= pos[t] <= hi:
-                    c += 1
-            return c >= k
-
+        # the path's orbits before its endpoint are replayed, not counted
         def rec(o, d, wt, occ):
             if pos[o] == -2:
-                ws.attach(o)
+                attach(o)
             pos[o] = d
-            lo = windows[d][0]
+            # Position j's window [j - w, j + w] holds d when j >= lo, and
+            # then the walk ends inside it: only its lower end can leave a
+            # member out, none when j <= w, where live >= k decides.
+            lo = d - w if d > w else 0
             new = []
             for s in through[o]:
-                for a in owners[s]:
-                    j = pos[a]
-                    if j >= lo and not marked[j] and occurs(s, j):
-                        marked[j] = 1
-                        new.append(j)
-            occ += len(new)
+                c = live[s] = live[s] + 1
+                if c >= k and occ <= r:
+                    for a in owners[s]:
+                        j = pos[a]
+                        if j >= lo and not marked[j] and (
+                                j <= w or held(s, j - w)):
+                            marked[j] = 1
+                            new.append(j)
+                            occ += 1
+                            if occ > r:
+                                break
             if occ <= r:
                 if d < base:
                     rec(path[d + 1], d + 1, wt, occ)
@@ -331,10 +244,12 @@ def _windowed_walker(table: _IdTable, family: CycleFamily, k: int,
                         row = rows[o]
                         if row is None:
                             row = row_of(o)
-                            ws.grow()
+                            grow()
                         for t, mult in row:
                             if pos[t] < 0:
                                 rec(t, d + 1, wt * mult, occ)
+            for s in through[o]:
+                live[s] -= 1
             for j in new:
                 marked[j] = 0
             pos[o] = -1
@@ -343,6 +258,34 @@ def _windowed_walker(table: _IdTable, family: CycleFamily, k: int,
         return counts
 
     return run
+
+
+def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
+                     n_max: int, m: Optional[int], r: int, start) -> list:
+    """The counts of :func:`_event_walker` for depths 0..n_max, split on
+    an id table of q's orbit keys with its prefixes merged under the
+    start stabiliser, whose maps carry the family sets at o onto those
+    at the image of o and keep every orbit's position on the walk."""
+    if k < 1 or k > family.length:
+        raise EventParameterError(
+            f"threshold k={k} outside 1..{family.length}")
+    if m is not None and m < 0:
+        raise EventParameterError("window half-width m must be >= 0")
+    if r < 0:
+        raise EventParameterError("occurrence allowance r must be >= 0")
+    table, s0 = _quotient_table(q, start)
+    # one worker: the walker is a closure, which cannot be pickled
+    return _split_counts(table, s0, n_max, 1, _quotient_maps(q, table, s0),
+                         table.act, _event_walker(table, family, k, m, r))
+
+
+def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
+                      n_max: int, start=None) -> list:
+    """Exact zero-occurrence counts of the unwindowed event for every
+    depth 0..n_max in one pass: :func:`event_series` with m=None, r=0.
+    A task replays the arrivals along its prefix, so a prefix that
+    already holds an event adds nothing."""
+    return _quotient_series(q, family, k, n_max, None, 0, start)
 
 
 def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
@@ -354,17 +297,15 @@ def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
     ``m`` is the window half-width; ``m=None`` selects the unwindowed
     event, whose occurrences may involve vertices the walk only reaches
     later.  Occurrences are counted over all n+1 walk positions, so only
-    ``r >= n+1`` is guaranteed unconstraining.  The unwindowed
-    zero-occurrence series comes from :func:`event_free_series`, every
-    other one from :func:`_windowed_walker`; both run through
-    :func:`_split_counts`, which runs the walker once from the root when
-    the quotient's start stabiliser is the identity alone.
+    ``r >= n+1`` is guaranteed unconstraining.  Every series comes from
+    :func:`_event_walker` through :func:`_split_counts`, which runs the
+    walker once from the root when the quotient's start stabiliser is
+    the identity alone; the unwindowed zero-occurrence series is
+    :func:`event_free_series`.
     """
     if r == 0 and m is None:
         return event_free_series(q, family, k, n_max, start=start)
-    _check_event_params(family, k, m, r)
-    return _quotient_series(q, start, n_max, partial(
-        _windowed_walker, family=family, k=k, m=m, r=r))
+    return _quotient_series(q, family, k, n_max, m, r, start)
 
 
 def count_with_events(q: QuotientGraph, v0, n: int, family: CycleFamily,

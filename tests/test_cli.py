@@ -362,6 +362,32 @@ def test_domain_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+VERIFY = ["verify", "cert.json"]
+AUGMENT = ["augment", "--graph", "zd:2", "--chord", "0:0,0 0:1,1"]
+
+
+# each subcommand accepts only the flags it reads
+@pytest.mark.parametrize("argv,flag", [
+    (["catalog"], ["--deterministic"]),
+    (["count", "--graph", "zd:1"], ["--deterministic"]),
+    (["quotient", *Z1MOD3], ["--deterministic"]),
+    (["type", *Z1MOD3], ["--deterministic"]),
+    (["events", *Z1MOD3], ["--deterministic"]),
+    (["bounds", "--graph", "ladder"], ["--deterministic"]),
+    (VERIFY, ["--deterministic"]),
+    (AUGMENT, ["--deterministic"]),
+    (["catalog"], ["--workers", "1"]),
+    (["quotient", *Z1MOD3], ["--workers", "1"]),
+    (["type", *Z1MOD3], ["--workers", "1"]),
+    (VERIFY, ["--workers", "1"]),
+    (["ratio", *Z1MOD3, "--mu-exact", "1"], ["--format", "json"]),
+    (VERIFY, ["--format", "json"])])
+def test_unread_flags_are_refused(argv, flag, capsys):
+    assert run([*argv, *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", ["catalog", "count", "quotient", "type",
                                  "events", "bounds", "ratio", "verify",
                                  "augment"])

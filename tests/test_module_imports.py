@@ -1,4 +1,5 @@
-"""Every module-level import in the package is read by its module."""
+"""Every module-level import in the package is read by its module, and
+every module-level private function or class is read by the package."""
 
 import ast
 import pathlib
@@ -7,8 +8,8 @@ import pytest
 
 import sawkit
 
-MODULES = sorted(path for path in pathlib.Path(sawkit.__file__).parent
-                 .glob("*.py") if path.name != "__init__.py")
+PACKAGE = sorted(pathlib.Path(sawkit.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list:
@@ -32,3 +33,44 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_import_is_read(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unread_private_defs(sources: dict) -> list:
+    """(module, name) of each module-level ``_private`` function or class
+    whose name no top-level statement of the package reads, other than
+    its own definition.  A read is a loaded name, an attribute or an
+    imported name."""
+    reads = []          # (top-level statement, names it reads)
+    defs = []
+    for mod, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            reads.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    stmt.name.startswith("_") and \
+                    not stmt.name.startswith("__"):
+                defs.append((mod, stmt))
+    return [(mod, d.name) for mod, d in defs
+            if not any(d.name in names for stmt, names in reads
+                       if stmt is not d)]
+
+
+def test_the_scan_sees_an_unread_private_def():
+    sources = {"a": "def _used():\n    return _used()\n"
+                    "def _gone(x):\n    return _gone(x - 1)\n"
+                    "class _Kept:\n    pass\n",
+               "b": "from .a import _used\nimport a\nY = a._Kept\n"}
+    assert _unread_private_defs(sources) == [("a", "_gone")]
+
+
+def test_every_private_def_is_read():
+    assert _unread_private_defs({path.name: path.read_text(encoding="utf-8")
+                                 for path in PACKAGE}) == []

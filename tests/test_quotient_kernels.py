@@ -79,17 +79,6 @@ def test_event_free_series_matches_oracle(graph, rows):
                 (start, k)
 
 
-def test_windowed_series_matches_oracle_under_48_maps():
-    # the zd:3 cube quotient merges its prefixes under 48 maps
-    q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
-    fam = build_cycle_family(q)
-    for m in (None, 0, 2):
-        for r in (0, 1):
-            want = [naive_event_count(q, fam.sets_at, n, 3, m, r)
-                    for n in range(7)]
-            assert event_series(q, fam, 3, 6, m, r) == want, (m, r)
-
-
 class _AnchoredAt(CycleFamily):
     """The girth family with its sets attached only at the orbits that
     ``keep`` accepts, so that a walk can visit members of a known set
@@ -101,6 +90,28 @@ class _AnchoredAt(CycleFamily):
 
     def sets_at(self, orbit):
         return super().sets_at(orbit) if self.keep(orbit) else ()
+
+
+def test_windowed_series_matches_oracle_under_48_maps():
+    # The zd:3 cube quotient merges its prefixes under 48 maps.  There a
+    # girth-family occurrence needs a whole axis line inside the window,
+    # so its three positions occur at once and every r column equals
+    # r=0.  Attached only at orbits with other than one nonzero
+    # coordinate, a family the 48 maps carry onto itself, one position
+    # can occur alone.
+    q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
+    girth = build_cycle_family(q)
+    anchored = _AnchoredAt(q, 3, lambda o: sum(1 for c in o[1] if c) != 1)
+    cases = [(girth, m, r) for m in (None, 0, 2) for r in (0, 1)] + \
+        [(anchored, m, r) for m, r in ((None, 0), (None, 1), (None, 2),
+                                       (2, 1))]
+    columns = {}
+    for fam, m, r in cases:
+        want = columns[fam, m, r] = [
+            naive_event_count(q, fam.sets_at, n, 3, m, r) for n in range(7)]
+        assert event_series(q, fam, 3, 6, m, r) == want, (fam, m, r)
+    # the anchored r columns differ, so a merge that ignored r would fail
+    assert len({tuple(columns[anchored, None, r]) for r in (0, 1, 2)}) == 3
 
 
 # quotients whose start stabiliser is the identity alone, so that any
@@ -115,6 +126,12 @@ def test_event_free_series_needs_an_anchor(graph, rows, keep):
         want = [naive_event_count(q, fam.sets_at, j, k, None, 0)
                 for j in range(8)]
         assert event_free_series(q, fam, k, 7) == want, k
+        # the same walker with an allowance, with and without a window
+        for m in (None, 1):
+            for r in (1, 2):
+                want = [naive_event_count(q, fam.sets_at, j, k, m, r)
+                        for j in range(8)]
+                assert event_series(q, fam, k, 7, m, r) == want, (k, m, r)
 
 
 def test_deep_counts_match_unmerged_runs():
