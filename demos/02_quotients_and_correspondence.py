@@ -57,7 +57,7 @@ te = catalog("tree-with-end(3)")
 qcs = build_quotient(te, tree_action("child-swap"))
 print("symmetric:", check_symmetry(qcs, probe_radius=3))
 print("representative-independent:",
-      check_representative_independence(te, qcs.action, qcs, radius=3))
+      check_representative_independence(te, qcs, radius=3))
 dw = count_directed_saws(qcs, 10)
 print("directed SAW series:", list(dw.counts), " (= 2**n + 1)")
 

@@ -204,8 +204,7 @@ def cmd_count(args) -> int:
 
 def cmd_quotient(args) -> int:
     g = _graph_from(args)
-    action = _action_from(args)
-    q = build_quotient(g, action)
+    q = build_quotient(g, _action_from(args))
     report = args.report
     if report == "summary":
         _emit(q.to_text(probe_radius=args.radius) + "\n", args.out)
@@ -226,7 +225,7 @@ def cmd_quotient(args) -> int:
         _emit(f"symmetric within radius {args.radius}: {ok}\n", args.out)
         return 0
     if report == "independence":
-        ok = check_representative_independence(g, action, q, args.radius)
+        ok = check_representative_independence(g, q, args.radius)
         _emit(f"representative-independent within radius {args.radius}: "
               f"{ok}\n", args.out)
         return 0
@@ -463,7 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_type)
 
     p = sub.add_parser("events", help="pattern-event constrained counts")
-    _add_common(p, quotient=True)
+    _add_common(p, quotient=True, workers=False)
+    # accepted and never read: event series run on one worker
+    p.add_argument("--workers", type=int, default=None,
+                   help=argparse.SUPPRESS)
     p.add_argument("--n", type=int, default=8, help="maximum length")
     p.add_argument("--k", type=int, default=None,
                    help="occurrence threshold (default: full cycle length)")

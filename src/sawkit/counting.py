@@ -15,25 +15,26 @@ All counts are exact Python integers.  The engines are:
 
 Every split series, here and in :mod:`sawkit.bounds` (Z^d bridges) and
 :mod:`sawkit.events` (both event series), runs through
-:func:`_split_counts`: it partitions the search by short prefixes, by one
-rule for every worker count, and sums exact integer subtree counts; a
-caller supplies only the task walker.  On one worker with at most one
+:func:`_split_counts`: it splits the search by short prefixes, by one
+rule for every worker count, merges them under stabiliser maps that act
+on slots, and sums exact integer subtree counts from the caller's
+walker, which vets its own prefixes.  On one worker with at most one
 map it runs the walker once from the root instead, as such a split
-merges nothing and starts no pool.  Integer addition is associative
-and commutative, so neither the worker count nor scheduling can change
-any output; the test-suite compares 1-worker and multi-worker runs bit
-for bit.  A process pool starts only when the work left, estimated from
-a sample of the prefix tasks run inline first, reaches the break-even of
-starting one (:func:`_run_split`); smaller counts finish inline.
+merges nothing and starts no pool.  Integer addition is associative and
+commutative, so neither the worker count nor scheduling can change any
+output; the test-suite compares 1-worker and multi-worker runs bit for
+bit.  A process pool, which receives the walker once per process, starts
+only when the work left, estimated from a sample of the prefix tasks run
+inline first, reaches the break-even of starting one (:func:`_run_split`).
 
-On a periodic lattice the prefixes are first merged under the start
-vertex's stabiliser (:func:`lattice_stabiliser`): an automorphism fixing
-the start carries the SAWs extending one prefix bijectively onto those
-extending its image, so each orbit's subtree is enumerated once and
-weighted by the orbit's summed prefix weight.  On a sublattice quotient
-the stabiliser maps that normalise the sublattice and fix the start
-orbit descend to the quotient and merge its prefixes the same way
-(:func:`_merge_prefixes` serves both).
+On a periodic lattice the maps are the start vertex's stabiliser
+(:func:`lattice_stabiliser`): an automorphism fixing the start carries
+the SAWs extending one prefix bijectively onto those extending its
+image, so each orbit's subtree is enumerated once and weighted by the
+orbit's summed prefix weight.  On a sublattice quotient the stabiliser
+maps that normalise the sublattice and fix the start orbit descend to
+the quotient and merge its prefixes the same way (:func:`_merge_prefixes`
+serves both).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import count, islice, permutations, product
+from itertools import islice, permutations, product
 from typing import Optional
 
 from .exact import Radical
@@ -113,10 +114,9 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 #
 # Every SAW count runs on integer ids.  A table made when counting starts
 # interns vertex keys on first sight and builds their rows from a row
-# source, its only per-graph part.  The source must be picklable: the
-# table travels to the worker pool with every chunk of tasks, and each
-# worker goes on interning in its own copy.  Tables are never stored on a
-# graph or a quotient.
+# source, its only per-graph part.  The source must be picklable: a pool
+# process receives the table once, with the walker, and goes on interning
+# in its own copy.  Tables are never stored on a graph or a quotient.
 
 class _IdTable:
     """Vertex keys interned as ids 0, 1, 2, ... on first sight.
@@ -130,7 +130,6 @@ class _IdTable:
 
     def __init__(self, source):
         self.source = source
-        self.token = (os.getpid(), next(_TOKENS))
         self.ids: dict = {}
         self.keys: list = []
         self.rows: list = []
@@ -155,37 +154,6 @@ class _IdTable:
                 out.append((intern(t) if j is None else j, m))
             row = self.rows[i] = tuple(out)
         return row
-
-    def act(self, sigma, i: int, k: int) -> int:
-        """The slot of row i onto which ``sigma``, a map on ids fixing i,
-        carries slot k."""
-        row = self.row(i)
-        t = sigma(row[k][0])
-        return next(j for j, (u, _m) in enumerate(row) if u == t)
-
-    def __reduce__(self):
-        # A worker resumes the copy it unpickled first for every later
-        # chunk, so it builds each row once rather than once per chunk.
-        # Every copy extends the ids the tasks were made with.
-        return (_received_table,
-                (self.token, self.source, self.keys, self.rows))
-
-
-_TOKENS = count()
-_RECEIVED: dict = {}     # the one table a worker process has received
-
-
-def _received_table(token, source, keys, rows) -> _IdTable:
-    """The copy of the table ``token`` names that this process unpickled
-    first, or a new one made from the other arguments."""
-    table = _RECEIVED.get(token)
-    if table is None:
-        _RECEIVED.clear()
-        table = _RECEIVED[token] = _IdTable(source)
-        for key in keys:
-            table.intern(key)
-        table.rows = rows
-    return table
 
 
 def _counts_from(task, table=None, n_total=0):
@@ -247,13 +215,19 @@ def _lattice_x1(cells, B, W, v):
     return v // cells % W - B
 
 
+def _lattice_slot(slot_map, cells, keys, i, k):
+    """The slot of packed vertex id i onto which the stabiliser slot table
+    ``slot_map`` carries slot k."""
+    return slot_map[keys[i] % cells][k]
+
+
 def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
                    fix_first: bool = False) -> tuple:
-    """(table, start id, maps, act, x_1) for a split count from lattice
-    vertex v0 to n_max steps: an id table on packed keys, the slot maps
-    of :func:`lattice_stabiliser` (those fixing x_1 too, with
-    ``fix_first``) and their ``act``, and x_1 of a packed key.  The
-    table's row source and x_1 are picklable."""
+    """(table, start id, maps, x_1) for a split count from lattice vertex
+    v0 to n_max steps: an id table on packed keys, the maps of
+    :func:`lattice_stabiliser` (those fixing x_1 too, with ``fix_first``)
+    as functions (id, slot) -> slot with their slot tables bound in, and
+    x_1 of a packed key.  The table's row source and x_1 are picklable."""
     maxoff = max((abs(c) for _, _, off, _ in lat.edges for c in off), default=1)
     B = maxoff * max(n_max, 1) + 1
     W = 2 * B + 1
@@ -271,13 +245,9 @@ def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
     table = _IdTable(partial(_lattice_row, tuple(moves)))
     c0, x0 = v0
     start = table.intern(c0 + sum((xi + B) * w for xi, w in zip(x0, weights)))
-    keys = table.keys
-    maps = [slot_map for *_, slot_map in
-            lattice_stabiliser(lat, c0, fix_first)]
-
-    def act(slot_map, i, k):
-        return slot_map[keys[i] % C][k]
-    return table, start, maps, act, partial(_lattice_x1, C, B, W)
+    maps = [partial(_lattice_slot, slot_map, C, table.keys)
+            for *_, slot_map in lattice_stabiliser(lat, c0, fix_first)]
+    return table, start, maps, partial(_lattice_x1, C, B, W)
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +370,19 @@ def _stabiliser(dimension: int, cells: int, edges: tuple, cell: int,
     return tuple(found.values())
 
 
-def _merge_prefixes(steps, act, start, n_max: int, maps=()) -> tuple:
+def _merge_prefixes(steps, start, n_max: int, maps=()) -> tuple:
     """(pdepth, tasks) for a count to depth n_max: one task (path, slot
     indices, weight) per orbit of ``maps`` on the SAW prefixes of pdepth
     steps from ``start``; the weight sums the orbit's prefix weights.
     With no maps every prefix is its own orbit.
 
-    ``steps(v)`` lists the slots (next vertex, multiplicity) out of v and
-    ``act(map, v, k)`` the slot onto which a map fixing v carries slot k.
-    Prefixes grow one step at a time.  The maps that fix a prefix fix its
-    endpoint, so they act on its next step; steps in one orbit of that
-    action share the subtree counts of the first of them, which is kept
-    with their summed weight and with the maps that also fix it.
+    ``steps(v)`` lists the slots (next vertex, multiplicity) out of v,
+    and a map ``sigma`` that fixes v carries slot k of v onto slot
+    ``sigma(v, k)``.  Prefixes grow one step at a time.  The maps that
+    fix a prefix fix its endpoint, so they act on its next step; steps
+    in one orbit of that action share the subtree counts of the first of
+    them, which is kept with their summed weight and with the maps that
+    also fix it.
 
     Prefixes take at least min(3, n_max) steps and grow on while there
     are fewer than _SPLIT_TASKS orbits and fewer than n_max // 2 steps,
@@ -430,7 +401,7 @@ def _merge_prefixes(steps, act, start, n_max: int, maps=()) -> tuple:
             for k, (w, m) in enumerate(steps(v)):
                 if w in path:
                     continue
-                images = [act(s, v, k) for s in stab]
+                images = [s(v, k) for s in stab]
                 key = min(images, default=k)
                 if key in orbits:
                     orbits[key][2] += weight * m
@@ -456,9 +427,11 @@ def _merge_prefixes(steps, act, start, n_max: int, maps=()) -> tuple:
 # merge quotient prefixes exactly as the lattice stabiliser merges
 # lattice prefixes.  The maps are closures on one table's ids.
 
-def _quotient_table(q: QuotientGraph, start=None) -> tuple:
-    """(table, start id): an id table on q's directed rows with the orbit
-    key ``start`` (default: the origin's orbit) interned.
+def _quotient_split(q: QuotientGraph, start=None) -> tuple:
+    """(table, start id, maps) for a split count on q from the orbit key
+    ``start`` (default: the origin's orbit): an id table on q's directed
+    rows and the maps of :func:`_quotient_maps` as functions
+    (id, slot) -> slot.
 
     The start must be the canonical key of its orbit, with a valid base
     vertex as its representative; any other key is refused, because its
@@ -472,7 +445,17 @@ def _quotient_table(q: QuotientGraph, start=None) -> tuple:
         raise ValueError(f"start {start!r} is not a canonical orbit key "
                          f"(its orbit's key is {q.orbit_of(rep)!r})")
     table = _IdTable(q.drow)
-    return table, table.intern(start)
+    s0 = table.intern(start)
+    return table, s0, [partial(_quotient_slot, table, sigma)
+                       for sigma in _quotient_maps(q, table, s0)]
+
+
+def _quotient_slot(table: _IdTable, sigma, i: int, k: int) -> int:
+    """The slot of row i onto which ``sigma``, a map on ids fixing i,
+    carries slot k."""
+    row = table.row(i)
+    t = sigma(row[k][0])
+    return next(j for j, (u, _m) in enumerate(row) if u == t)
 
 
 def _orbit_map(q: QuotientGraph, table: _IdTable, P, pi, t):
@@ -545,6 +528,20 @@ def _note_clamp(workers: int, cpus: int) -> None:
           f"using at most {cpus}", file=sys.stderr)
 
 
+_installed = None     # the task function of this pool process
+
+
+def _install(task_fn) -> None:
+    """Pool initializer: keep ``task_fn``, and with it the walker's table,
+    for every task this process runs."""
+    global _installed
+    _installed = task_fn
+
+
+def _run_installed(task):
+    return _installed(task)
+
+
 def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
     """Head counts (depths below pdepth) followed by the summed task counts.
 
@@ -558,7 +555,8 @@ def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
     finish inline too.  The decision depends on node counts alone, never
     on time, and the sums cannot depend on it.  At most min(workers, CPU
     count, tasks left) processes are started, and none for a single
-    task; a request above the CPU count is noted once on stderr.
+    task; a request above the CPU count is noted once on stderr.  Each
+    process receives ``task_fn`` once, as it starts.
     """
     tail = [0] * (n_max - pdepth + 1)
     cpus = os.cpu_count() or 1
@@ -576,8 +574,9 @@ def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
         if procs > 1 and (sampled * len(rest)
                           >= _POOL_BREAK_EVEN_NODES * len(parts)):
             chunk = max(1, len(rest) // (4 * procs))
-            with ProcessPoolExecutor(max_workers=procs) as ex:
-                parts.extend(ex.map(task_fn, rest, chunksize=chunk))
+            with ProcessPoolExecutor(max_workers=procs, initializer=_install,
+                                     initargs=(task_fn,)) as ex:
+                parts.extend(ex.map(_run_installed, rest, chunksize=chunk))
     parts.extend(task_fn(t) for t in tasks[len(parts):])
     for p in parts:
         for i, v in enumerate(p):
@@ -586,15 +585,17 @@ def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
 
 
 def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
-                  maps=(), act=None, walker=None, live=None) -> list:
+                  maps=(), walker=None) -> list:
     """Counts for depths 0..n_max of the walks from id ``start``: the
     depths below the split from a direct run, the others summed over the
-    prefix tasks merged under ``maps`` (see :func:`_merge_prefixes`).
-    On one worker with at most one map, where the split would merge
-    nothing and start no pool, one direct run counts every depth.
-    ``walker(task, n_total=n)`` counts depths len(path)-1..n of a task
-    (default: SAWs, :func:`_counts_from`) and is pickled for a pool;
-    ``live(task)``, if given, drops tasks after the direct run."""
+    prefix tasks merged under ``maps``, functions (id, slot) -> slot (see
+    :func:`_merge_prefixes`).  On one worker with at most one map, where
+    the split would merge nothing and start no pool, one direct run
+    counts every depth.  ``walker(task, n_total=n)`` counts depths
+    len(path)-1..n of a task (default: SAWs, :func:`_counts_from`) and
+    vets its prefix: one that no counted walk extends counts zeros, where
+    the table's rows do not already leave its steps out.  A pool process
+    receives the walker, with its table, once."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     workers = resolve_workers(workers)
@@ -602,10 +603,8 @@ def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
     root = ((start,), (), 1)
     if n_max == 0 or (workers == 1 and len(maps) <= 1):
         return walker(root, n_total=n_max)
-    pdepth, tasks = _merge_prefixes(table.row, act, start, n_max, maps)
+    pdepth, tasks = _merge_prefixes(table.row, start, n_max, maps)
     head = walker(root, n_total=pdepth - 1)
-    if live is not None:
-        tasks = [t for t in tasks if live(t)]
     return _run_split(head, tasks, partial(walker, n_total=n_max), n_max,
                       pdepth, workers)
 
@@ -674,8 +673,8 @@ def _saw_series(g: GraphHandle, v0, n_max: int, workers: int) -> list:
         d = g.degree
         return [1] + [d * (d - 1) ** (n - 1) for n in range(1, n_max + 1)]
     if isinstance(g, PeriodicLattice):
-        table, s0, maps, act, _x1 = _lattice_split(g, v0, n_max)
-        return _split_counts(table, s0, n_max, workers, maps, act)
+        table, s0, maps, _x1 = _lattice_split(g, v0, n_max)
+        return _split_counts(table, s0, n_max, workers, maps)
     table = _IdTable(g.neighbors)
     return _split_counts(table, table.intern(v0), n_max, workers)
 
@@ -686,9 +685,8 @@ def count_directed_saws(q: QuotientGraph, n_max: int, start=None,
     (default: the origin's orbit), which must be given by its canonical
     key.  Parallel directed edges are distinct; loops never appear in a
     SAW of length >= 1."""
-    table, s0 = _quotient_table(q, start)
-    counts = _split_counts(table, s0, n_max, workers,
-                           _quotient_maps(q, table, s0), table.act)
+    table, s0, maps = _quotient_split(q, start)
+    counts = _split_counts(table, s0, n_max, workers, maps)
     return WalkCounts(q.quotient_id, table.keys[s0], True, tuple(counts))
 
 

@@ -12,15 +12,17 @@ exact number of n-step directed SAWs with at most r occurrences.
 
 Every series runs through :func:`sawkit.counting._split_counts` on
 interned orbit and family-set ids (:func:`_quotient_series`), its
-prefixes merged under the quotient's start stabiliser; where that is
-the identity alone, the walker runs once from the root.  One walker,
-:func:`_event_walker`, counts every (k, m, r): it keeps each set's live
-intersection count with the walk and marks a position once, when it
-occurs; the unwindowed zero-occurrence counts, which the ratio
-certificate consumes, are its case m=None, r=0.  Occurrences only
-accumulate along an extension, so a branch dies once they exceed r, and
-one pass gives every depth.  Worker settings cannot affect any count
-here.
+prefixes merged under the quotient's start stabiliser maps, which act on
+slots; where the stabiliser is the identity alone, the walker runs once
+from the root.  One walker, :func:`_event_walker`, counts every
+(k, m, r): it keeps each set's live intersection count with the walk and
+marks a position once, when it occurs; the unwindowed zero-occurrence
+counts, which the ratio certificate consumes, are its case m=None, r=0.
+Occurrences only accumulate along an extension, so a branch dies once
+they exceed r, and one pass gives every depth.  The walker vets its own
+prefixes: it replays a prefix's arrivals, and one that already holds
+more than r occurrences counts zeros.  It is a closure, so every series
+runs on one worker, and worker settings cannot affect any count here.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .counting import (_IdTable, _quotient_maps, _quotient_table,
-                       _split_counts)
+from .counting import _IdTable, _quotient_split, _split_counts
 from .exact import Radical
 from .quotient import QuotientGraph, TypeReport, classify_type
 
@@ -273,10 +274,10 @@ def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
         raise EventParameterError("window half-width m must be >= 0")
     if r < 0:
         raise EventParameterError("occurrence allowance r must be >= 0")
-    table, s0 = _quotient_table(q, start)
+    table, s0, maps = _quotient_split(q, start)
     # one worker: the walker is a closure, which cannot be pickled
-    return _split_counts(table, s0, n_max, 1, _quotient_maps(q, table, s0),
-                         table.act, _event_walker(table, family, k, m, r))
+    return _split_counts(table, s0, n_max, 1, maps,
+                         _event_walker(table, family, k, m, r))
 
 
 def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,

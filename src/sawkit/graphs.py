@@ -87,16 +87,18 @@ class GraphHandle:
         raise NotImplementedError
 
     def neighbors(self, v) -> list:
-        """Aggregated neighbor list [(key, label, multiplicity), ...]."""
+        """Aggregated neighbor list [(key, label, multiplicity), ...]: one
+        triple per distinct target, in order of its first slot, labelled
+        by that slot's index and counting every slot that reaches it."""
         out = []
-        slots = self.expanded_neighbors(v)
-        i = 0
-        while i < len(slots):
-            j = i
-            while j < len(slots) and slots[j] == slots[i]:
-                j += 1
-            out.append((slots[i], i, j - i))
-            i = j
+        seen: dict = {}
+        for i, w in enumerate(self.expanded_neighbors(v)):
+            k = seen.get(w)
+            if k is None:
+                seen[w] = len(out)
+                out.append((w, i, 1))
+            else:
+                out[k] = (w, out[k][1], out[k][2] + 1)
         return out
 
     # Key serialization (round-trips bit-exactly; formats per subclass).
@@ -371,19 +373,6 @@ class CayleyGraph(GraphHandle):
                     break
             out.append(w)
         return tuple(out)
-
-    def neighbors(self, v) -> list:
-        # Order by generator index; merge repeated targets.
-        out = []
-        seen: dict = {}
-        for i, w in enumerate(self.expanded_neighbors(v)):
-            if w in seen:
-                k = seen[w]
-                out[k] = (w, out[k][1], out[k][2] + 1)
-            else:
-                seen[w] = len(out)
-                out.append((w, i, 1))
-        return out
 
     def key_str(self, v) -> str:
         return ".".join(str(i) for i in v) if v else "-"

@@ -333,8 +333,8 @@ def build_quotient(g: GraphHandle, action: SubgroupAction) -> QuotientGraph:
 # Soundness checks
 # ---------------------------------------------------------------------------
 
-def check_representative_independence(g: GraphHandle, action: SubgroupAction,
-                                      q: QuotientGraph, radius: int) -> bool:
+def check_representative_independence(g: GraphHandle, q: QuotientGraph,
+                                      radius: int) -> bool:
     """Does every vertex within ``radius`` of the origin see the same
     per-orbit neighbor multiplicities as its orbit's canonical
     representative?  True for genuine symmetry actions; False flags a

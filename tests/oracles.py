@@ -10,6 +10,8 @@ freeze_oracle_values.py next to this file).
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 # ---------------------------------------------------------------------------
 # Walk and SAW enumeration on a GraphHandle, by explicit path lists
@@ -139,27 +141,36 @@ def naive_event_positions(orbit_seq, family_fn, k: int, m) -> list:
     its members among the orbits visited inside the window
     [j-m, j+m] (truncated at the walk ends; m=None means no window)."""
     n = len(orbit_seq) - 1
+    whole = set(orbit_seq)
     hits = []
     for j in range(n + 1):
         if m is None:
-            window = orbit_seq
+            visited = whole
         else:
-            window = orbit_seq[max(0, j - m):min(n, j + m) + 1]
-        visited = set(window)
+            visited = set(orbit_seq[max(0, j - m):min(n, j + m) + 1])
         for s in family_fn(orbit_seq[j]):
-            if sum(1 for o in s if o in visited) >= k:
+            if len(visited.intersection(s)) >= k:
                 hits.append(j)
                 break
     return hits
 
 
+def naive_occurrence_tally(paths, family_fn, k: int, m) -> Counter:
+    """How many of ``paths`` (orbit sequences) have each number of event
+    occurrences; one evaluation per path serves every allowance r."""
+    return Counter(len(naive_event_positions(path, family_fn, k, m))
+                   for path in paths)
+
+
+def naive_at_most(tally: Counter, r: int) -> int:
+    """The paths of a tally with at most r occurrences."""
+    return sum(c for occurrences, c in tally.items() if occurrences <= r)
+
+
 def naive_event_count(q, family_fn, n: int, k: int, m, r: int, start=None) -> int:
     """sigma_n(r, E) by literal evaluation on every directed SAW."""
-    total = 0
-    for path in naive_directed_saw_paths(q, n, start):
-        if len(naive_event_positions(path, family_fn, k, m)) <= r:
-            total += 1
-    return total
+    return naive_at_most(naive_occurrence_tally(
+        naive_directed_saw_paths(q, n, start), family_fn, k, m), r)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_criterion_04_quotient_soundness(z1, z2, q_z2mod22, q_z2mod31,
                                          q_z1mod3, q_sqoct_ladder,
                                          q_tree_end):
     for q in (q_z2mod22, q_z2mod31):
-        assert check_representative_independence(z2, q.action, q, radius=6)
+        assert check_representative_independence(z2, q, radius=6)
     for q in (q_z1mod3, q_z2mod22, q_z2mod31, q_sqoct_ladder):
         assert check_symmetry(q, probe_radius=4), q.quotient_id
     assert not check_symmetry(q_tree_end, probe_radius=3)

@@ -219,9 +219,10 @@ def spy_pools(monkeypatch):
     pools = []
 
     class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers,
+                             initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
@@ -249,8 +250,9 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch, capsys, z2):
     started = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self

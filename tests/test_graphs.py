@@ -107,6 +107,13 @@ def test_augment_parallel_edge_makes_multigraph():
     assert not ga.is_simple
     m = [mm for w, _, mm in ga.neighbors(ga.origin()) if w == (0, (1,))]
     assert m == [2]
+    # Z as <a, c | c = a>: generators 0 and 2, not adjacent, reach one
+    # element, and so do their inverses 1 and 3
+    zc = CayleyGraph(GroupPresentation(
+        generators=("a", "A", "c", "C"), inverse=(1, 0, 3, 2),
+        rewrite_rules=(((2,), (0,)), ((3,), (1,)))), "z-doubled")
+    assert not zc.is_simple
+    assert zc.neighbors(()) == [((0,), 0, 2), ((1,), 1, 2)]
 
 
 # Z^2 as <a, b | ab = ba> with the shortlex rewriting system: free

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is read by its module, and
-every module-level private function or class is read by the package."""
+"""Every module-level import in the package is read by its module, every
+module-level private function or class is read by the package, and every
+parameter of every function is read by its body."""
 
 import ast
 import pathlib
@@ -74,3 +75,48 @@ def test_the_scan_sees_an_unread_private_def():
 def test_every_private_def_is_read():
     assert _unread_private_defs({path.name: path.read_text(encoding="utf-8")
                                  for path in PACKAGE}) == []
+
+
+def _unread_parameters(source: str) -> list:
+    """(function, parameter) for each parameter of a ``def`` that no
+    loaded name in its body reads, ``self`` and ``cls`` aside.  A stub
+    whose body, after any docstring, only raises NotImplementedError is
+    exempt: its parameters fix the interface that overrides implement."""
+    unread = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if len(body) == 1 and isinstance(body[0], ast.Raise) and \
+                "NotImplementedError" in {node.id for node in
+                                          ast.walk(body[0])
+                                          if isinstance(node, ast.Name)}:
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [a for a in (args.vararg, args.kwarg) if a]]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and
+                isinstance(node.ctx, ast.Load)}
+        unread.extend((fn.name, p) for p in params
+                      if p not in read and p not in ("self", "cls"))
+    return unread
+
+
+def test_the_scan_sees_an_unread_parameter():
+    source = ("def f(a, b, *rest, c=1, **kw):\n"
+              "    return a + g(c, *rest)\n"
+              "class K:\n"
+              "    def stub(self, x):\n"
+              "        '''Overridden.'''\n"
+              "        raise NotImplementedError\n"
+              "    def closure(self, y, z):\n"
+              "        def inner(w=z):\n"
+              "            return lambda: y + w\n"
+              "        return inner\n")
+    assert _unread_parameters(source) == [("f", "b"), ("f", "kw")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path.read_text(encoding="utf-8")) == []

@@ -42,7 +42,7 @@ def test_symmetry_fails_for_child_swap(q_tree_end):
 
 def test_representative_independence_radius6(z2, q_z2mod22, q_z2mod31):
     for q in (q_z2mod22, q_z2mod31):
-        assert check_representative_independence(z2, q.action, q, radius=6)
+        assert check_representative_independence(z2, q, radius=6)
 
 
 @pytest.mark.parametrize("k,expected_type,expected_len",

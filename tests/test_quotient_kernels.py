@@ -13,9 +13,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from oracles import naive_directed_saw_counts, naive_event_count
+from oracles import (naive_at_most, naive_directed_saw_counts,
+                     naive_directed_saw_paths, naive_event_count,
+                     naive_occurrence_tally)
 from sawkit import counting
-from sawkit.counting import (_counts_from, _quotient_maps, _quotient_table,
+from sawkit.counting import (_counts_from, _quotient_maps, _quotient_split,
                              count_directed_saws)
 from sawkit.events import (CycleFamily, build_cycle_family, count_with_events,
                            event_free_series, event_series)
@@ -105,10 +107,15 @@ def test_windowed_series_matches_oracle_under_48_maps():
     cases = [(girth, m, r) for m in (None, 0, 2) for r in (0, 1)] + \
         [(anchored, m, r) for m, r in ((None, 0), (None, 1), (None, 2),
                                        (2, 1))]
-    columns = {}
+    # one oracle evaluation per (path, family, m) serves every r column
+    paths = [naive_directed_saw_paths(q, n) for n in range(7)]
+    tallies, columns = {}, {}
     for fam, m, r in cases:
-        want = columns[fam, m, r] = [
-            naive_event_count(q, fam.sets_at, n, 3, m, r) for n in range(7)]
+        if (fam, m) not in tallies:
+            tallies[fam, m] = [naive_occurrence_tally(p, fam.sets_at, 3, m)
+                               for p in paths]
+        want = columns[fam, m, r] = [naive_at_most(t, r)
+                                     for t in tallies[fam, m]]
         assert event_series(q, fam, 3, 6, m, r) == want, (fam, m, r)
     # the anchored r columns differ, so a merge that ignored r would fail
     assert len({tuple(columns[anchored, None, r]) for r in (0, 1, 2)}) == 3
@@ -138,7 +145,7 @@ def test_deep_counts_match_unmerged_runs():
     # the merged split against a run with the identity map alone
     for graph, rows, _ in FINITE + INFINITE:
         q = _quotient(graph, rows)
-        table, s0 = _quotient_table(q)
+        table, s0, _maps = _quotient_split(q)
         want = _counts_from(((s0,), (), 1), table, 10)
         assert list(count_directed_saws(q, 10).counts) == want, rows
 
@@ -146,14 +153,14 @@ def test_deep_counts_match_unmerged_runs():
 @pytest.mark.parametrize("graph,rows,order", FINITE + INFINITE)
 def test_quotient_map_orders(graph, rows, order):
     q = _quotient(graph, rows)
-    table, s0 = _quotient_table(q)
+    table, s0, _maps = _quotient_split(q)
     assert len(_quotient_maps(q, table, s0)) == order
 
 
 def test_tree_actions_keep_the_identity_only():
     for action in TREES:
         q = _quotient("tree-with-end(3)", action)
-        table, s0 = _quotient_table(q)
+        table, s0, _maps = _quotient_split(q)
         maps = _quotient_maps(q, table, s0)
         assert len(maps) == 1 and maps[0](s0) == s0
 
@@ -174,7 +181,7 @@ def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows):
     q = _quotient(graph, rows)
     fam = build_cycle_family(q)
     for start in _starts(q):
-        table, s0 = _quotient_table(q, start)
+        table, s0, _maps = _quotient_split(q, start)
         for sigma in _quotient_maps(q, table, s0):
             assert sigma(s0) == s0
 
@@ -204,9 +211,10 @@ def test_directed_counts_match_across_workers(monkeypatch):
     pools = []
 
     class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers,
+                             initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
@@ -228,7 +236,7 @@ def test_directed_counts_match_across_workers(monkeypatch):
     real = counting._merge_prefixes
 
     def spy(*args):
-        merged.append(args[3])
+        merged.append(args[2])
         return real(*args)
 
     monkeypatch.setattr(counting, "_merge_prefixes", spy)

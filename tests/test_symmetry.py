@@ -4,7 +4,6 @@ The stabiliser maps are checked against the graph's own neighbour lists,
 and merged counts against the frozen lists and the naive oracles.
 """
 
-import pickle
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -143,8 +142,8 @@ def test_every_map_is_an_automorphism_fixing_the_start(name, doubled):
 
 def test_orbit_prefixes_on_the_square_lattice():
     z2 = catalog("zd(2)")
-    table, s0, maps, act, _x1 = _lattice_split(z2, z2.origin(), 3)
-    pdepth, tasks = _merge_prefixes(table.row, act, s0, 3, maps)
+    table, s0, maps, _x1 = _lattice_split(z2, z2.origin(), 3)
+    pdepth, tasks = _merge_prefixes(table.row, s0, 3, maps)
     assert pdepth == 3
     # straight, turn-then-straight, straight-then-turn, two equal turns,
     # two opposite turns; together the 36 three-step SAWs
@@ -181,9 +180,10 @@ def test_merged_counts_match_across_workers(doubled, monkeypatch):
     pools = []
 
     class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers,
+                             initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
@@ -234,16 +234,28 @@ def test_task_lists_do_not_depend_on_workers(monkeypatch):
         assert seen == lists[0]
 
 
-def test_a_process_resumes_the_table_it_received():
-    # the pool pickles the table with every chunk of tasks; the copies one
-    # process unpickles are one table, which keeps the rows it has built
-    table, s0, *_ = _lattice_split(catalog("zd(2)"), (0, (0, 0)), 6)
-    blob = pickle.dumps(table)
-    first = pickle.loads(blob)
-    assert first is not table and first.keys == table.keys
-    assert len(first.row(s0)) == 4 and len(table.keys) == 1
-    assert pickle.loads(blob) is first and len(first.keys) == 5
-    assert pickle.loads(pickle.dumps(_IdTable(table.source))) is not first
+def test_each_pool_process_receives_the_table_once(monkeypatch):
+    # the walker goes to a pool process with its table when the process
+    # starts, not with every chunk of tasks; a fork sends it unpickled
+    pools, pickled = [], []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers,
+                             initializer=initializer, initargs=initargs)
+
+    def reduce_ex(table, protocol):
+        pickled.append(len(table.keys))
+        return object.__reduce_ex__(table, protocol)
+
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(_IdTable, "__reduce_ex__", reduce_ex, raising=False)
+    ladder = catalog("ladder")
+    one = count_saws(ladder, n_max=22, workers=1).counts
+    assert count_saws(ladder, n_max=22, workers=2).counts == one
+    assert pools == [2] and len(pickled) <= 2
 
 
 @pytest.mark.parametrize("d,n", [(1, 10), (2, 8), (3, 6)])
