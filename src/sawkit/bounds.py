@@ -94,6 +94,7 @@ def _bridge_counts_from(task, table=None, xs=None, x1=None, n_total=0):
                         visited[t] = 0
 
         rec(prefix[-1], top, 0)
+        rec = None      # break the closure's cycle, which holds the table
         for o in prefix:
             visited[o] = 0
     return [c * weight for c in counts] if weight != 1 else counts
@@ -113,9 +114,12 @@ def bridge_counts(d: int, n_max: int, workers: Optional[int] = None) -> list:
     lat = catalog(f"zd:{d}")
     table, start, maps, x1 = _lattice_split(lat, lat.origin(), n_max,
                                             fix_first=True)
-    # no row is built yet, so every row comes from the half-space source
+    # no row is built yet, so every row comes from the half-space source;
+    # its rows near x_1 = 1 are no translates of one another, so the
+    # table keeps no tail memo
     table.source = partial(_half_space_row, table.source, x1,
                            table.keys[start])
+    table.radius = 0
     return _split_counts(
         table, start, n_max, workers, maps,
         partial(_bridge_counts_from, table=table, xs=[], x1=x1))

@@ -9,6 +9,10 @@ All counts are exact Python integers.  The engines are:
   periodic lattices (a neighbor is one addition away), orbit keys for
   directed quotient rows, and plain keys for any other handle (trees,
   word graphs, derived graphs), with parallel-edge weights;
+* a tail memo inside that kernel on periodic lattices: the last K steps
+  of a walk depend only on which vertices of its endpoint's radius-K
+  ball are occupied, so each such tail is counted once per cell and
+  occupancy in a count and looked up after (:func:`_counts_from`);
 * closed forms for acyclic regular handles, where a SAW is exactly a
   non-backtracking walk: sigma_n = d(d-1)**(n-1);
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
@@ -45,6 +49,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice, permutations, product
+from operator import itemgetter
 from typing import Optional
 
 from .exact import Radical
@@ -126,14 +131,24 @@ class _IdTable:
     triples.  ``rows[i]`` is None until :meth:`row` builds it as a tuple
     of (target id, multiplicity); ``visited`` is a bytearray indexed by
     id.
+
+    With a ``shape`` and a ``radius`` K > 0 the table also holds the
+    tail memo of :func:`_counts_from`, so the memo serves one count only:
+    one memo per class ``shape(key)``, whose keys must be translates (the
+    rows of key + d are those of key shifted by d).  ``tails[i]`` is None
+    until :meth:`tail` builds id i's (memo, occupancy getter) pair.
     """
 
-    def __init__(self, source):
+    def __init__(self, source, shape=None, radius=0):
         self.source = source
+        self.shape = shape
+        self.radius = radius
         self.ids: dict = {}
         self.keys: list = []
         self.rows: list = []
         self.visited = bytearray()
+        self.tails: list = []
+        self.classes: dict = {}      # class -> (ball key offsets, memo)
 
     def intern(self, key) -> int:
         i = self.ids.get(key)
@@ -141,6 +156,7 @@ class _IdTable:
             i = self.ids[key] = len(self.keys)
             self.keys.append(key)
             self.rows.append(None)
+            self.tails.append(None)
             self.visited.append(0)
         return i
 
@@ -155,11 +171,115 @@ class _IdTable:
             row = self.rows[i] = tuple(out)
         return row
 
+    def layers(self, i: int):
+        """The ids at distance 0, 1, 2, ... from id i along rows, one
+        list per distance, in breadth-first row order."""
+        seen = {i}
+        layer = [i]
+        while layer:
+            yield layer
+            grown = []
+            for o in layer:
+                for t, _m in self.row(o):
+                    if t not in seen:
+                        seen.add(t)
+                        grown.append(t)
+            layer = grown
+
+    def tail(self, i: int) -> tuple:
+        """Id i's (memo, occupancy getter): the memo of its class, and
+        ``itemgetter`` of the ids within ``radius`` steps of i, i first,
+        in breadth-first row order.  Each class lists its ball once, as
+        key offsets from the first id met, and translates it."""
+        key = self.keys[i]
+        c = self.shape(key)
+        got = self.classes.get(c)
+        if got is None:
+            got = self.classes[c] = (tuple(
+                self.keys[j] - key
+                for layer in islice(self.layers(i), self.radius + 1)
+                for j in layer), {})
+        offsets, memo = got
+        keys = list(map(key.__add__, offsets))
+        ids = self.ids
+        for k in [k for k in keys if k not in ids]:
+            self.intern(k)
+        ball = list(map(ids.get, keys))
+        tail = self.tails[i] = (memo, itemgetter(*ball))
+        return tail
+
+
+# The tail memo's depth K is the largest K >= 2 whose ball around the
+# start holds at most _TAIL_BALL other vertices: zd:2 3, zd:3 2, ladder
+# 6, square-octagon 3, augmented zd:2 2.  Measured on a 2-CPU host
+# (Python 3.11, min of 9 runs, two runs), caps of 16, 24, 32 and 48
+# gave kernel totals of 0.62-0.73, 0.47-0.54, 0.65-0.68 and 0.80-0.89 of
+# the memo-free kernel's over zd:2 n=12, zd:3 n=8, ladder n=22,
+# square-octagon n=18 and augmented zd:2 n=9: a smaller ball is seen in
+# fewer states but memoises shorter tails.
+_TAIL_BALL = 24
+
+
+@lru_cache(maxsize=64)
+def _tail_radius(slots: tuple, cell: int, dimension: int) -> int:
+    """K for SAW counts from (cell, 0) on the lattice with slot table
+    ``slots``, or 0 where no K >= 2 fits (no memo).
+
+    Only lattice tables get a memo: one per id, on a table without a
+    shape, did not pay.  Against no memo (min of 7 runs, 2-CPU host, the
+    2K rule of :func:`_counts_from` kept) it took 1.27-1.63x as long on
+    directed counts of the zd:3 cube quotient at n = 8..11, whose
+    radius-2 ball holds 25 of its 27 orbits, 1.21x and 1.00x on the
+    square-octagon quotient by (1, -1) at n = 14 and 18, and 1.13-1.19x
+    on the Z^2 Cayley graph at n = 8 and 10; it paid only on longer
+    counts (0.36x on that quotient at n = 22, 0.75x on the Cayley graph
+    at n = 12).
+    """
+    layer = [(cell, (0,) * dimension)]
+    seen = set(layer)
+    r = 0
+    while layer:
+        r += 1
+        grown = []
+        for c, x in layer:
+            for tc, delta, _m in slots[c]:
+                w = (tc, tuple(a + b for a, b in zip(x, delta)))
+                if w not in seen:
+                    seen.add(w)
+                    grown.append(w)
+        layer = grown
+        if len(seen) - 1 > _TAIL_BALL:
+            return r - 1 if r > 2 else 0
+    return 0
+
 
 def _counts_from(task, table=None, n_total=0):
     """Weighted SAW counts for depths len(prefix)-1 .. n_total from a
     prefix task (id path, slot indices, weight); the prefix's endpoint is
-    counted here, earlier depths are not."""
+    counted here, earlier depths are not.
+
+    Each tail is counted once: a node K steps above the limit (K =
+    ``table.radius``, see :func:`_tail_radius`) looks its last K depths
+    up in the memo of its class, keyed by the visited bytes of its
+    radius-K ball; on a miss the same recursion counts them at weight 1
+    and stores them.  This is sound: a tail of at most K steps from o
+    stays inside the ball of radius K around o, so its weighted counts
+    depend only on which ball vertices are occupied.  On a lattice the
+    class is the cell: a translation carries o's ball onto the ball of a
+    vertex of o's cell, in the same breadth-first order, with equal
+    multiplicities.  The memo adds exact integers, scaled by the node's
+    weight, so counts stay exact.
+
+    Only a call that counts at least 2K steps past its prefix uses the
+    memo.  With fewer, a node K steps above the limit is fewer than K
+    steps past the prefix's endpoint, which is then in its ball, with
+    the prefix vertices near it; these differ from task to task, so its
+    key rarely repeats.  Every lookup missed on the ladder at n = 12 and
+    square-octagon at n = 8, and a memo in every call took 1.15-1.5x as
+    long as none there and on zd:2 at n = 8 (min of 21-31 runs, 2-CPU
+    host).  This rule uses no memo there (0.96-1.11x, within the noise
+    of these sub-millisecond counts) and keeps it on zd:2 at n = 12.
+    """
     prefix, _slots, weight = task
     base = len(prefix) - 1
     counts = [0] * (n_total - base + 1)
@@ -169,10 +289,27 @@ def _counts_from(task, table=None, n_total=0):
     visited = table.visited
     for o in prefix:
         visited[o] = 1
+    limit = n_total - base
+    K = table.radius
+    top = limit - K if K and limit >= 2 * K else -1
 
-    def rec(o, depth, wt, rows=table.rows, row_of=table.row,
-            visited=visited, counts=counts, limit=n_total - base):
+    def rec(o, depth, wt, top=top, rows=table.rows, row_of=table.row,
+            tails=table.tails, tail_of=table.tail, visited=visited,
+            counts=counts, limit=limit):
         nd = depth + 1
+        if depth == top:
+            memo, occupied = tails[o] or tail_of(o)
+            key = occupied(visited)
+            got = memo.get(key)
+            if got is None:
+                saved = counts[nd:]
+                counts[nd:] = [0] * (limit - depth)
+                rec(o, depth, 1, -1)
+                got = memo[key] = tuple(counts[nd:])
+                counts[nd:] = saved
+            for i, c in enumerate(got, nd):
+                counts[i] += wt * c
+            return
         row = rows[o] or row_of(o)
         if nd == limit:
             for t, m in row:
@@ -188,6 +325,7 @@ def _counts_from(task, table=None, n_total=0):
                 visited[t] = 0
 
     rec(prefix[-1], 0, weight)
+    rec = None      # break the closure's cycle, which holds the table
     for o in prefix:
         visited[o] = 0
     return counts
@@ -207,6 +345,11 @@ def _counts_from(task, table=None, n_total=0):
 def _lattice_row(moves, v):
     """The out-slots (packed target, multiplicity) of packed vertex v."""
     return [(v + add, m) for add, m in moves[v % len(moves)]]
+
+
+def _lattice_cell(cells, v):
+    """The cell of packed vertex v: the class of its tail memo."""
+    return v % cells
 
 
 def _lattice_x1(cells, B, W, v):
@@ -242,8 +385,10 @@ def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
             add = (tc - cell) + sum(di * w for di, w in zip(delta, weights))
             row.append((add, m))
         moves.append(tuple(row))
-    table = _IdTable(partial(_lattice_row, tuple(moves)))
     c0, x0 = v0
+    table = _IdTable(partial(_lattice_row, tuple(moves)),
+                     partial(_lattice_cell, C),
+                     _tail_radius(lat.slot_table(), c0, lat.dimension))
     start = table.intern(c0 + sum((xi + B) * w for xi, w in zip(x0, weights)))
     maps = [partial(_lattice_slot, slot_map, C, table.keys)
             for *_, slot_map in lattice_stabiliser(lat, c0, fix_first)]
@@ -500,25 +645,27 @@ def _quotient_maps(q: QuotientGraph, table: _IdTable, start: int) -> tuple:
 # Parallel driver
 # ---------------------------------------------------------------------------
 
-# When a process pool pays for itself, in expanded nodes.  Measured on a
-# 2-CPU host (Python 3.11, min of 7 runs per point): a 2-process pool
+# When a process pool pays for itself, in counted walks.  Measured on a
+# 2-CPU host (Python 3.11, min of 5-11 runs per point): a 2-process pool
 # costs 10-17 ms from start to shutdown with the table sent to it (6-8 ms
-# bare), and the kernel expands 3.1-4.6 M nodes/s (6.8 M/s on augmented
-# zd:2, whose nodes are mostly leaves).  Two processes halve the time of
-# the work they get, so they pay once it exceeds about 2 * 12 ms * 4 M/s,
-# which is _POOL_BREAK_EVEN_NODES.  The 1-vs-2-worker curves agree: with
-# a pool for every count, two workers first beat one at about 63k nodes
-# in all (zd:3, n = 6..10), 121k (zd:2, n = 9..15; zd:3 cube quotient,
-# n = 7..10), 139k (ladder, n = 16..30), 174k (square-octagon,
-# n = 14..24) and 272k (augmented zd:2, n = 7..10).  On those curves a
-# 5k, 10k or 20k-node sample gives the same decision except at the cube
-# quotient n = 10, whose estimates straddle the break-even (101k, 101k,
-# 93k); the sample runs serially, so the smaller one costs less.
+# bare), and with the tail memo the lattice kernel counts 8-30 M walks/s
+# (4 M/s on quotients, which have no memo).  Two processes halve the time
+# of the work they get, so they pay once it exceeds about 2 * 12 ms *
+# 20 M/s, which is _POOL_BREAK_EVEN_NODES.  The 1-vs-2-worker curves
+# agree (two runs, a pool for every count): two workers first beat one
+# at a sampled estimate of 0.30 M walks on zd:3 (n = 6..10), 0.34 M on
+# augmented zd:2 (n = 7..10), 0.51-0.54 M on square-octagon (n = 14..24)
+# and the ladder (n = 16..32), 0.53-1.56 M on zd:2 (n = 9..16), and
+# above 0.10 M, the largest point, on the zd:3 cube quotient
+# (n = 7..10).  Below the break-even two workers took 1.2-1.5x as long
+# as one on the ladder at n = 22 (0.16 M), and 0.88-1.25x on
+# square-octagon at n = 18 (0.15 M) and augmented zd:2 at n = 9 (0.34 M).
+# The sample runs serially, so a small one costs less.
 # _SPLIT_TASKS merged tasks keep the first task a small share of a large
 # count: 1.3% on zd:2 at n = 15 and 1.7% on the ladder at n = 28, against
 # 8.8% and 12.9% at the 4-step split.
 _POOL_SAMPLE_NODES = 10_000
-_POOL_BREAK_EVEN_NODES = 100_000
+_POOL_BREAK_EVEN_NODES = 500_000
 _SPLIT_TASKS = 64
 
 
@@ -546,17 +693,17 @@ def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
     """Head counts (depths below pdepth) followed by the summed task counts.
 
     With more than one process allowed, tasks first run inline in order
-    until they have expanded _POOL_SAMPLE_NODES nodes.  A task's nodes are
-    its summed counts over its weight; for a bridge task these are the
-    bridges it counts, fewer than the nodes it expands, so bridge counts
-    start a pool later than they could.  A pool starts for the remaining
-    tasks only if their estimated nodes, the sample's nodes per task
-    times the tasks left, reach _POOL_BREAK_EVEN_NODES; otherwise they
-    finish inline too.  The decision depends on node counts alone, never
-    on time, and the sums cannot depend on it.  At most min(workers, CPU
-    count, tasks left) processes are started, and none for a single
-    task; a request above the CPU count is noted once on stderr.  Each
-    process receives ``task_fn`` once, as it starts.
+    until they have counted _POOL_SAMPLE_NODES walks.  A task's walks are
+    its summed counts over its weight.  They measure work unevenly: a
+    bridge task expands more nodes than the bridges it counts, and a
+    memoised SAW tail counts many walks in one lookup.  A pool starts for
+    the remaining tasks only if their estimated walks, the sample's walks
+    per task times the tasks left, reach _POOL_BREAK_EVEN_NODES;
+    otherwise they finish inline too.  The decision depends on counts
+    alone, never on time, and the sums cannot depend on it.  At most
+    min(workers, CPU count, tasks left) processes are started, and none
+    for a single task; a request above the CPU count is noted once on
+    stderr.  Each process receives ``task_fn`` once, as it starts.
     """
     tail = [0] * (n_max - pdepth + 1)
     cpus = os.cpu_count() or 1

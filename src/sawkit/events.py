@@ -256,6 +256,7 @@ def _event_walker(table: _IdTable, family: CycleFamily, k: int,
             pos[o] = -1
 
         rec(path[0], 0, weight, 0)
+        rec = None      # break the closure's cycle, which holds the table
         return counts
 
     return run

@@ -192,13 +192,15 @@ def test_merged_counts_match_across_workers(doubled, monkeypatch):
     monkeypatch.setattr(counting, "_POOL_SAMPLE_NODES", 0)
     monkeypatch.setattr(counting, "_POOL_BREAK_EVEN_NODES", 0)
     # the word graph runs the unmerged split, and its table pickles with
-    # the handle inside
+    # the handle inside; the ladder's tasks reach past its tail memo's
+    # depth of 6, which the pool processes go on filling
     for g, n in ((catalog("zd(2)"), 9), (catalog("square-octagon"), 10),
                  (_chord(1, 1), 8), (doubled, 7),
-                 (CayleyGraph(Z2_PRESENTATION, "z2"), 8)):
+                 (CayleyGraph(Z2_PRESENTATION, "z2"), 8),
+                 (catalog("ladder"), 16)):
         assert count_saws(g, n_max=n, workers=2).counts == \
             count_saws(g, n_max=n, workers=1).counts
-    assert pools == [2] * 5
+    assert pools == [2] * 6
 
 
 def test_task_lists_do_not_depend_on_workers(monkeypatch):
@@ -252,9 +254,10 @@ def test_each_pool_process_receives_the_table_once(monkeypatch):
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(_IdTable, "__reduce_ex__", reduce_ex, raising=False)
+    # the ladder at n=26 is past the break-even, as n=22 is no more
     ladder = catalog("ladder")
-    one = count_saws(ladder, n_max=22, workers=1).counts
-    assert count_saws(ladder, n_max=22, workers=2).counts == one
+    one = count_saws(ladder, n_max=26, workers=1).counts
+    assert count_saws(ladder, n_max=26, workers=2).counts == one
     assert pools == [2] and len(pickled) <= 2
 
 

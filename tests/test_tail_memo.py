@@ -1,0 +1,186 @@
+"""The SAW kernel's tail memo against the naive oracles.
+
+A node K steps above a count's limit looks its last K depths up in the
+memo of its class, keyed by the occupancy of its radius-K ball, in calls
+that count at least 2K steps (``counting._counts_from``).  Root counts
+run at every depth 0..2K+1, so the limit is below, at and above both K
+and 2K; split counts run at a depth whose prefix tasks reach 2K.  Tables
+without a shape keep no memo, and no table outlives its count.
+"""
+
+import gc
+import pickle
+import weakref
+
+import pytest
+
+from oracles import (naive_directed_saw_counts, naive_half_space_saw_counts,
+                     naive_saw_counts)
+from sawkit import bounds, counting
+from sawkit.bounds import bridge_counts
+from sawkit.counting import (_counts_from, _lattice_split, count_directed_saws,
+                             count_saws)
+from sawkit.events import build_cycle_family, event_free_series
+from sawkit.graphs import CayleyGraph, PeriodicLattice, augment, catalog
+from sawkit.quotient import build_quotient, sublattice_action, tree_action
+from test_counting import SAW_Z2_10, SAW_Z2DIAG_8
+from test_graphs import Z2_PRESENTATION
+from test_symmetry import SAW_Z3_8
+
+# [frozen] square-lattice SAWs on Z^2 (OEIS A001411)
+SAW_Z2_12 = SAW_Z2_10 + [120292, 324932]
+
+Z2 = catalog("zd(2)")
+# name -> (lattice, its memo depth K)
+LATTICES = {
+    "zd(1)": (catalog("zd(1)"), 12),
+    "zd(2)": (Z2, 3),
+    "zd(3)": (catalog("zd(3)"), 2),
+    "ladder": (catalog("ladder"), 6),
+    "square-octagon": (catalog("square-octagon"), 3),
+    "chord(1,1)": (augment(Z2, (Z2.origin(), (0, (1, 1)))), 2),
+    "chord(2,1)": (augment(Z2, (Z2.origin(), (0, (2, 1)))), 2),
+    # zd(2) with doubled x-edges, a multigraph
+    "doubled": (PeriodicLattice(2, 1, [(0, 0, (1, 0), 2),
+                                       (0, 0, (0, 1), 1)]), 3),
+    # Z with jumps 1 and 2: offsets reach 2
+    "jumps": (PeriodicLattice(2, 1, [(0, 0, (1, 0), 1),
+                                     (0, 0, (2, 0), 1)]), 6),
+}
+
+
+@pytest.mark.parametrize("name,cell", [
+    (name, cell) for name, (g, _k) in LATTICES.items()
+    for cell in range(g.cells)])
+def test_root_counts_match_oracle_around_the_memo_depth(name, cell):
+    g, K = LATTICES[name]
+    v0 = (cell, (0,) * g.dimension)
+    want = naive_saw_counts(g, v0, 2 * K + 1)
+    for n in range(2 * K + 2):
+        table, start, _maps, _x1 = _lattice_split(g, v0, n)
+        assert table.radius == K
+        assert _counts_from(((start,), (), 1), table, n) == want[:n + 1]
+        # the memo serves exactly the counts of at least 2K steps
+        assert any(memo for _offsets, memo in table.classes.values()) == \
+            (n >= 2 * K)
+
+
+@pytest.mark.parametrize("name,cell,n,want", [
+    ("zd(1)", 0, 48, [1] + [2] * 48),
+    ("zd(2)", 0, 12, SAW_Z2_12),
+    ("zd(3)", 0, 8, SAW_Z3_8),
+    ("ladder", 1, 20, None),
+    ("square-octagon", 2, 12, None),
+    ("chord(1,1)", 0, 8, SAW_Z2DIAG_8),
+    ("chord(2,1)", 0, 7, None)])
+def test_split_counts_match_oracle_past_the_memo_depth(monkeypatch, name,
+                                                       cell, n, want):
+    g, K = LATTICES[name]
+    v0 = (cell, (0,) * g.dimension)
+    depths = []
+    real = counting._run_split
+
+    def spy(head, tasks, task_fn, n_max, pdepth, workers):
+        depths.append(pdepth)
+        return real(head, tasks, task_fn, n_max, pdepth, workers)
+
+    monkeypatch.setattr(counting, "_run_split", spy)
+    got = list(count_saws(g, v0, n).counts)
+    assert got == (want or naive_saw_counts(g, v0, n))
+    # the merged prefix tasks have at least 2K steps left
+    assert len(depths) == 1 and n - depths[0] >= 2 * K
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """A weak reference to every id table made."""
+    made = []
+    init = counting._IdTable.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(counting._IdTable, "__init__", spy)
+    return made
+
+
+Z2MOD22 = build_quotient(Z2, sublattice_action([[2, 0], [0, 2]]))
+
+
+@pytest.mark.parametrize("graph,n", [
+    (build_quotient(catalog("zd(1)"), sublattice_action([[3]])), 8),
+    # parallel directed edges: (1, 0) and (0, -1) reach one orbit
+    (build_quotient(Z2, sublattice_action([[1, 1]])), 10),
+    (build_quotient(catalog("tree-with-end(3)"), tree_action("child-swap")),
+     10),
+    (CayleyGraph(Z2_PRESENTATION, "z2"), 8)],
+    ids=["zd(1)/3", "zd(2)/(1,1)", "tree-with-end(3)/child-swap", "cayley"])
+def test_tables_without_a_shape_keep_no_memo(monkeypatch, graph, n):
+    seen = []
+    real = counting._split_counts
+
+    def spy(table, *args):
+        seen.append(table)
+        return real(table, *args)
+
+    monkeypatch.setattr(counting, "_split_counts", spy)
+    if isinstance(graph, CayleyGraph):
+        got = count_saws(graph, n_max=n).counts
+        want = naive_saw_counts(graph, graph.origin(), n)
+    else:
+        got = count_directed_saws(graph, n).counts
+        want = naive_directed_saw_counts(graph, n)
+    assert list(got) == want
+    assert [t.radius for t in seen] == [0] and not seen[0].classes
+
+
+def test_the_bridge_table_keeps_no_memo(monkeypatch):
+    # half-space rows are no translates of one another: a memo shared by
+    # one class would carry tails across the boundary x_1 = 1
+    seen = []
+    real = bounds._split_counts
+
+    def spy(table, start, *args):
+        seen.append((table, start))
+        return real(table, start, *args)
+
+    monkeypatch.setattr(bounds, "_split_counts", spy)
+    for d, n in ((1, 12), (2, 8), (3, 6)):
+        seen.clear()
+        bridge_counts(d, n)
+        (table, start), = seen
+        assert _counts_from(((start,), (), 1), table, n) == \
+            naive_half_space_saw_counts(d, n)
+
+
+def test_a_table_pickles_with_its_memo():
+    # a spawned pool process receives the table, memo included
+    ladder = catalog("ladder")
+    table, start, _maps, _x1 = _lattice_split(ladder, ladder.origin(), 14)
+    root = ((start,), (), 1)
+    want = _counts_from(root, table, 14)
+    copy = pickle.loads(pickle.dumps(table))
+    assert [memo for _offsets, memo in copy.classes.values()] == \
+        [memo for _offsets, memo in table.classes.values()]
+    assert _counts_from(root, copy, 14) == want == \
+        naive_saw_counts(ladder, ladder.origin(), 14)
+
+
+@pytest.mark.parametrize("count", [
+    lambda: count_saws(Z2, n_max=8),
+    lambda: count_saws(catalog("ladder"), n_max=12),
+    lambda: bridge_counts(2, 8),
+    lambda: count_directed_saws(Z2MOD22, 8),
+    lambda: event_free_series(Z2MOD22, build_cycle_family(Z2MOD22), 2, 8)],
+    ids=["zd(2)", "ladder", "bridges", "quotient", "event-free"])
+def test_each_table_is_freed_when_its_count_returns(tables, count):
+    # no reference cycle keeps a table, and its memo, alive until the
+    # cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        count()
+        assert tables and all(ref() is None for ref in tables)
+    finally:
+        gc.enable()
