@@ -7,10 +7,9 @@ root is a valid lower bound), and the degree bound sqrt(degree-1) for
 simple transitive graphs.  A user-supplied exact constant (e.g. a known
 growth constant) is the third, trivial, source.  Bridges run through
 :func:`sawkit.counting._split_counts` with their own walker, which
-carries the first coordinate and its running maximum, on rows that send
-each step below x_1 = 1 back to the origin (:func:`_half_space_row`);
-their prefixes are merged under the origin's stabiliser maps that fix
-the first coordinate.
+carries the first coordinate and its running maximum, on the half-space
+table of :func:`sawkit.counting._lattice_split`, which also supplies the
+origin's stabiliser maps that fix the first coordinate.
 
 Lower-bound sequences are kept non-decreasing by a running-maximum
 transform — replacing an entry by an earlier, larger valid lower bound
@@ -39,23 +38,16 @@ class BoundError(Exception):
 # Bridge enumeration on Z^d
 # ---------------------------------------------------------------------------
 
-def _half_space_row(row_of, x1, origin, v) -> list:
-    """The out-slots of packed vertex v with every step to x_1 < 1 sent
-    back to the origin, which every bridge holds, so that no bridge or
-    prefix takes one; slot k stays slot k, as the stabiliser maps need."""
-    return [(t if x1(t) >= 1 else origin, m) for t, m in row_of(v)]
-
-
-def _bridge_counts_from(task, table=None, xs=None, x1=None, n_total=0):
+def _bridge_counts_from(task, table, xs, x1, n_total):
     """Bridge counts by depth from a prefix task (id path, slot indices,
     weight); the prefix's endpoint is counted here, earlier depths are
     not.  ``xs[i]`` is the first coordinate of id i, extended with
     ``x1(key)`` whenever the table grows.
 
-    The DFS explores SAWs on rows of :func:`_half_space_row`, whose
-    first coordinate x stays >= 1 after the origin, and counts a depth
-    whenever x attains the walk's running maximum (the
-    endpoint-confinement condition, checked incrementally).
+    The DFS explores SAWs on half-space rows, whose first coordinate x
+    stays >= 1 after the origin, and counts a depth whenever x attains
+    the walk's running maximum (the endpoint-confinement condition,
+    checked incrementally).
     """
     prefix, _slots, weight = task
     keys, rows, row_of, visited = \
@@ -113,13 +105,7 @@ def bridge_counts(d: int, n_max: int, workers: Optional[int] = None) -> list:
         raise BoundError("bridge counts need dimension >= 1")
     lat = catalog(f"zd:{d}")
     table, start, maps, x1 = _lattice_split(lat, lat.origin(), n_max,
-                                            fix_first=True)
-    # no row is built yet, so every row comes from the half-space source;
-    # its rows near x_1 = 1 are no translates of one another, so the
-    # table keeps no tail memo
-    table.source = partial(_half_space_row, table.source, x1,
-                           table.keys[start])
-    table.radius = 0
+                                            half_space=True)
     return _split_counts(
         table, start, n_max, workers, maps,
         partial(_bridge_counts_from, table=table, xs=[], x1=x1))

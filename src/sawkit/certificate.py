@@ -35,10 +35,12 @@ The producer and the verifier evaluate checks only through it, and each
 search is one :class:`_Search` shared by the producer and the verifier's
 earliest-index check.  Likewise each stored float parameter is an entry
 of ``_FLOAT_PARAMETERS``, the chain value it repeats: the producer
-writes the entries and the verifier replays them.  The producer runs
-all three stages on one :class:`_Inputs`.  The split fraction is a
-stored input: the verifier never re-runs the minimizer, whose float
-result can differ across libm builds.
+writes the entries and the verifier replays them.  The search fills
+one :class:`_Inputs` with the counts it reads (:func:`find_epsilon_m`);
+:func:`certify_ratio` builds a second from the search outcome's counts
+and runs the contraction stages and the certificate on it.  The split
+fraction is a stored input: the verifier never re-runs the minimizer,
+whose float result can differ across libm builds.
 
 A display caveat: ``ratio_bound`` is exp(``ln_ratio_bound``) and can
 round to exactly "1" when the margin under one is below float
@@ -530,15 +532,15 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn: Callable, lo: float, hi: float,
-                iters: int = _GSS_ITERS) -> float:
-    """Deterministic fixed-iteration golden-section minimizer; returns
-    the best point among the converged pair and both domain endpoints."""
+def _golden_min(fn: Callable, lo: float, hi: float) -> float:
+    """Deterministic golden-section minimizer of _GSS_ITERS iterations;
+    returns the best point among the converged pair and both domain
+    endpoints."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_GSS_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -173,6 +173,9 @@ def cmd_count(args) -> int:
     if args.max_nodes is not None and (quotient or args.walks):
         raise UsageError("--max-nodes applies only to SAW counts on a "
                          "graph, not to a quotient or --walks count")
+    if args.workers is not None and args.walks:
+        raise UsageError("--workers applies only to SAW counts, not to a "
+                         "--walks count")
     g = _graph_from(args)
     if quotient:
         q = _quotient_from(args, g)
@@ -284,6 +287,9 @@ def cmd_events(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.workers is not None and args.dimension is None:
+        raise UsageError("--workers applies only to bridge bounds, "
+                         "which need --dimension")
     if args.dimension is not None:
         betas, seq = bridge_bounds(args.dimension, args.n,
                                    workers=args.workers)
@@ -379,6 +385,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    if args.workers is not None and not args.n:
+        raise UsageError("--workers applies only to a SAW count, "
+                         "which needs --n")
     g = _graph_from(args)
     parts = args.chord.split()
     if len(parts) != 2:

@@ -12,7 +12,8 @@ All counts are exact Python integers.  The engines are:
 * a tail memo inside that kernel on periodic lattices: the last K steps
   of a walk depend only on which vertices of its endpoint's radius-K
   ball are occupied, so each such tail is counted once per cell and
-  occupancy in a count and looked up after (:func:`_counts_from`);
+  occupancy in a count and looked up after (:func:`_counts_from`), at
+  the depth and on the balls of one cached search (:func:`_tail_balls`);
 * closed forms for acyclic regular handles, where a SAW is exactly a
   non-backtracking walk: sigma_n = d(d-1)**(n-1);
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
@@ -48,7 +49,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice, permutations, product
+from itertools import islice, permutations, product, takewhile
 from operator import itemgetter
 from typing import Optional
 
@@ -132,23 +133,25 @@ class _IdTable:
     of (target id, multiplicity); ``visited`` is a bytearray indexed by
     id.
 
-    With a ``shape`` and a ``radius`` K > 0 the table also holds the
-    tail memo of :func:`_counts_from`, so the memo serves one count only:
-    one memo per class ``shape(key)``, whose keys must be translates (the
-    rows of key + d are those of key shifted by d).  ``tails[i]`` is None
-    until :meth:`tail` builds id i's (memo, occupancy getter) pair.
+    With a ``radius`` K > 0 the keys are packed lattice keys, whose
+    residue modulo the cell count is the cell, and ``balls[c]`` lists the
+    key offsets of the radius-K ball around a vertex of cell c (see
+    :func:`_lattice_split`).  The table then holds the tail memo of
+    :func:`_counts_from`, one per cell, so the memo serves one count
+    only.  ``tails[i]`` is None until :meth:`tail` builds id i's (memo,
+    occupancy getter) pair.
     """
 
-    def __init__(self, source, shape=None, radius=0):
+    def __init__(self, source, radius=0, balls=()):
         self.source = source
-        self.shape = shape
         self.radius = radius
+        self.balls = balls
+        self.memos = [{} for _ in balls]
         self.ids: dict = {}
         self.keys: list = []
         self.rows: list = []
         self.visited = bytearray()
         self.tails: list = []
-        self.classes: dict = {}      # class -> (ball key offsets, memo)
 
     def intern(self, key) -> int:
         i = self.ids.get(key)
@@ -171,41 +174,20 @@ class _IdTable:
             row = self.rows[i] = tuple(out)
         return row
 
-    def layers(self, i: int):
-        """The ids at distance 0, 1, 2, ... from id i along rows, one
-        list per distance, in breadth-first row order."""
-        seen = {i}
-        layer = [i]
-        while layer:
-            yield layer
-            grown = []
-            for o in layer:
-                for t, _m in self.row(o):
-                    if t not in seen:
-                        seen.add(t)
-                        grown.append(t)
-            layer = grown
-
     def tail(self, i: int) -> tuple:
-        """Id i's (memo, occupancy getter): the memo of its class, and
-        ``itemgetter`` of the ids within ``radius`` steps of i, i first,
-        in breadth-first row order.  Each class lists its ball once, as
-        key offsets from the first id met, and translates it."""
+        """Id i's (memo, occupancy getter): the memo of its cell, and
+        ``itemgetter`` of the ids of its ball, its cell's offsets
+        translated to i's key."""
         key = self.keys[i]
-        c = self.shape(key)
-        got = self.classes.get(c)
-        if got is None:
-            got = self.classes[c] = (tuple(
-                self.keys[j] - key
-                for layer in islice(self.layers(i), self.radius + 1)
-                for j in layer), {})
-        offsets, memo = got
-        keys = list(map(key.__add__, offsets))
+        c = key % len(self.balls)
+        keys = list(map(key.__add__, self.balls[c]))
         ids = self.ids
         for k in [k for k in keys if k not in ids]:
             self.intern(k)
+        # from a list: itemgetter(*map(...)) raised the peak RSS of the
+        # bench's count runs by 0.25-0.36 MB (every pair, 2-CPU host)
         ball = list(map(ids.get, keys))
-        tail = self.tails[i] = (memo, itemgetter(*ball))
+        tail = self.tails[i] = (self.memos[c], itemgetter(*ball))
         return tail
 
 
@@ -221,52 +203,58 @@ _TAIL_BALL = 24
 
 
 @lru_cache(maxsize=64)
-def _tail_radius(slots: tuple, cell: int, dimension: int) -> int:
-    """K for SAW counts from (cell, 0) on the lattice with slot table
-    ``slots``, or 0 where no K >= 2 fits (no memo).
+def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
+    """(K, balls) for SAW counts from (cell, 0) on the lattice with slot
+    table ``slots``: the memo depth K, and ``balls[c]``, the vertices
+    (cell, x) within K steps of (c, 0) for each cell c, (c, 0) first, in
+    breadth-first slot order; (0, ()) where no K >= 2 fits (no memo).
 
-    Only lattice tables get a memo: one per id, on a table without a
-    shape, did not pay.  Against no memo (min of 7 runs, 2-CPU host, the
-    2K rule of :func:`_counts_from` kept) it took 1.27-1.63x as long on
-    directed counts of the zd:3 cube quotient at n = 8..11, whose
-    radius-2 ball holds 25 of its 27 orbits, 1.21x and 1.00x on the
-    square-octagon quotient by (1, -1) at n = 14 and 18, and 1.13-1.19x
-    on the Z^2 Cayley graph at n = 8 and 10; it paid only on longer
-    counts (0.36x on that quotient at n = 22, 0.75x on the Cayley graph
-    at n = 12).
+    Only lattice tables get a memo: one per id, on a table whose keys
+    are no translates, did not pay.  Against no memo (min of 7 runs,
+    2-CPU host, the 2K rule of :func:`_counts_from` kept) it took
+    1.27-1.63x as long on directed counts of the zd:3 cube quotient at
+    n = 8..11, whose radius-2 ball holds 25 of its 27 orbits, 1.21x and
+    1.00x on the square-octagon quotient by (1, -1) at n = 14 and 18,
+    and 1.13-1.19x on the Z^2 Cayley graph at n = 8 and 10; it paid only
+    on longer counts (0.36x on that quotient at n = 22, 0.75x on the
+    Cayley graph at n = 12).
     """
-    layer = [(cell, (0,) * dimension)]
-    seen = set(layer)
-    r = 0
-    while layer:
-        r += 1
-        grown = []
-        for c, x in layer:
-            for tc, delta, _m in slots[c]:
-                w = (tc, tuple(a + b for a, b in zip(x, delta)))
-                if w not in seen:
-                    seen.add(w)
-                    grown.append(w)
-        layer = grown
-        if len(seen) - 1 > _TAIL_BALL:
-            return r - 1 if r > 2 else 0
-    return 0
+    def bfs(c):
+        """(distance, vertex) from (c, 0) on, in breadth-first slot order."""
+        dist = {(c, (0,) * dimension): 0}
+        queue = list(dist)
+        for v in queue:
+            yield dist[v], v
+            for tc, delta, _m in slots[v[0]]:
+                w = (tc, tuple(a + b for a, b in zip(v[1], delta)))
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+
+    # the first vertex past the cap lies at distance K + 1
+    K = next((d - 1 for i, (d, _v) in enumerate(bfs(cell))
+              if i > _TAIL_BALL), 0)
+    if K < 2:
+        return 0, ()
+    return K, tuple(
+        tuple(v for _d, v in takewhile(lambda dv: dv[0] <= K, bfs(c)))
+        for c in range(len(slots)))
 
 
-def _counts_from(task, table=None, n_total=0):
+def _counts_from(task, table, n_total):
     """Weighted SAW counts for depths len(prefix)-1 .. n_total from a
     prefix task (id path, slot indices, weight); the prefix's endpoint is
     counted here, earlier depths are not.
 
     Each tail is counted once: a node K steps above the limit (K =
-    ``table.radius``, see :func:`_tail_radius`) looks its last K depths
-    up in the memo of its class, keyed by the visited bytes of its
+    ``table.radius``, see :func:`_tail_balls`) looks its last K depths
+    up in the memo of its cell, keyed by the visited bytes of its
     radius-K ball; on a miss the same recursion counts them at weight 1
     and stores them.  This is sound: a tail of at most K steps from o
     stays inside the ball of radius K around o, so its weighted counts
-    depend only on which ball vertices are occupied.  On a lattice the
-    class is the cell: a translation carries o's ball onto the ball of a
-    vertex of o's cell, in the same breadth-first order, with equal
+    depend only on which ball vertices are occupied.  One memo serves a
+    cell: a translation carries o's ball onto the ball of any vertex of
+    o's cell, in the same breadth-first order, with equal
     multiplicities.  The memo adds exact integers, scaled by the node's
     weight, so counts stay exact.
 
@@ -340,21 +328,24 @@ def _counts_from(task, table=None, n_total=0):
 # so a neighbor key is the addition of a precomputed integer and keys hash
 # as machine-sized ints.  B is derived from the walk length and the
 # largest edge offset, which bounds every coordinate difference along a
-# walk, so the encoding is injective on the vertices of any walk.
+# walk, so the encoding is injective on the vertices of any walk, and on
+# the tail balls the memo reads, which reach no farther than the walk.
 
 def _lattice_row(moves, v):
     """The out-slots (packed target, multiplicity) of packed vertex v."""
     return [(v + add, m) for add, m in moves[v % len(moves)]]
 
 
-def _lattice_cell(cells, v):
-    """The cell of packed vertex v: the class of its tail memo."""
-    return v % cells
+def _half_space_row(moves, x1, origin, v) -> list:
+    """The out-slots of packed vertex v with every step to x_1 < 1 sent
+    back to ``origin``, which every bridge holds, so that no bridge or
+    prefix takes one; slot k stays slot k, as the stabiliser maps need."""
+    return [(t if x1(t) >= 1 else origin, m)
+            for t, m in _lattice_row(moves, v)]
 
 
 def _lattice_x1(cells, B, W, v):
-    """The first coordinate x_1 of packed vertex v; exact when
-    |x_1| <= B."""
+    """The first coordinate x_1 of packed vertex v, exact if |x_1| <= B."""
     return v // cells % W - B
 
 
@@ -365,34 +356,42 @@ def _lattice_slot(slot_map, cells, keys, i, k):
 
 
 def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
-                   fix_first: bool = False) -> tuple:
+                   half_space: bool = False) -> tuple:
     """(table, start id, maps, x_1) for a split count from lattice vertex
-    v0 to n_max steps: an id table on packed keys, the maps of
-    :func:`lattice_stabiliser` (those fixing x_1 too, with ``fix_first``)
-    as functions (id, slot) -> slot with their slot tables bound in, and
-    x_1 of a packed key.  The table's row source and x_1 are picklable."""
+    v0 to n_max steps: an id table on packed keys with the tail memo of
+    :func:`_tail_balls`, the maps of :func:`lattice_stabiliser` as
+    functions (id, slot) -> slot, and x_1 of a packed key.  With
+    ``half_space`` (Z^d bridges) the rows are :func:`_half_space_row`'s,
+    no translates of one another near x_1 = 1, so the table keeps no
+    memo, and only the maps fixing x_1 are kept.  The table's row source
+    and x_1 are picklable."""
+    slots = lat.slot_table()
     maxoff = max((abs(c) for _, _, off, _ in lat.edges for c in off), default=1)
     B = maxoff * max(n_max, 1) + 1
     W = 2 * B + 1
     C = lat.cells
-    weights = [C]
-    for _ in range(lat.dimension - 1):
-        weights.append(weights[-1] * W)
-    moves = []
-    for cell in range(C):
-        row = []
-        for (tc, delta, m) in lat.slot_table()[cell]:
-            add = (tc - cell) + sum(di * w for di, w in zip(delta, weights))
-            row.append((add, m))
-        moves.append(tuple(row))
+    weights = [C * W ** i for i in range(lat.dimension)]
+
+    def offset(c, tc, x):
+        """The packed key of (tc, y + x) minus that of (c, y)."""
+        return tc - c + sum(xi * w for xi, w in zip(x, weights))
+
+    moves = tuple(tuple((offset(c, tc, delta), m) for tc, delta, m in row)
+                  for c, row in enumerate(slots))
     c0, x0 = v0
-    table = _IdTable(partial(_lattice_row, tuple(moves)),
-                     partial(_lattice_cell, C),
-                     _tail_radius(lat.slot_table(), c0, lat.dimension))
-    start = table.intern(c0 + sum((xi + B) * w for xi, w in zip(x0, weights)))
+    key0 = c0 + sum((xi + B) * w for xi, w in zip(x0, weights))
+    x1 = partial(_lattice_x1, C, B, W)
+    if half_space:
+        table = _IdTable(partial(_half_space_row, moves, x1, key0))
+    else:
+        K, balls = _tail_balls(slots, c0, lat.dimension)
+        table = _IdTable(partial(_lattice_row, moves), K, tuple(
+            tuple(offset(c, tc, x) for tc, x in ball)
+            for c, ball in enumerate(balls)))
+    start = table.intern(key0)
     maps = [partial(_lattice_slot, slot_map, C, table.keys)
-            for *_, slot_map in lattice_stabiliser(lat, c0, fix_first)]
-    return table, start, maps, partial(_lattice_x1, C, B, W)
+            for *_, slot_map in lattice_stabiliser(lat, c0, half_space)]
+    return table, start, maps, x1
 
 
 # ---------------------------------------------------------------------------

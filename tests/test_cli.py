@@ -91,6 +91,17 @@ def test_count_refuses_a_flag_it_would_ignore(argv, flag, capsys):
     assert got.err.startswith(f"usage error: {flag} ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--graph", "zd:2", "--walks", "--n", "3"],
+    ["bounds", "--graph", "ladder"],
+    ["augment", "--graph", "zd:2", "--chord", "0:0,0 0:1,1"]], ids=["count-walks", "bounds-degree", "augment-spec"])
+def test_workers_is_refused_where_nothing_is_counted(argv, capsys):
+    assert run([*argv, "--workers", "2"]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("usage error: --workers ")
+
+
 def test_count_start_key(capsys):
     assert run(["count", "--graph", "zd:2", "--n", "2",
                 "--start", "0:5,-1"]) == 0

@@ -120,3 +120,60 @@ def test_the_scan_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def _unpassed_defaults(sources: dict) -> list:
+    """(module, function, parameter) for each defaulted parameter of a
+    module-level ``_private`` function that no call in the package
+    passes, by keyword or by position.  A call of ``partial`` passes its
+    first argument's parameters too, and ``*args`` or ``**kwargs`` in a
+    call pass every parameter."""
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    passed = {}         # callee name -> positions and keywords passed
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            fn, args = call.func, call.args
+            if getattr(fn, "id", getattr(fn, "attr", None)) == "partial" \
+                    and args:
+                fn, args = args[0], args[1:]
+            name = getattr(fn, "id", getattr(fn, "attr", None))
+            got = passed.setdefault(name, set())
+            if any(isinstance(a, ast.Starred) for a in args):
+                got.add("*")
+            got.update(range(len(args)))
+            got.update(kw.arg or "**" for kw in call.keywords)
+    unpassed = []
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef)
+                    and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                continue
+            got = passed.get(fn.name, set())
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+            unpassed.extend(
+                (mod, fn.name, arg) for i, arg in defaulted
+                if arg not in got and "**" not in got
+                and (i is None or (i not in got and "*" not in got)))
+    return unpassed
+
+
+def test_the_scan_sees_an_unpassed_default():
+    sources = {"a": "def _f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+                    "def _g(a, b=1):\n    return a\n"
+                    "def h(a=1):\n    return a\n",
+               "b": "from functools import partial\nfrom . import a\n"
+                    "a._f(0, 1, e=5)\nk = partial(a._g, 0, 1)\n"}
+    assert _unpassed_defaults(sources) == [("a", "_f", "c"),
+                                           ("a", "_f", "d")]
+
+
+def test_every_private_default_is_passed():
+    assert _unpassed_defaults({path.name: path.read_text(encoding="utf-8")
+                               for path in PACKAGE}) == []

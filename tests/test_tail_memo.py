@@ -1,11 +1,14 @@
 """The SAW kernel's tail memo against the naive oracles.
 
 A node K steps above a count's limit looks its last K depths up in the
-memo of its class, keyed by the occupancy of its radius-K ball, in calls
-that count at least 2K steps (``counting._counts_from``).  Root counts
-run at every depth 0..2K+1, so the limit is below, at and above both K
-and 2K; split counts run at a depth whose prefix tasks reach 2K.  Tables
-without a shape keep no memo, and no table outlives its count.
+memo of its cell, keyed by the occupancy of its radius-K ball, in calls
+that count at least 2K steps (``counting._counts_from``).  Each cell's
+ball, decoded from its packed keys, is the radius-K ball of
+``graphs.ball_with_dist`` in breadth-first order.  Root counts run at
+every depth 0..2K+1, so the limit is below, at and above both K and 2K;
+split counts run at a depth whose prefix tasks reach 2K.  Tables off a
+lattice and the bridge table keep no memo, and no table outlives its
+count.
 """
 
 import gc
@@ -21,7 +24,8 @@ from sawkit.bounds import bridge_counts
 from sawkit.counting import (_counts_from, _lattice_split, count_directed_saws,
                              count_saws)
 from sawkit.events import build_cycle_family, event_free_series
-from sawkit.graphs import CayleyGraph, PeriodicLattice, augment, catalog
+from sawkit.graphs import (CayleyGraph, PeriodicLattice, augment,
+                           ball_with_dist, catalog)
 from sawkit.quotient import build_quotient, sublattice_action, tree_action
 from test_counting import SAW_Z2_10, SAW_Z2DIAG_8
 from test_graphs import Z2_PRESENTATION
@@ -61,8 +65,44 @@ def test_root_counts_match_oracle_around_the_memo_depth(name, cell):
         assert table.radius == K
         assert _counts_from(((start,), (), 1), table, n) == want[:n + 1]
         # the memo serves exactly the counts of at least 2K steps
-        assert any(memo for _offsets, memo in table.classes.values()) == \
-            (n >= 2 * K)
+        assert any(table.memos) == (n >= 2 * K)
+
+
+def _decode(x1, dimension, key):
+    """The lattice vertex (cell, x) of a packed key, from the cell count,
+    the coordinate bound B and the base W that ``x1`` is bound to."""
+    C, B, W = x1.args
+    cell, rest = key % C, key // C
+    x = []
+    for _ in range(dimension):
+        x.append(rest % W - B)
+        rest //= W
+    return cell, tuple(x)
+
+
+@pytest.mark.parametrize("name,cell", [
+    (name, cell) for name, (g, _k) in LATTICES.items()
+    for cell in range(g.cells)])
+def test_each_cell_ball_is_its_radius_k_ball_in_bfs_order(name, cell):
+    # from a start in every cell, the ball of the first vertex met of
+    # every cell: a ball one step short, or the offsets of another cell,
+    # hold other vertices
+    g, K = LATTICES[name]
+    table, start, _maps, x1 = _lattice_split(g, (cell, (0,) * g.dimension),
+                                             4 * K)
+    firsts, layer = {}, [start]
+    while len(firsts) < g.cells:
+        for i in layer:
+            firsts.setdefault(table.keys[i] % g.cells, i)
+        layer = [t for i in layer for t, _m in table.row(i)]
+    for i in firsts.values():
+        v = _decode(x1, g.dimension, table.keys[i])
+        _memo, occupied = table.tail(i)
+        ball = [_decode(x1, g.dimension, k) for k in occupied(table.keys)]
+        dist = ball_with_dist(g, v, K)
+        assert ball[0] == v
+        assert len(ball) == len(set(ball)) and set(ball) == set(dist)
+        assert [dist[u] for u in ball] == sorted(dist[u] for u in ball)
 
 
 @pytest.mark.parametrize("name,cell,n,want", [
@@ -116,7 +156,7 @@ Z2MOD22 = build_quotient(Z2, sublattice_action([[2, 0], [0, 2]]))
      10),
     (CayleyGraph(Z2_PRESENTATION, "z2"), 8)],
     ids=["zd(1)/3", "zd(2)/(1,1)", "tree-with-end(3)/child-swap", "cayley"])
-def test_tables_without_a_shape_keep_no_memo(monkeypatch, graph, n):
+def test_tables_off_a_lattice_keep_no_memo(monkeypatch, graph, n):
     seen = []
     real = counting._split_counts
 
@@ -132,7 +172,7 @@ def test_tables_without_a_shape_keep_no_memo(monkeypatch, graph, n):
         got = count_directed_saws(graph, n).counts
         want = naive_directed_saw_counts(graph, n)
     assert list(got) == want
-    assert [t.radius for t in seen] == [0] and not seen[0].classes
+    assert [t.radius for t in seen] == [0] and not seen[0].memos
 
 
 def test_the_bridge_table_keeps_no_memo(monkeypatch):
@@ -161,8 +201,7 @@ def test_a_table_pickles_with_its_memo():
     root = ((start,), (), 1)
     want = _counts_from(root, table, 14)
     copy = pickle.loads(pickle.dumps(table))
-    assert [memo for _offsets, memo in copy.classes.values()] == \
-        [memo for _offsets, memo in table.classes.values()]
+    assert copy.memos == table.memos and any(copy.memos)
     assert _counts_from(root, copy, 14) == want == \
         naive_saw_counts(ladder, ladder.origin(), 14)
 
