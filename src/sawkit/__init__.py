@@ -33,7 +33,7 @@ from .events import (CycleFamily, EventError, EventParameterError,
                      lambda_upper)
 from .bounds import (BoundError, LowerBoundSequence, bound_rows,
                      bridge_bounds, bridge_counts, degree_bound,
-                     monotone_regularize)
+                     lower_bounds, monotone_regularize)
 from .certificate import (CertificateError, CheckRecord, NoContractionError,
                           RatioCertificate, SearchOutcome, VerifyReport,
                           certify_ratio, compute_R, compute_S, find_epsilon_m,
@@ -56,7 +56,7 @@ __all__ = [
     "build_cycle_family", "build_event_profile", "count_with_events",
     "event_free_series", "event_series", "lambda_upper",
     "BoundError", "LowerBoundSequence", "bound_rows", "bridge_bounds",
-    "bridge_counts", "degree_bound", "monotone_regularize",
+    "bridge_counts", "degree_bound", "lower_bounds", "monotone_regularize",
     "CertificateError", "CheckRecord", "NoContractionError",
     "RatioCertificate", "SearchOutcome", "VerifyReport", "certify_ratio",
     "compute_R", "compute_S", "find_epsilon_m", "verify_certificate",

@@ -5,11 +5,13 @@ strictly right on the first step and never beyond their endpoint's first
 coordinate; their counts multiply under concatenation, so every n-th
 root is a valid lower bound), and the degree bound sqrt(degree-1) for
 simple transitive graphs.  A user-supplied exact constant (e.g. a known
-growth constant) is the third, trivial, source.  Bridges run through
-:func:`sawkit.counting._split_counts` with their own walker, which
-carries the first coordinate and its running maximum, on the half-space
-table of :func:`sawkit.counting._lattice_split`, which also supplies the
-origin's stabiliser maps that fix the first coordinate.
+growth constant) is the third, trivial, source.  :func:`lower_bounds`
+alone picks a graph's source, for ``saw ratio`` and ``saw bounds``
+alike.  Bridges run through :func:`sawkit.counting._split_counts` with
+their own walker, which carries the first coordinate and its running
+maximum, on the half-space table of :func:`sawkit.counting._lattice_split`,
+which also supplies the origin's stabiliser maps that fix the first
+coordinate.
 
 Lower-bound sequences are kept non-decreasing by a running-maximum
 transform — replacing an entry by an earlier, larger valid lower bound
@@ -27,7 +29,8 @@ from typing import Optional, Sequence
 
 from .counting import _lattice_split, _split_counts
 from .exact import Radical
-from .graphs import catalog
+from .graphs import PeriodicLattice, catalog
+from .quotient import hermite_rows
 
 
 class BoundError(Exception):
@@ -217,6 +220,33 @@ def bridge_bounds(d: int, n_max: int,
     seq = monotone_regularize(vals, ["bridge"] * len(vals),
                               graph_id=f"zd({d})")
     return betas, seq
+
+
+def _contains_zd(g) -> bool:
+    """Whether ``g`` is a one-cell lattice whose edge offsets hold d
+    linearly independent vectors v_1..v_d.  Then x -> x_1 v_1 + ... +
+    x_d v_d embeds Z^d in g as a subgraph, so sigma_n(g) >= sigma_n(Z^d)
+    and the Z^d bridge bounds are lower bounds for mu(g) too."""
+    if not isinstance(g, PeriodicLattice) or g.cells != 1:
+        return False
+    hnf, _ = hermite_rows(tuple(off for *_, off, _m in g.edges), g.dimension)
+    return len(hnf) == g.dimension
+
+
+def lower_bounds(g, n_max: int, workers: Optional[int] = None,
+                 mu_exact: Optional[Fraction] = None) -> tuple:
+    """(beta counts or None, LowerBoundSequence) for ``g`` from the first
+    source that applies: the exact constant ``mu_exact``, the Z^d bridge
+    table to ``n_max`` where g contains Z^d (the only one with counts),
+    or the degree bound, a :class:`BoundError` on a multigraph."""
+    if mu_exact is not None:
+        return None, LowerBoundSequence.from_constant(
+            mu_exact, g.graph_id, provenance="mu-exact")
+    if _contains_zd(g):
+        return bridge_bounds(g.dimension, n_max, workers=workers)
+    return None, LowerBoundSequence.from_constant(
+        degree_bound(g.degree, simple=g.is_simple), g.graph_id,
+        provenance="degree")
 
 
 def bound_rows(betas: list, seq: LowerBoundSequence) -> list:

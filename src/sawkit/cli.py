@@ -1,5 +1,7 @@
 """Command-line front end: catalog, counting, quotient reports, bounds,
-and the ratio-certificate pipeline, with machine-readable output.
+and the ratio-certificate pipeline, with machine-readable output.  The
+lower bound of ``saw bounds`` and ``saw ratio`` is chosen by
+:func:`sawkit.bounds.lower_bounds`; here only ``--mu-exact`` is parsed.
 
 Exit codes: 0 success, 2 usage error, 3 inconclusive certificate,
 4 computation error.  Output goes to stdout or, with ``--out``, is
@@ -19,15 +21,13 @@ import argparse
 import datetime
 import io
 import json
-import math
 import os
 import sys
 import tempfile
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import BoundError, LowerBoundSequence, bound_rows, bridge_bounds, \
-    degree_bound
+from .bounds import BoundError, bound_rows, lower_bounds
 from .certificate import CertificateError, RatioCertificate, certify_ratio, \
     verify_certificate
 from .counting import count_directed_saws, count_saws, \
@@ -39,7 +39,7 @@ from .graphs import CATALOG_NAMES, GraphError, PeriodicLattice, \
     augment, catalog, load_spec_file, spec_text
 from .quotient import QuotientError, build_quotient, \
     check_representative_independence, check_symmetry, classify_type, \
-    hermite_rows, sublattice_action, tree_action
+    sublattice_action, tree_action
 
 
 class UsageError(Exception):
@@ -145,14 +145,7 @@ def cmd_catalog(args) -> int:
 
 def _series_output(args, graph_label: str, start_label: str, counts: list,
                    directed: bool, kind: str) -> None:
-    def root(c: int, n: int) -> str:
-        if c == 0:
-            return "0"
-        try:
-            return float_repr(float(c) ** (1.0 / n))
-        except OverflowError:
-            return float_repr(math.exp(math.log(c) / n))
-    rows = [(n, counts[n], root(counts[n], n))
+    rows = [(n, counts[n], float_repr(float(Radical.nth_root(counts[n], n))))
             for n in range(1, len(counts))]
     if args.format == "json":
         doc = {"graph": graph_label, "start": start_label, "kind": kind,
@@ -287,69 +280,27 @@ def cmd_events(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.workers is not None and args.dimension is None:
-        raise UsageError("--workers applies only to bridge bounds, "
-                         "which need --dimension")
-    if args.dimension is not None:
-        betas, seq = bridge_bounds(args.dimension, args.n,
-                                   workers=args.workers)
-        rows = bound_rows(betas, seq)
-        if args.format == "json":
-            doc = {"graph": seq.graph_id,
-                   "rows": [{"n": n, "beta": str(beta),
-                             "b": float_repr(b), "provenance": p}
-                            for n, beta, b, p in rows]}
-            _emit(_json_doc(doc), args.out)
-        else:
-            _emit(_csv(["n", "beta_n", "b_n", "provenance"],
-                       [(n, beta, float_repr(b), p)
-                        for n, beta, b, p in rows]), args.out)
-        return 0
     g = _graph_from(args)
-    val = degree_bound(g.degree, simple=g.is_simple)
-    if args.format == "json":
+    betas, seq = lower_bounds(g, args.n, workers=args.workers)
+    if betas is None:
+        if args.workers is not None:
+            raise UsageError("--workers applies only to bridge bounds, "
+                             "which need a graph that contains Z^d")
+        (_, b, p), = seq.rows()
+        header = ["graph", "degree", "b", "provenance"]
+        rows = [(g.graph_id, g.degree, float_repr(b), p)]
         doc = {"graph": g.graph_id, "degree": str(g.degree),
-               "b": float_repr(float(val)), "provenance": "degree"}
-        _emit(_json_doc(doc), args.out)
+               "b": float_repr(b), "provenance": p}
     else:
-        _emit(_csv(["graph", "degree", "b", "provenance"],
-                   [(g.graph_id, g.degree, float_repr(float(val)),
-                     "degree")]), args.out)
+        header = ["n", "beta_n", "b_n", "provenance"]
+        rows = [(n, beta, float_repr(b), p)
+                for n, beta, b, p in bound_rows(betas, seq)]
+        doc = {"graph": seq.graph_id,
+               "rows": [{"n": n, "beta": str(beta), "b": b, "provenance": p}
+                        for n, beta, b, p in rows]}
+    _emit(_json_doc(doc) if args.format == "json" else _csv(header, rows),
+          args.out)
     return 0
-
-
-def _contains_zd(g) -> bool:
-    """Whether ``g`` is a one-cell lattice whose edge offsets hold d
-    linearly independent vectors v_1..v_d.  Then x -> x_1 v_1 + ... +
-    x_d v_d embeds Z^d in g as a subgraph, so sigma_n(g) >= sigma_n(Z^d)
-    and the Z^d bridge bounds are lower bounds for mu(g) too."""
-    if not isinstance(g, PeriodicLattice) or g.cells != 1:
-        return False
-    hnf, _ = hermite_rows(tuple(off for *_, off, _m in g.edges), g.dimension)
-    return len(hnf) == g.dimension
-
-
-def _lower_bound_for(args, g, budget: int) -> LowerBoundSequence:
-    if args.mu_exact is not None:
-        try:
-            v = Fraction(args.mu_exact)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(
-                f"--mu-exact wants a rational, got {args.mu_exact!r}") \
-                from None
-        if v <= 0:
-            raise UsageError("--mu-exact must be positive")
-        return LowerBoundSequence.from_constant(v, g.graph_id,
-                                                provenance="mu-exact")
-    if _contains_zd(g):
-        _, seq = bridge_bounds(g.dimension, max(budget, 1),
-                               workers=args.workers)
-        return seq
-    if g.is_simple:
-        return LowerBoundSequence.from_constant(
-            degree_bound(g.degree), g.graph_id, provenance="degree")
-    raise UsageError("no automatic lower bound for this graph; "
-                     "pass --mu-exact")
 
 
 def cmd_ratio(args) -> int:
@@ -357,7 +308,24 @@ def cmd_ratio(args) -> int:
     q = _quotient_from(args, g)
     rep = classify_type(q)
     family = build_cycle_family(q, rep)
-    b = _lower_bound_for(args, g, args.budget)
+    mu = None
+    if args.mu_exact is not None:
+        try:
+            mu = Fraction(args.mu_exact)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(
+                f"--mu-exact wants a rational, got {args.mu_exact!r}") \
+                from None
+        if mu <= 0:
+            raise UsageError("--mu-exact must be positive")
+    try:
+        _, b = lower_bounds(g, max(args.budget, 1), workers=args.workers,
+                            mu_exact=mu)
+    except BoundError:
+        if g.is_simple:     # only a multigraph is left with no bound
+            raise
+        raise UsageError("no automatic lower bound for this graph; "
+                         "pass --mu-exact") from None
     cert = certify_ratio(g, q, family, b, args.budget, workers=args.workers)
     if not args.deterministic:
         stamp = datetime.datetime.now(datetime.timezone.utc) \
@@ -406,7 +374,8 @@ def cmd_augment(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, graph=True, quotient=False, fmt=True, workers=True):
+def _add_common(p, graph=True, quotient=False, fmt=True, workers=True,
+                graph_help="catalog graph name (see `saw catalog`)"):
     if fmt:
         p.add_argument("--format", choices=("json", "csv"), default="csv",
                        help="output format (default csv)")
@@ -419,8 +388,7 @@ def _add_common(p, graph=True, quotient=False, fmt=True, workers=True):
                        "sample reaches its break-even, else counts run "
                        "inline")
     if graph:
-        p.add_argument("--graph", metavar="NAME",
-                       help="catalog graph name (see `saw catalog`)")
+        p.add_argument("--graph", metavar="NAME", help=graph_help)
         p.add_argument("--spec", metavar="FILE",
                        help="graph-spec file instead of a catalog name")
     if quotient:
@@ -488,9 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_events)
 
     p = sub.add_parser("bounds", help="lower-bound sequences b_n")
-    _add_common(p)
-    p.add_argument("--dimension", type=int, default=None,
-                   help="hypercubic dimension for bridge bounds")
+    _add_common(p, graph_help="catalog graph name; its bound is the Z^d "
+                "bridge table where it contains Z^d, else the degree bound")
     p.add_argument("--n", type=int, default=10, help="maximum index")
     p.set_defaults(fn=cmd_bounds)
 

@@ -284,19 +284,23 @@ class QuotientGraph:
     def origin_orbit(self):
         return self.orbit_of(self.base.origin())
 
+    def probed_orbits(self, radius: int) -> tuple:
+        """Every orbit of a finite quotient; else, sorted, the orbits of
+        the radius-``radius`` ball around the base graph's origin."""
+        if self.finite:
+            return self.orbits
+        probe = ball(self.base, self.base.origin(), radius)
+        return tuple(sorted({self.orbit_of(v) for v in probe}))
+
     # -- serialization -------------------------------------------------------
 
     def to_text(self, probe_radius: int = 3) -> str:
         """Deterministic structured-text dump (orbit list, multiplicity
         rows, loop counts).  Infinite-orbit quotients dump the rows of the
         orbits within ``probe_radius`` of the origin orbit's representative."""
-        if self.finite:
-            orbits = self.orbits
-            header = f"orbits {self.orbit_count}"
-        else:
-            probe = ball(self.base, self.base.origin(), probe_radius)
-            orbits = tuple(sorted({self.orbit_of(v) for v in probe}))
-            header = f"orbits infinite (showing radius-{probe_radius} probe)"
+        orbits = self.probed_orbits(probe_radius)
+        header = f"orbits {self.orbit_count}" if self.finite else \
+            f"orbits infinite (showing radius-{probe_radius} probe)"
         lines = [f"quotient {self.quotient_id}", header]
         for o in orbits:
             row = " ".join(f"{t!r}:{m}" for t, m in self.drow(o))
@@ -351,11 +355,7 @@ def check_symmetry(q: QuotientGraph, probe_radius: int = 4) -> bool:
     are probed on the orbits within ``probe_radius`` of the origin — a
     relaxation: a False is definitive, a True is a radius-limited witness.
     """
-    if q.finite:
-        orbits = q.orbits
-    else:
-        probe = ball(q.base, q.base.origin(), probe_radius)
-        orbits = tuple(sorted({q.orbit_of(v) for v in probe}))
+    orbits = q.probed_orbits(probe_radius)
     sample = set(orbits)
     for o in orbits:
         for t, m in q.drow(o):

@@ -226,11 +226,33 @@ def test_events_explicit_r_zero_is_the_default(capsys):
 
 
 def test_bounds_bridges(capsys):
-    assert run(["bounds", "--dimension", "2", "--n", "6"]) == 0
+    assert run(["bounds", "--graph", "zd:2", "--n", "6"]) == 0
     out, _ = lines_of(capsys)
     assert out[0] == "n,beta_n,b_n,provenance"
     assert out[2] == "2,3,1.7320508075688772,bridge"
     assert all(r.endswith("bridge") for r in out[1:])
+
+
+# the bytes `saw bounds --dimension d` printed before the lower bound of
+# `saw bounds` came from the graph
+@pytest.mark.parametrize("d,n,fmt,digest", [
+    (1, 8, "csv",
+     "d311d9ab169081bcfa0880a77ed94df50fe4bd5955ff3e0696a4c9d29e5e3683"),
+    (1, 8, "json",
+     "456921936b30e11e7adfb6384664afd6b62084009b8cc19c463b8861e3edca78"),
+    (2, 6, "csv",
+     "75fdd1a154b1afbf10550b2c24186f04e378545ee589b6f767cee79680ce4c8e"),
+    (2, 6, "json",
+     "9ae92d357df2bd7cba7934091fcd69f01d1eb4bd838237a1e4a46897d9382295"),
+    (3, 5, "csv",
+     "2e298b6131750f77082312da21f89140f7521be1f2e070bb577cf1e987d05893"),
+    (3, 5, "json",
+     "2858435768728ecdbc7519afb1cd19184deb0fc6990c666de35bbbe8b7ab2baa")])
+def test_bounds_on_zd_prints_the_bridge_table(d, n, fmt, digest, capsys):
+    assert run(["bounds", "--graph", f"zd:{d}", "--n", str(n),
+                "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bounds_degree(capsys):
@@ -367,7 +389,7 @@ def test_usage_errors(capsys):
 
 def test_domain_errors(capsys, tmp_path):
     assert run(["count", "--graph", "nonesuch"]) == 4
-    assert run(["bounds", "--dimension", "0"]) == 4
+    assert run(["bounds", "--graph", "zd:0"]) == 4
     assert run(["verify", str(tmp_path / "missing.json")]) == 4
     assert run(["count", "--graph", "zd:1", "--n", "-3"]) == 4
     capsys.readouterr()
@@ -385,6 +407,7 @@ AUGMENT = ["augment", "--graph", "zd:2", "--chord", "0:0,0 0:1,1"]
     (["type", *Z1MOD3], ["--deterministic"]),
     (["events", *Z1MOD3], ["--deterministic"]),
     (["bounds", "--graph", "ladder"], ["--deterministic"]),
+    (["bounds", "--graph", "ladder"], ["--dimension", "2"]),
     (VERIFY, ["--deterministic"]),
     (AUGMENT, ["--deterministic"]),
     (["catalog"], ["--workers", "1"]),

@@ -8,23 +8,23 @@
   translated; the translated sets are checked against per-orbit builds.
 * The lattice stabiliser is cached on the lattice's content.
 * The automatic lower bound uses Z^d bridges only for lattices that
-  contain Z^d.
+  contain Z^d, and ``saw bounds`` prints the bound ``saw ratio`` uses.
 """
 
-import argparse
+import json
 from fractions import Fraction
 
 import pytest
 
 from sawkit import certificate
-from sawkit.bounds import LowerBoundSequence, bridge_bounds
+from sawkit.bounds import LowerBoundSequence, bridge_bounds, lower_bounds
 from sawkit.certificate import (CheckRecord, SearchOutcome, _fmt_radical,
                                 certify_ratio, find_epsilon_m)
-from sawkit.cli import _lower_bound_for, run
+from sawkit.cli import run
 from sawkit.counting import (_stabiliser, count_directed_saws, count_saws,
                              lattice_stabiliser)
 from sawkit.events import CycleFamily, build_cycle_family, event_free_series
-from sawkit.exact import Radical
+from sawkit.exact import Radical, float_repr
 from sawkit.graphs import PeriodicLattice, catalog, load_spec_file
 from sawkit.quotient import build_quotient, sublattice_action, tree_action
 
@@ -344,8 +344,7 @@ def test_jump_lattice_gets_no_zd_bridges(tmp_path, capsys):
         assert entry["provenance"] != "bridge"
         assert Radical.from_json(entry["value"]) <= _min_root(us)
     g = load_spec_file(str(spec))
-    args = argparse.Namespace(mu_exact=None, workers=1)
-    b = _lower_bound_for(args, g, 18)
+    _, b = lower_bounds(g, 18, workers=1)
     bound = _min_root(count_saws(g, None, 18).counts)
     assert all(b.value_at(n) <= bound for n in range(1, 19))
 
@@ -357,5 +356,31 @@ def test_jump_lattice_gets_no_zd_bridges(tmp_path, capsys):
 ])
 def test_zd_bridges_only_where_zd_embeds(edges, bridges):
     g = PeriodicLattice(2, 1, edges)
-    b = _lower_bound_for(argparse.Namespace(mu_exact=None, workers=1), g, 6)
+    _, b = lower_bounds(g, 6, workers=1)
     assert (b.provenance_at(6) == "bridge") == bridges
+
+
+@pytest.mark.parametrize("graph,rows", [
+    ("zd:1", "3"), ("zd:2", "2 0;0 2"), ("ladder", "2"),
+    (JUMPS, "3 0;0 1"),
+    ("kind lattice\ndimension 2\ncells 1\nedge 0 0 1 0 1\n"
+     "edge 0 0 1 1 1\n", "2 0;0 2")],
+    ids=["zd1", "zd2", "ladder", "jumps", "z2-inside"])
+def test_bounds_prints_the_bound_ratio_uses(graph, rows, tmp_path, capsys):
+    # `saw bounds` and `saw ratio` take their lower bound from one chooser
+    if graph.startswith("kind"):
+        spec = tmp_path / "g.graph"
+        spec.write_text(graph)
+        selector = ["--spec", str(spec)]
+    else:
+        selector = ["--graph", graph]
+    cert = tmp_path / "cert.json"
+    assert run(["ratio", *selector, "--sublattice", rows, "--budget", "6",
+                "--deterministic", "--out", str(cert)]) in (0, 3)
+    assert run(["bounds", *selector, "--n", "6", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    printed = [r["b"] for r in doc["rows"]] if "rows" in doc else [doc["b"]]
+    stored = certificate.RatioCertificate.from_json(
+        cert.read_text()).payload["counts"]["lower_bound"]
+    assert printed == [float_repr(float(Radical.from_json(e["value"])))
+                       for e in stored]

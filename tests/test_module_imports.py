@@ -177,3 +177,46 @@ def test_the_scan_sees_an_unpassed_default():
 def test_every_private_default_is_passed():
     assert _unpassed_defaults({path.name: path.read_text(encoding="utf-8")
                                for path in PACKAGE}) == []
+
+
+BOUND_SOURCES = {"bridge_bounds", "bridge_counts", "degree_bound",
+                 "from_constant"}
+
+
+def _bound_sources_outside_bounds(sources: dict) -> list:
+    """(module, name), sorted, for each read of a lower-bound source (a
+    call, or the function passed on) in a module other than bounds.py:
+    :func:`sawkit.bounds.lower_bounds` is the one place that picks a
+    graph's lower bound."""
+    found = []
+    for mod, source in sources.items():
+        if mod == "bounds.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in BOUND_SOURCES:
+                found.append((mod, name))
+    return sorted(found)
+
+
+def test_the_scan_sees_a_bound_chosen_outside_bounds():
+    sources = {"bounds.py": "def degree_bound(d):\n    return d\n"
+                            "x = bridge_counts(1, 2)\n",
+               "cli.py": "from .bounds import bridge_bounds, Seq\n"
+                         "b = Seq.from_constant(1, 'g')\n"
+                         "f = partial(bridge_bounds, 2)\n",
+               "other.py": "from .bounds import degree_bound\n"
+                           "bridge_counts = 3\n"}
+    assert _bound_sources_outside_bounds(sources) == [
+        ("cli.py", "bridge_bounds"), ("cli.py", "from_constant")]
+
+
+def test_only_bounds_chooses_a_lower_bound():
+    assert _bound_sources_outside_bounds(
+        {path.name: path.read_text(encoding="utf-8")
+         for path in PACKAGE}) == []
