@@ -637,7 +637,14 @@ class RatioCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "RatioCertificate":
-        return cls(json.loads(text))
+        """The certificate of JSON ``text``; a ValueError if ``text`` is
+        not JSON or nests too deeply to decode."""
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON nests too deeply to decode") \
+                from None
+        return cls(payload)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -2,6 +2,10 @@
 and the ratio-certificate pipeline, with machine-readable output.  The
 lower bound of ``saw bounds`` and ``saw ratio`` is chosen by
 :func:`sawkit.bounds.lower_bounds`; here only ``--mu-exact`` is parsed.
+Each :func:`run` builds the subparser of the subcommand it runs and no
+other (every one only for top-level help or a bad name), since building
+all nine cost about as much as a small count; no parser outlives the
+call, so the saving reaches a new process as well as an in-process one.
 
 Exit codes: 0 success, 2 usage error, 3 inconclusive certificate,
 4 computation error.  Output goes to stdout or, with ``--out``, is
@@ -399,18 +403,7 @@ def _add_common(p, graph=True, quotient=False, fmt=True, workers=True,
                        help="catalog action name, e.g. 'child-swap'")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="saw",
-        description="Exact self-avoiding-walk enumeration, quotient "
-                    "multigraphs, and certified growth-ratio bounds.")
-    sub = ap.add_subparsers(dest="cmd", required=True, metavar="SUBCOMMAND")
-
-    p = sub.add_parser("catalog", help="list built-in graphs")
-    _add_common(p, graph=False, workers=False)
-    p.set_defaults(fn=cmd_catalog)
-
-    p = sub.add_parser("count", help="exact SAW or walk counts")
+def _count_args(p):
     _add_common(p, quotient=True)
     p.add_argument("--n", type=int, default=10, help="maximum length")
     p.add_argument("--start", metavar="KEY",
@@ -422,23 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
                    "only while the nodes charged so far, sum_{j<n} "
                    "sigma_j per depth n, stay within it; the series "
                    "truncates at the last depth counted")
-    p.set_defaults(fn=cmd_count)
 
-    p = sub.add_parser("quotient", help="build a quotient and report on it")
+
+def _quotient_args(p):
     _add_common(p, quotient=True, workers=False)
     p.add_argument("--report",
                    choices=("summary", "type", "symmetry", "independence"),
                    default="summary")
     p.add_argument("--radius", type=int, default=4,
                    help="probe radius for summary/symmetry/independence")
-    p.set_defaults(fn=cmd_quotient)
 
-    p = sub.add_parser("type", help="classify a quotient (shortcut)")
+
+def _type_args(p):
     _add_common(p, quotient=True, workers=False)
     p.add_argument("--radius", type=int, default=4, help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_type)
 
-    p = sub.add_parser("events", help="pattern-event constrained counts")
+
+def _events_args(p):
     _add_common(p, quotient=True, workers=False)
     # accepted and never read: event series run on one worker
     p.add_argument("--workers", type=int, default=None,
@@ -453,15 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="store_true",
                    help="emit the (n,k,m,r) profile grid over every k; "
                    "refuses --k, --m and --r")
-    p.set_defaults(fn=cmd_events)
 
-    p = sub.add_parser("bounds", help="lower-bound sequences b_n")
+
+def _bounds_args(p):
     _add_common(p, graph_help="catalog graph name; its bound is the Z^d "
                 "bridge table where it contains Z^d, else the degree bound")
     p.add_argument("--n", type=int, default=10, help="maximum index")
-    p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("ratio", help="finite-time ratio certificate")
+
+def _ratio_args(p):
     _add_common(p, quotient=True, fmt=False)
     p.add_argument("--deterministic", action="store_true",
                    help="leave the timestamp field out of the certificate")
@@ -469,31 +462,72 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search budget (maximum probe length)")
     p.add_argument("--mu-exact", metavar="Q",
                    help="use the constant lower bound Q (rational)")
-    p.set_defaults(fn=cmd_ratio)
 
-    p = sub.add_parser("verify", help="replay a certificate file")
+
+def _verify_args(p):
     _add_common(p, graph=False, fmt=False, workers=False)
     p.add_argument("certificate", metavar="FILE")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("augment", help="add a chord orbit to a lattice")
+
+def _augment_args(p):
     _add_common(p)
     p.add_argument("--chord", required=True, metavar="'U V'",
                    help="two vertex keys, e.g. '0:0,0 0:1,1'")
     p.add_argument("--n", type=int, default=0,
                    help="if > 0, count SAWs on the augmented graph")
-    p.set_defaults(fn=cmd_augment)
+
+
+# name -> (help, command, adds its arguments), in the order help lists them
+_COMMANDS = {
+    "catalog": ("list built-in graphs", cmd_catalog,
+                lambda p: _add_common(p, graph=False, workers=False)),
+    "count": ("exact SAW or walk counts", cmd_count, _count_args),
+    "quotient": ("build a quotient and report on it", cmd_quotient,
+                 _quotient_args),
+    "type": ("classify a quotient (shortcut)", cmd_type, _type_args),
+    "events": ("pattern-event constrained counts", cmd_events, _events_args),
+    "bounds": ("lower-bound sequences b_n", cmd_bounds, _bounds_args),
+    "ratio": ("finite-time ratio certificate", cmd_ratio, _ratio_args),
+    "verify": ("replay a certificate file", cmd_verify, _verify_args),
+    "augment": ("add a chord orbit to a lattice", cmd_augment, _augment_args),
+}
+
+
+def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
+    """The ``saw`` parser with the subparsers of ``names`` (default: all)."""
+    ap = argparse.ArgumentParser(
+        prog="saw",
+        description="Exact self-avoiding-walk enumeration, quotient "
+                    "multigraphs, and certified growth-ratio bounds.")
+    sub = ap.add_subparsers(dest="cmd", required=True, metavar="SUBCOMMAND")
+    for name in names:
+        help_, _, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_))
     return ap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
+    """Run one ``saw`` invocation (default argv: ``sys.argv[1:]``) and
+    return its exit code.
+
+    The parser holds only the subparser that ``argv[0]`` names; with no
+    argv, an option first, or an unknown name it holds all of them, so
+    the top-level help and the invalid-choice error list every one.  A
+    subcommand's help and errors come from its own subparser, and the
+    top-level usage hides the choices behind ``SUBCOMMAND``, so the
+    bytes printed do not depend on which siblings were built.  Building
+    all nine took about ten times as long as one, most of a small job.
+    Nothing is kept between calls: a cached parser would spare only
+    in-process callers, while this spares every invocation.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.cmd][1](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

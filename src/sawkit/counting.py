@@ -741,18 +741,24 @@ def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
     len(path)-1..n of a task (default: SAWs, :func:`_counts_from`) and
     vets its prefix: one that no counted walk extends counts zeros, where
     the table's rows do not already leave its steps out.  A pool process
-    receives the walker, with its table, once."""
+    receives the walker, with its table, once.  Walkers recurse once per
+    step, so a count deeper than the interpreter's recursion limit allows
+    raises a ValueError that names n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     workers = resolve_workers(workers)
     walker = walker or partial(_counts_from, table=table)
     root = ((start,), (), 1)
-    if n_max == 0 or (workers == 1 and len(maps) <= 1):
-        return walker(root, n_total=n_max)
-    pdepth, tasks = _merge_prefixes(table.row, start, n_max, maps)
-    head = walker(root, n_total=pdepth - 1)
-    return _run_split(head, tasks, partial(walker, n_total=n_max), n_max,
-                      pdepth, workers)
+    try:
+        if n_max == 0 or (workers == 1 and len(maps) <= 1):
+            return walker(root, n_total=n_max)
+        pdepth, tasks = _merge_prefixes(table.row, start, n_max, maps)
+        head = walker(root, n_total=pdepth - 1)
+        return _run_split(head, tasks, partial(walker, n_total=n_max),
+                          n_max, pdepth, workers)
+    except RecursionError:
+        raise ValueError(f"a count to depth {n_max} exceeds the "
+                         "interpreter's recursion limit") from None
 
 
 # ---------------------------------------------------------------------------

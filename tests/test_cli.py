@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through run(argv): outputs and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import sawkit.events as events
+from sawkit.certificate import RatioCertificate
 from sawkit.cli import run
 from sawkit.graphs import load_spec_file
 
@@ -429,3 +431,167 @@ def test_help_screens(cmd, capsys):
     assert run([cmd, "--help"]) == 0
     out, _ = lines_of(capsys)
     assert out[0].startswith("usage: saw")
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+EMPTY = sha("")
+SUBCOMMANDS = ["catalog", "count", "quotient", "type", "events", "bounds",
+               "ratio", "verify", "augment"]
+
+# exit code, sha256 of stdout and sha256 of stderr at COLUMNS=80, recorded
+# when every run built the subparsers of all nine subcommands
+PINNED = [
+    (["--help"], 0, "71396ae034f7962eef93ef8ed8d632d0"
+     "ea6e0b77b42010dbea65aba3caa3d01a", EMPTY),
+    (["-h"], 0, "71396ae034f7962eef93ef8ed8d632d0"
+     "ea6e0b77b42010dbea65aba3caa3d01a", EMPTY),
+    (["-h", "count"], 0, "71396ae034f7962eef93ef8ed8d632d0"
+     "ea6e0b77b42010dbea65aba3caa3d01a", EMPTY),
+    ([], 2, EMPTY, "091319798ea1d7f48f87906e6b9b7763"
+     "8744f9277f1afe89165a469b8373b1f1"),
+    (["bogus"], 2, EMPTY, "f7e01f484ba778b494e00f89fed9ea74"
+     "53feea6abb73b43f32fda948237952b1"),
+    (["--bogus"], 2, EMPTY, "091319798ea1d7f48f87906e6b9b7763"
+     "8744f9277f1afe89165a469b8373b1f1"),
+    (["catalog", "--help"], 0, "e629b348e281de1d1484f5ad98f69096"
+     "e154163f32e3ba4f0e54ef2304e24cc0", EMPTY),
+    (["count", "--help"], 0, "427acf378f4268e189ee8df4cf5a9669"
+     "8eea1f5439b0947fbdc91ab2a30959d4", EMPTY),
+    (["quotient", "--help"], 0, "3a52bb9b6316ec4b36c25f174ec48731"
+     "2cc6f49644e0aa25f514f909dafa383e", EMPTY),
+    (["type", "--help"], 0, "a7092d51bd81ad24df3f616c89007415"
+     "ee37aa14a228bb8fb46220ba4c5a6c86", EMPTY),
+    (["events", "--help"], 0, "40c4dbb4e00e902c98fafbb6cfe317c4"
+     "cbcd4e5a808decc607b45bebb7444ed2", EMPTY),
+    (["bounds", "--help"], 0, "55a36322cef9ea3ff9cceb8e561fa902"
+     "efc6f413fe6ffbb7053c84e5776a15ae", EMPTY),
+    (["ratio", "--help"], 0, "55357b01c385c0a2f88a8cb9f0734e16"
+     "3968b50b2135493073f744a099a54e29", EMPTY),
+    (["verify", "--help"], 0, "d3c1702a75cd3ae5b9b167296afd08e1"
+     "34b2ad2d0bcf2d05efabb0b7a4a29126", EMPTY),
+    (["augment", "--help"], 0, "7a9cb66c2dc50eb875c50221b6f6a96b"
+     "a17aaa8d78d27e0f880d95c089116ccb", EMPTY),
+    (["count", "--bogus"], 2, EMPTY, "a362d9893fe42be5b9ca32f2c37eb614"
+     "f78370767fc3c438dd5949aee7bbfebf"),
+    (["count", "--n", "x"], 2, EMPTY, "d8218e1075b573197916a765f4902197"
+     "2d00a49df772b7b1e80c3fef962c8565"),
+    (["count", "--graph", "zd:2", "--n", "3", "extra"], 2, EMPTY,
+     "0899fe5a32230d7c7b95ebc12366f24e311cd66fc7b46268a7af32ee03e327c9"),
+    (["catalog", "count"], 2, EMPTY, "ecb67ffecf4564c01db7bb67f1cdf897"
+     "9cf34915b1c5ebd0713d97175042c362"),
+    (["events", "--grid", "--k", "2", "--graph", "zd:2"], 2, EMPTY,
+     "f1b481021fbf2b01bce9eeb7095b426680ce2a098d7ff8121bf1d4e140f8c291"),
+    (["ratio"], 2, EMPTY, "3380e6d99d028cfea4927d10151899ad"
+     "b0ed9e8a118bace91e1a7abd1bf7b717"),
+    (["verify"], 2, EMPTY, "55ae4170d71773509854ffa76de7cb40"
+     "5d0945ed865dc5ec216f630ce3699121"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out_sha,err_sha", PINNED,
+                         ids=[" ".join(a) or "no-argv" for a, *_ in PINNED])
+def test_help_and_usage_bytes_are_pinned(argv, code, out_sha, err_sha,
+                                         capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == code
+    got = capsys.readouterr()
+    assert (sha(got.out), sha(got.err)) == (out_sha, err_sha)
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    """The top-level parsers that ``run`` parses with, in call order."""
+    seen, parse_args = [], argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    return seen
+
+
+def subcommands_of(ap):
+    sub, = [a for a in ap._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", [[cmd, "--help"] for cmd in SUBCOMMANDS]
+                         + [["count", "--graph", "zd:2", "--n", "2"]],
+                         ids=SUBCOMMANDS + ["count-job"])
+def test_run_builds_only_the_subparser_it_runs(argv, capsys, parsers):
+    run(argv)
+    ap, = parsers
+    assert subcommands_of(ap) == argv[:1]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h", "count"],
+                                  ["bogus"], ["--bogus", "count"]],
+                         ids=["no-argv", "help", "option-first", "unknown",
+                              "bad-option-first"])
+def test_run_builds_every_subparser_without_a_name_first(argv, capsys,
+                                                         parsers):
+    run(argv)
+    ap, = parsers
+    assert subcommands_of(ap) == SUBCOMMANDS
+
+
+def test_no_parser_outlives_a_run(capsys, parsers):
+    run(["catalog", "--help"])
+    run(["catalog", "--help"])
+    first, second = parsers
+    assert first is not second
+
+
+def test_events_accepts_an_unread_workers_flag(capsys):
+    # benchmarks pass --workers to every job
+    argv = ["events", *Z1MOD3, "--n", "4"]
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    assert run([*argv, "--workers", "1"]) == 0
+    assert capsys.readouterr() == plain
+
+
+DEEP_JSON = {"object": '{"a":' * 3000 + "1" + "}" * 3000,
+             "array": "[" * 200000 + "]" * 200000}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_JSON))
+def test_verify_refuses_json_nested_too_deeply(kind, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON[kind])
+    assert run(["verify", str(path)]) == 4
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "error: certificate JSON nests too deeply to decode\n"
+    with pytest.raises(ValueError, match="nests too deeply"):
+        RatioCertificate.from_json(DEEP_JSON[kind])
+
+
+@pytest.mark.parametrize("argv,depth", [
+    (["count", "--graph", "zd:1", "--n", "3000"], 3000),
+    (["bounds", "--graph", "zd:1", "--n", "1000"], 1000),
+    (["ratio", *Z1MOD3, "--budget", "1200"], 1200)],
+    ids=["count", "bounds", "ratio"])
+def test_counts_past_the_recursion_limit_exit_4(argv, depth, capsys):
+    assert run(argv) == 4
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == (f"error: a count to depth {depth} exceeds the "
+                       "interpreter's recursion limit\n")
+
+
+# the deepest counts that ran to the end before the limit was caught
+@pytest.mark.parametrize("argv,digest", [
+    (["count", "--graph", "zd:1", "--n", "1200"],
+     "554619c73eea899fb36f9ae6eae6d44fadcb541a7129e5343047b8a0115359fc"),
+    (["bounds", "--graph", "zd:1", "--n", "900"],
+     "b30a4fa9434d9bf6ee6d753bb45753fd278208106f16002f4fa4a9b3f122ff9f")],
+    ids=["count", "bounds"])
+def test_deep_counts_below_the_limit_keep_their_bytes(argv, digest, capsys):
+    assert run(argv) == 0
+    got = capsys.readouterr()
+    assert (sha(got.out), got.err) == (digest, "")
