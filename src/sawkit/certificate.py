@@ -485,7 +485,8 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
                              None, None)
     g = q.base if g is None else g
     x = _Inputs(
-        ef=event_free_series(q, family, family.length, n_budget),
+        ef=event_free_series(q, family, family.length, n_budget,
+                             workers=workers),
         ds=list(count_directed_saws(q, n_budget, workers=workers).counts),
         us=list(a_n.counts) if a_n is not None else [1], bound=b)
     supplied = len(x.us)
@@ -824,7 +825,8 @@ def _parse_payload(payload) -> tuple:
     and the cycle length; ``split`` maps an index to the split fraction
     stored on the factor records there.
 
-    The top level is an object of the certificate format; ``degree``
+    The top level is an object of the certificate format whose
+    ``version`` is the integer ``CERT_VERSION``, not a boolean; ``degree``
     >= 2, ``cycle_length`` >= 1 and ``budget`` >= 0 are integers, with
     degree**(2*cycle_length+1) inside the float range; every stored
     count c_n is an integer in [0, degree**n]; the lower-bound table is
@@ -838,6 +840,9 @@ def _parse_payload(payload) -> tuple:
         raise _Malformed("certificate is not a JSON object")
     if payload.get("format") != CERT_FORMAT:
         raise _Malformed(f"unknown format {payload.get('format')!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != CERT_VERSION:
+        raise _Malformed(f"unknown version {version!r}")
     degree, ell, budget, status = (payload.get(key) for key in
                                    ("degree", "cycle_length", "budget",
                                     "status"))

@@ -250,7 +250,7 @@ def cmd_events(args) -> int:
     family = build_cycle_family(q, rep)
     k = family.length if args.k is None else args.k
     if args.grid:
-        prof = build_event_profile(q, family, args.n)
+        prof = build_event_profile(q, family, args.n, workers=args.workers)
         rows = [(n, kk, mm if mm >= 0 else None, rr, c)
                 for (n, kk, mm, rr), c in prof.grid]
         if args.format == "json":
@@ -267,7 +267,8 @@ def cmd_events(args) -> int:
             _emit(_csv(["n", "k", "m", "r", "count"], rows), args.out)
         return 0
     r = 0 if args.r is None else args.r
-    series = event_series(q, family, k, args.n, args.m, r)
+    series = event_series(q, family, k, args.n, args.m, r,
+                          workers=args.workers)
     rows = [(n, series[n]) for n in range(args.n + 1)]
     if args.format == "json":
         doc = {"quotient": q.quotient_id, "cycle_length": str(family.length),
@@ -426,16 +427,8 @@ def _quotient_args(p):
                    help="probe radius for summary/symmetry/independence")
 
 
-def _type_args(p):
-    _add_common(p, quotient=True, workers=False)
-    p.add_argument("--radius", type=int, default=4, help=argparse.SUPPRESS)
-
-
 def _events_args(p):
-    _add_common(p, quotient=True, workers=False)
-    # accepted and never read: event series run on one worker
-    p.add_argument("--workers", type=int, default=None,
-                   help=argparse.SUPPRESS)
+    _add_common(p, quotient=True)
     p.add_argument("--n", type=int, default=8, help="maximum length")
     p.add_argument("--k", type=int, default=None,
                    help="occurrence threshold (default: full cycle length)")
@@ -484,7 +477,8 @@ _COMMANDS = {
     "count": ("exact SAW or walk counts", cmd_count, _count_args),
     "quotient": ("build a quotient and report on it", cmd_quotient,
                  _quotient_args),
-    "type": ("classify a quotient (shortcut)", cmd_type, _type_args),
+    "type": ("classify a quotient (shortcut)", cmd_type,
+             lambda p: _add_common(p, quotient=True, workers=False)),
     "events": ("pattern-event constrained counts", cmd_events, _events_args),
     "bounds": ("lower-bound sequences b_n", cmd_bounds, _bounds_args),
     "ratio": ("finite-time ratio certificate", cmd_ratio, _ratio_args),

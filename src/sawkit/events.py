@@ -14,20 +14,22 @@ Every series runs through :func:`sawkit.counting._split_counts` on
 interned orbit and family-set ids (:func:`_quotient_series`), its
 prefixes merged under the quotient's start stabiliser maps, which act on
 slots; where the stabiliser is the identity alone, the walker runs once
-from the root.  One walker, :func:`_event_walker`, counts every
+from the root.  One walker, :func:`_event_counts_from`, counts every
 (k, m, r): it keeps each set's live intersection count with the walk and
 marks a position once, when it occurs; the unwindowed zero-occurrence
 counts, which the ratio certificate consumes, are its case m=None, r=0.
 Occurrences only accumulate along an extension, so a branch dies once
 they exceed r, and one pass gives every depth.  The walker vets its own
 prefixes: it replays a prefix's arrivals, and one that already holds
-more than r occurrences counts zeros.  It is a closure, so every series
-runs on one worker, and worker settings cannot affect any count here.
+more than r occurrences counts zeros.  It is bound with ``partial``, as
+the SAW and bridge walkers are, so it pickles and honours ``workers``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from typing import Optional
 
 from .counting import _IdTable, _quotient_split, _split_counts
@@ -151,19 +153,20 @@ def build_cycle_family(q: QuotientGraph, report: Optional[TypeReport] = None,
 # The event walker on interned orbit and family-set ids
 # ---------------------------------------------------------------------------
 
-def _event_walker(table: _IdTable, family: CycleFamily, k: int,
-                  m: Optional[int], r: int):
-    """``run(task, n_total)``: the counts at most r occurrences allow of
-    the walks extending a prefix task (orbit-id path, slot indices,
-    weight), for depths len(path)-1 .. n_total.
+def _event_counts_from(task, table: _IdTable, family: CycleFamily, k: int,
+                       m: Optional[int], r: int, sets: tuple, n_total: int):
+    """The counts at most r occurrences allow of the walks extending a
+    prefix task (orbit-id path, slot indices, weight), for depths
+    len(path)-1 .. n_total.
 
-    ``pos[o]`` is orbit o's position on the walk: -1 off it, -2 until o
-    is first reached and the sets attached to it are interned.  Per set
-    id, ``mems`` holds the member ids, ``owners`` the orbits the set is
-    attached to and ``live`` its members on the walk, counted when the
-    set is interned and kept stack-fashion after; ``through[o]`` lists
-    the sets containing o.  Every set contains the orbits it is attached
-    to.
+    ``sets`` is the interned state, kept for the count as the table is.
+    ``set_ids`` maps a family set to its id; ``pos[o]`` is orbit o's
+    position on the walk: -1 off it, -2 until o is first reached and the
+    sets attached to it are interned.  Per set id, ``mems`` holds the
+    member ids, ``owners`` the orbits the set is attached to and ``live``
+    its members on the walk, counted when the set is interned and kept
+    stack-fashion after; ``through[o]`` lists the sets containing o.
+    Every set contains the orbits it is attached to.
 
     A window only widens as the walk grows, so an occurrence never goes
     away and a position is marked once, when it occurs, by the node that
@@ -174,8 +177,7 @@ def _event_walker(table: _IdTable, family: CycleFamily, k: int,
     whole test when m is None.  A node whose marks exceed r has no
     counted extension.
     """
-    set_ids: dict = {}
-    pos, through, mems, owners, live = [], [], [], [], []
+    set_ids, pos, through, mems, owners, live = sets
     keys, intern = table.keys, table.intern
     rows, row_of = table.rows, table.row
 
@@ -205,69 +207,68 @@ def _event_walker(table: _IdTable, family: CycleFamily, k: int,
                 c += 1
         return c >= k
 
-    def run(task, n_total):
-        path, _slots, weight = task
-        base = len(path) - 1
-        counts = [0] * (n_total - base + 1)
-        marked = bytearray(n_total + 1)
-        # without a window every window is the whole walk, as with m = n
-        w = n_total if m is None else m
-        grow()
+    path, _slots, weight = task
+    base = len(path) - 1
+    counts = [0] * (n_total - base + 1)
+    marked = bytearray(n_total + 1)
+    # without a window every window is the whole walk, as with m = n
+    w = n_total if m is None else m
+    grow()
 
-        # the path's orbits before its endpoint are replayed, not counted
-        def rec(o, d, wt, occ):
-            if pos[o] == -2:
-                attach(o)
-            pos[o] = d
-            # Position j's window [j - w, j + w] holds d when j >= lo, and
-            # then the walk ends inside it: only its lower end can leave a
-            # member out, none when j <= w, where live >= k decides.
-            lo = d - w if d > w else 0
-            new = []
-            for s in through[o]:
-                c = live[s] = live[s] + 1
-                if c >= k and occ <= r:
-                    for a in owners[s]:
-                        j = pos[a]
-                        if j >= lo and not marked[j] and (
-                                j <= w or held(s, j - w)):
-                            marked[j] = 1
-                            new.append(j)
-                            occ += 1
-                            if occ > r:
-                                break
-            if occ <= r:
-                if d < base:
-                    rec(path[d + 1], d + 1, wt, occ)
-                else:
-                    counts[d - base] += wt
-                    if d < n_total:
-                        row = rows[o]
-                        if row is None:
-                            row = row_of(o)
-                            grow()
-                        for t, mult in row:
-                            if pos[t] < 0:
-                                rec(t, d + 1, wt * mult, occ)
-            for s in through[o]:
-                live[s] -= 1
-            for j in new:
-                marked[j] = 0
-            pos[o] = -1
+    # the path's orbits before its endpoint are replayed, not counted
+    def rec(o, d, wt, occ):
+        if pos[o] == -2:
+            attach(o)
+        pos[o] = d
+        # Position j's window [j - w, j + w] holds d when j >= lo, and
+        # then the walk ends inside it: only its lower end can leave a
+        # member out, none when j <= w, where live >= k decides.
+        lo = d - w if d > w else 0
+        new = []
+        for s in through[o]:
+            c = live[s] = live[s] + 1
+            if c >= k and occ <= r:
+                for a in owners[s]:
+                    j = pos[a]
+                    if j >= lo and not marked[j] and (
+                            j <= w or held(s, j - w)):
+                        marked[j] = 1
+                        new.append(j)
+                        occ += 1
+                        if occ > r:
+                            break
+        if occ <= r:
+            if d < base:
+                rec(path[d + 1], d + 1, wt, occ)
+            else:
+                counts[d - base] += wt
+                if d < n_total:
+                    row = rows[o]
+                    if row is None:
+                        row = row_of(o)
+                        grow()
+                    for t, mult in row:
+                        if pos[t] < 0:
+                            rec(t, d + 1, wt * mult, occ)
+        for s in through[o]:
+            live[s] -= 1
+        for j in new:
+            marked[j] = 0
+        pos[o] = -1
 
-        rec(path[0], 0, weight, 0)
-        rec = None      # break the closure's cycle, which holds the table
-        return counts
-
-    return run
+    rec(path[0], 0, weight, 0)
+    rec = None      # break the closure's cycle, which holds the table
+    return counts
 
 
 def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
-                     n_max: int, m: Optional[int], r: int, start) -> list:
-    """The counts of :func:`_event_walker` for depths 0..n_max, split on
-    an id table of q's orbit keys with its prefixes merged under the
-    start stabiliser, whose maps carry the family sets at o onto those
-    at the image of o and keep every orbit's position on the walk."""
+                     n_max: int, m: Optional[int], r: int, start,
+                     workers: Optional[int]) -> list:
+    """The counts of :func:`_event_counts_from`, bound with ``partial``
+    and so picklable, for depths 0..n_max, split on an id table of q's
+    orbit keys with its prefixes merged under the start stabiliser, whose
+    maps carry the family sets at o onto those at the image of o and
+    keep every orbit's position on the walk."""
     if k < 1 or k > family.length:
         raise EventParameterError(
             f"threshold k={k} outside 1..{family.length}")
@@ -276,22 +277,24 @@ def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
     if r < 0:
         raise EventParameterError("occurrence allowance r must be >= 0")
     table, s0, maps = _quotient_split(q, start)
-    # one worker: the walker is a closure, which cannot be pickled
-    return _split_counts(table, s0, n_max, 1, maps,
-                         _event_walker(table, family, k, m, r))
+    return _split_counts(table, s0, n_max, workers, maps, partial(
+        _event_counts_from, table=table, family=family, k=k, m=m, r=r,
+        sets=({}, [], [], [], [], [])))
 
 
 def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
-                      n_max: int, start=None) -> list:
+                      n_max: int, start=None,
+                      workers: Optional[int] = None) -> list:
     """Exact zero-occurrence counts of the unwindowed event for every
     depth 0..n_max in one pass: :func:`event_series` with m=None, r=0.
     A task replays the arrivals along its prefix, so a prefix that
     already holds an event adds nothing."""
-    return _quotient_series(q, family, k, n_max, None, 0, start)
+    return _quotient_series(q, family, k, n_max, None, 0, start, workers)
 
 
 def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
-                 m: Optional[int] = None, r: int = 0, start=None) -> list:
+                 m: Optional[int] = None, r: int = 0, start=None,
+                 workers: Optional[int] = None) -> list:
     """Exact numbers of directed SAWs from ``start`` (a canonical orbit
     key; the origin's orbit by default) with at most r event occurrences,
     for every depth 0..n_max in one pass.
@@ -300,14 +303,13 @@ def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
     event, whose occurrences may involve vertices the walk only reaches
     later.  Occurrences are counted over all n+1 walk positions, so only
     ``r >= n+1`` is guaranteed unconstraining.  Every series comes from
-    :func:`_event_walker` through :func:`_split_counts`, which runs the
-    walker once from the root when the quotient's start stabiliser is
-    the identity alone; the unwindowed zero-occurrence series is
-    :func:`event_free_series`.
+    :func:`_event_counts_from` through :func:`_split_counts` on
+    ``workers`` (default: ``SAW_WORKERS`` or 1); the unwindowed
+    zero-occurrence series is :func:`event_free_series`.
     """
     if r == 0 and m is None:
-        return event_free_series(q, family, k, n_max, start=start)
-    return _quotient_series(q, family, k, n_max, m, r, start)
+        return event_free_series(q, family, k, n_max, start, workers)
+    return _quotient_series(q, family, k, n_max, m, r, start, workers)
 
 
 def count_with_events(q: QuotientGraph, v0, n: int, family: CycleFamily,
@@ -360,7 +362,8 @@ class EventProfile:
 
 
 def build_event_profile(q: QuotientGraph, family: CycleFamily, n_max: int,
-                        ks=None, ms=(None,), rs=(0,), start=None) -> EventProfile:
+                        ks=None, ms=(None,), rs=(0,), start=None,
+                        workers: Optional[int] = None) -> EventProfile:
     """Evaluate the event counts over a small parameter grid.
 
     Defaults probe every threshold up to the cycle length, the unwindowed
@@ -369,19 +372,17 @@ def build_event_profile(q: QuotientGraph, family: CycleFamily, n_max: int,
     column comes from one :func:`event_series` pass.
     """
     ks = tuple(range(1, family.length + 1)) if ks is None else tuple(ks)
-    entries = []
-    lambdas = []
+    entries, lambdas = [], []
     for k in ks:
         free = None
-        for m in ms:
-            for r in rs:
-                series = event_series(q, family, k, n_max, m, r, start=start)
-                if r == 0 and m is None:
-                    free = series
-                entries.extend(((n, k, -1 if m is None else m, r), c)
-                               for n, c in enumerate(series))
+        for m, r in product(ms, rs):
+            series = event_series(q, family, k, n_max, m, r, start, workers)
+            if r == 0 and m is None:
+                free = series
+            entries.extend(((n, k, -1 if m is None else m, r), c)
+                           for n, c in enumerate(series))
         if free is None:
-            free = event_free_series(q, family, k, n_max, start=start)
+            free = event_free_series(q, family, k, n_max, start, workers)
         for n in range(1, n_max + 1):
             lambdas.append(((k, n), Radical.nth_root(free[n], n)))
     return EventProfile(q.quotient_id, family.length, n_max,

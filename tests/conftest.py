@@ -1,10 +1,12 @@
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from sawkit import counting
 from sawkit.graphs import catalog
 from sawkit.quotient import build_quotient, sublattice_action, tree_action
 
@@ -53,3 +55,37 @@ def q_sqoct_ladder(sqoct):
 def q_tree_end():
     te = catalog("tree-with-end(3)")
     return build_quotient(te, tree_action("child-swap"))
+
+
+class _Pools(list):
+    """The process count of every pool started, in order; pools started
+    after ``context`` is set to a multiprocessing context use it."""
+
+    context = None
+
+
+@pytest.fixture
+def spy_pools(monkeypatch):
+    """The max_workers of every real pool started, on a host that reports
+    two CPUs."""
+    pools = _Pools()
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers,
+                             mp_context=pools.context,
+                             initializer=initializer, initargs=initargs)
+
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
+    return pools
+
+
+@pytest.fixture
+def forced_pool(spy_pools, monkeypatch):
+    """:func:`spy_pools`, with every split count's tasks sent to the pool,
+    though most counts here are below the break-even."""
+    monkeypatch.setattr(counting, "_POOL_SAMPLE_NODES", 0)
+    monkeypatch.setattr(counting, "_POOL_BREAK_EVEN_NODES", 0)
+    return spy_pools

@@ -283,6 +283,20 @@ def test_unknown_format_is_rejected(golden):
     assert not rep.ok
 
 
+# anything but the integer version, a boolean or a missing field included
+@pytest.mark.parametrize("version", [999, "1", [1], True, "missing"])
+def test_unknown_version_is_rejected(golden, version):
+    def forge(p):
+        if version == "missing":
+            del p["version"]
+        else:
+            p["version"] = version
+    rep = verify_certificate(_tampered(golden, forge))
+    assert not rep.ok and rep.status == "certified"
+    shown = None if version == "missing" else version
+    assert rep.lines == [f"FAIL unknown version {shown!r}"]
+
+
 def test_check_record_round_trip():
     rec = CheckRecord("event_decay", 3, "0", "2/3", True, "exact-root",
                       (("split_fraction", "0.5"),))

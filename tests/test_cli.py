@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import sawkit.certificate as certificate
 import sawkit.events as events
 from sawkit.certificate import RatioCertificate
 from sawkit.cli import run
@@ -415,6 +416,7 @@ AUGMENT = ["augment", "--graph", "zd:2", "--chord", "0:0,0 0:1,1"]
     (["catalog"], ["--workers", "1"]),
     (["quotient", *Z1MOD3], ["--workers", "1"]),
     (["type", *Z1MOD3], ["--workers", "1"]),
+    (["type", *Z1MOD3], ["--radius", "3"]),
     (VERIFY, ["--workers", "1"]),
     (["ratio", *Z1MOD3, "--mu-exact", "1"], ["--format", "json"]),
     (VERIFY, ["--format", "json"])])
@@ -464,8 +466,9 @@ PINNED = [
      "2cc6f49644e0aa25f514f909dafa383e", EMPTY),
     (["type", "--help"], 0, "a7092d51bd81ad24df3f616c89007415"
      "ee37aa14a228bb8fb46220ba4c5a6c86", EMPTY),
-    (["events", "--help"], 0, "40c4dbb4e00e902c98fafbb6cfe317c4"
-     "cbcd4e5a808decc607b45bebb7444ed2", EMPTY),
+    # re-recorded when --workers became an ordinary, listed events flag
+    (["events", "--help"], 0, "3997f5e0e4b430652d89c8652d8b7c7b"
+     "5f9ce09e7ae71ad65d3cdbfda33fe87a", EMPTY),
     (["bounds", "--help"], 0, "55a36322cef9ea3ff9cceb8e561fa902"
      "efc6f413fe6ffbb7053c84e5776a15ae", EMPTY),
     (["ratio", "--help"], 0, "55357b01c385c0a2f88a8cb9f0734e16"
@@ -546,13 +549,33 @@ def test_no_parser_outlives_a_run(capsys, parsers):
     assert first is not second
 
 
-def test_events_accepts_an_unread_workers_flag(capsys):
-    # benchmarks pass --workers to every job
-    argv = ["events", *Z1MOD3, "--n", "4"]
-    assert run(argv) == 0
-    plain = capsys.readouterr()
-    assert run([*argv, "--workers", "1"]) == 0
-    assert capsys.readouterr() == plain
+def test_events_and_ratio_print_the_same_bytes_on_two_workers(
+        capsys, forced_pool, monkeypatch):
+    # each of the ratio's three series is asked for the --workers count
+    asked = []
+    for name in ("event_free_series", "count_directed_saws", "count_saws"):
+        def spy(*args, real=getattr(certificate, name), name=name, **kw):
+            asked.append((name, kw["workers"]))
+            return real(*args, **kw)
+        monkeypatch.setattr(certificate, name, spy)
+    ladder3 = ["--graph", "ladder", "--sublattice", "3"]
+    for argv in (["events", *ladder3, "--n", "8"],
+                 ["events", *ladder3, "--n", "8", "--m", "1", "--r", "1"],
+                 ["events", *ladder3, "--n", "8", "--grid"],
+                 ["ratio", *ladder3, "--mu-exact", "1.6", "--budget", "14",
+                  "--deterministic"]):
+        outs = []
+        for workers in (1, 2):
+            asked.clear()
+            forced_pool.clear()
+            assert run([*argv, "--workers", str(workers)]) == 0
+            outs.append(capsys.readouterr())
+            assert forced_pool == [2] * len(forced_pool)
+            assert bool(forced_pool) == (workers == 2)
+            assert all(w == workers for _, w in asked)
+        assert outs[1] == outs[0]
+    assert {name for name, _ in asked} == {
+        "event_free_series", "count_directed_saws", "count_saws"}
 
 
 DEEP_JSON = {"object": '{"a":' * 3000 + "1" + "}" * 3000,

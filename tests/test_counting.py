@@ -5,8 +5,6 @@ path-list enumeration, written before the engines) and must never be
 edited to match an engine.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 import sawkit.counting as counting
@@ -210,23 +208,6 @@ def test_resolve_workers(monkeypatch):
         with pytest.raises(ValueError, match="SAW_WORKERS must be a "
                                              "positive integer"):
             resolve_workers()
-
-
-@pytest.fixture
-def spy_pools(monkeypatch):
-    """The max_workers of every real pool started, on a host that reports
-    two CPUs."""
-    pools = []
-
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, initializer=None, initargs=()):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers,
-                             initializer=initializer, initargs=initargs)
-
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
-    return pools
 
 
 @pytest.mark.parametrize("graph,n,pooled", [("zd(3)", 8, []),

@@ -158,9 +158,10 @@ def test_event_profile_enumerates_once_per_k(q_sqoct_ladder, monkeypatch):
 
     calls = []
 
-    def counted(q, family, k, n_max, start=None):
+    def counted(q, family, k, n_max, start=None, workers=None):
         calls.append(k)
-        return event_free_series(q, family, k, n_max, start=start)
+        return event_free_series(q, family, k, n_max, start=start,
+                                 workers=workers)
 
     monkeypatch.setattr(events, "event_free_series", counted)
     prof = build_event_profile(q_sqoct_ladder, fam, 8)

@@ -8,8 +8,8 @@ start orbit, to descend to the quotient's rows and to carry the cycle
 family onto itself.
 """
 
+import multiprocessing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -206,22 +206,7 @@ def test_counting_leaves_the_quotient_as_it_was():
     assert set(vars(q)) == before
 
 
-def test_directed_counts_match_across_workers(monkeypatch):
-    # report two CPUs so that a real two-process pool runs on any host
-    pools = []
-
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, initializer=None, initargs=()):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers,
-                             initializer=initializer, initargs=initargs)
-
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
-    # and send every task to it, though these counts are below the
-    # break-even
-    monkeypatch.setattr(counting, "_POOL_SAMPLE_NODES", 0)
-    monkeypatch.setattr(counting, "_POOL_BREAK_EVEN_NODES", 0)
+def test_directed_counts_match_across_workers(forced_pool, monkeypatch):
     cases = [("zd:3", "3 0 0;0 3 0;0 0 3", 9), ("zd:2", "2 1;0 3", 9),
              ("ladder", "3", 10), ("square-octagon", "1 -1", 12),
              ("tree-with-end(3)", "child-swap", 10)]
@@ -229,7 +214,7 @@ def test_directed_counts_match_across_workers(monkeypatch):
         q = _quotient(graph, rows)
         assert count_directed_saws(q, n, workers=2).counts == \
             count_directed_saws(q, n, workers=1).counts, rows
-    assert pools == [2] * len(cases)
+    assert forced_pool == [2] * len(cases)
     # on one worker a quotient whose stabiliser is the identity alone
     # merges nothing, so each of its series runs once from the root
     merged = []
@@ -248,6 +233,21 @@ def test_directed_counts_match_across_workers(monkeypatch):
         event_series(q, fam, fam.length, n, m=2, r=1)
     count_directed_saws(_quotient(*cases[0][:2]), 6, workers=1)
     assert merged == [6]
+
+
+# a spawned process receives the walker pickled, a forked one inherits it
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_event_series_match_across_workers(method, forced_pool):
+    forced_pool.context = multiprocessing.get_context(method)
+    for graph, rows, n in (("zd:3", "3 0 0;0 3 0;0 0 3", 9),
+                           ("tree-with-end(3)", "child-swap", 10)):
+        q = _quotient(graph, rows)
+        fam = build_cycle_family(q)
+        assert event_free_series(q, fam, fam.length, n, workers=2) == \
+            event_free_series(q, fam, fam.length, n, workers=1), rows
+        assert event_series(q, fam, 2, n, m=1, r=1, workers=2) == \
+            event_series(q, fam, 2, n, m=1, r=1, workers=1), rows
+    assert forced_pool == [2] * 4
 
 
 def test_non_canonical_starts_are_refused(q_z2mod22):

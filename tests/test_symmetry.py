@@ -4,15 +4,16 @@ The stabiliser maps are checked against the graph's own neighbour lists,
 and merged counts against the frozen lists and the naive oracles.
 """
 
+import pickle
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
 from oracles import naive_bridge_counts, naive_saw_counts
+from sawkit import bounds, counting, events
 from sawkit.bounds import bridge_counts
-from sawkit import counting
 from sawkit.cli import run
 from sawkit.counting import (_IdTable, _lattice_split,
                              _merge_prefixes, count_directed_saws, count_saws,
@@ -175,22 +176,7 @@ def test_merged_counts_from_other_cells(capsys):
     assert [int(r.split(",")[1]) for r in rows] == SAW_LADDER_10[1:]
 
 
-def test_merged_counts_match_across_workers(doubled, monkeypatch):
-    # report two CPUs so that a real two-process pool runs on any host
-    pools = []
-
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, initializer=None, initargs=()):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers,
-                             initializer=initializer, initargs=initargs)
-
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
-    # and send every task to it, though these counts are below the
-    # break-even
-    monkeypatch.setattr(counting, "_POOL_SAMPLE_NODES", 0)
-    monkeypatch.setattr(counting, "_POOL_BREAK_EVEN_NODES", 0)
+def test_merged_counts_match_across_workers(doubled, forced_pool):
     # the word graph runs the unmerged split, and its table pickles with
     # the handle inside; the ladder's tasks reach past its tail memo's
     # depth of 6, which the pool processes go on filling
@@ -200,7 +186,7 @@ def test_merged_counts_match_across_workers(doubled, monkeypatch):
                  (catalog("ladder"), 16)):
         assert count_saws(g, n_max=n, workers=2).counts == \
             count_saws(g, n_max=n, workers=1).counts
-    assert pools == [2] * 6
+    assert forced_pool == [2] * 6
 
 
 def test_task_lists_do_not_depend_on_workers(monkeypatch):
@@ -227,38 +213,59 @@ def test_task_lists_do_not_depend_on_workers(monkeypatch):
         assert len(lists[0]) == 1 and lists[0] == lists[1]
         assert len(lists[0][0][1]) > 1
     # both event series split the cube quotient as its directed count
-    # does, on one worker
+    # does, on either worker count
     fam = build_cycle_family(cube)
-    for series in (lambda: event_free_series(cube, fam, 3, 8),
-                   lambda: event_series(cube, fam, 3, 8, m=2, r=1)):
-        seen.clear()
-        series()
-        assert seen == lists[0]
+    for series in (lambda w: event_free_series(cube, fam, 3, 8, workers=w),
+                   lambda w: event_series(cube, fam, 3, 8, m=2, r=1,
+                                          workers=w)):
+        for workers in (1, 2):
+            seen.clear()
+            series(workers)
+            assert seen == lists[0]
 
 
-def test_each_pool_process_receives_the_table_once(monkeypatch):
+def test_each_pool_process_receives_the_table_once(spy_pools, monkeypatch):
     # the walker goes to a pool process with its table when the process
     # starts, not with every chunk of tasks; a fork sends it unpickled
-    pools, pickled = [], []
-
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, initializer=None, initargs=()):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers,
-                             initializer=initializer, initargs=initargs)
+    pickled = []
 
     def reduce_ex(table, protocol):
         pickled.append(len(table.keys))
         return object.__reduce_ex__(table, protocol)
 
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(_IdTable, "__reduce_ex__", reduce_ex, raising=False)
     # the ladder at n=26 is past the break-even, as n=22 is no more
     ladder = catalog("ladder")
     one = count_saws(ladder, n_max=26, workers=1).counts
     assert count_saws(ladder, n_max=26, workers=2).counts == one
-    assert pools == [2] and len(pickled) <= 2
+    assert spy_pools == [2] and len(pickled) <= 2
+
+
+def test_every_walker_pickles(monkeypatch):
+    # a spawn or forkserver pool, the default off Linux, pickles the
+    # walker for each process, so a closure walker would fail there only
+    kinds = []
+    real = counting._split_counts
+
+    def spy(table, start, n_max, workers, maps=(), walker=None):
+        walker = walker or partial(counting._counts_from, table=table)
+        assert pickle.loads(pickle.dumps(walker)).func is walker.func
+        kinds.append(walker.func.__name__)
+        return real(table, start, n_max, workers, maps, walker)
+
+    for module in (counting, bounds, events):
+        monkeypatch.setattr(module, "_split_counts", spy)
+    cube = build_quotient(catalog("zd:3"), sublattice_action(
+        [[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
+    fam = build_cycle_family(cube)
+    count_saws(catalog("zd:2"), n_max=6)
+    count_saws(CayleyGraph(Z2_PRESENTATION, "z2"), n_max=4)
+    bridge_counts(2, 6)
+    count_directed_saws(cube, 6)
+    event_free_series(cube, fam, 3, 6)
+    event_series(cube, fam, 3, 6, m=2, r=1)
+    assert kinds == ["_counts_from"] * 2 + ["_bridge_counts_from"] + \
+        ["_counts_from"] + ["_event_counts_from"] * 2
 
 
 @pytest.mark.parametrize("d,n", [(1, 10), (2, 8), (3, 6)])
