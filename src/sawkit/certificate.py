@@ -61,8 +61,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, wraps
-from itertools import accumulate, repeat
+from functools import wraps
 from typing import Callable, Optional
 
 from .bounds import BoundError, LowerBoundSequence
@@ -805,12 +804,15 @@ def _close(a: float, b: float) -> bool:
                       abs(a - b) <= _REPLAY_RTOL * max(abs(a), abs(b)))
 
 
-@lru_cache(maxsize=8)
-def _count_caps(degree: int, length: int) -> tuple:
-    """degree**n for n < length: a walk has at most degree choices per
-    step, so no stored count c_n exceeds degree**n."""
-    return tuple(accumulate(repeat(degree, length - 1), operator.mul,
-                            initial=1))
+def _count_fault(values: list, degree: int) -> Optional[int]:
+    """The first n whose count values[n] is not in [0, degree**n], else
+    None: a walk has at most degree choices per step.  A count of at most
+    n*floor(log2(degree)) bits passes on its length; only a longer one
+    meets degree**n, which then has at most twice its bits."""
+    k = degree.bit_length() - 1
+    return next((n for n, v in enumerate(values)
+                 if v < 0 or v.bit_length() > n * k and v > degree ** n),
+                None)
 
 
 class _Malformed(ValueError):
@@ -830,8 +832,12 @@ def _parse_payload(payload) -> tuple:
     >= 2, ``cycle_length`` >= 1 and ``budget`` >= 0 are integers, with
     degree**(2*cycle_length+1) inside the float range; every stored
     count c_n is an integer in [0, degree**n]; the lower-bound table is
-    a non-decreasing list of exact roots of index at most max(budget, 2),
-    labelled n = 1..k in order; every check parses as a
+    a non-decreasing list of exact roots labelled n = 1..k in order, the
+    one labelled n a rational or the root of index at most max(n, 2) of
+    an integer at most degree**n (a bridge entry is the n-th root of a
+    bridge count or an earlier entry, the degree bound the square root of
+    degree - 1, a constant rational), so that comparing two roots costs
+    powers bounded by their labels; every check parses as a
     :class:`CheckRecord` with a string name and method and an index in
     1..max(budget, 1); an interval check carries a numeric lhs, and a
     factor check a split fraction in (0, 1).
@@ -877,12 +883,9 @@ def _parse_payload(payload) -> tuple:
         if values is None:
             raise _Malformed(f"counts.{key} is not a list of integers")
         series.append(values)
-    caps = _count_caps(degree, max(map(len, series)))
     for key, values in zip(_SERIES, series):
-        if values and (min(values) < 0 or
-                       not all(map(operator.le, values, caps))):
-            n = next(n for n, (v, cap) in enumerate(zip(values, caps))
-                     if not 0 <= v <= cap)
+        n = _count_fault(values, degree)
+        if n is not None:
             raise _Malformed(f"counts.{key}[{n}] = {counts[key][n]!r} is "
                              f"not an integer in [0, degree**{n}]")
     entries = counts.get("lower_bound")
@@ -896,10 +899,15 @@ def _parse_payload(payload) -> tuple:
             not all(type(n) is int for n in labels):
         raise _Malformed("counts.lower_bound is not labelled n = 1..k "
                          "in order")
-    top = max(budget, 2)
-    if not all(v.idx <= top for v in values):
-        raise _Malformed(f"counts.lower_bound holds a root of index above "
-                         f"{top}")
+    # the radicand labelled n is at most degree**n, like a count c_n
+    over = _count_fault([1] + [v.rad for v in values], degree)
+    fault = next((n for n, v in zip(labels, values) if n == over or v.idx > 1
+                  and (v.idx > max(n, 2) or (v.num, v.den) != (1, 1))), None)
+    if fault is not None:
+        raise _Malformed(f"counts.lower_bound[{fault - 1}] is neither a "
+                         f"rational nor a root of index at most "
+                         f"{max(fault, 2)} of an integer at most "
+                         f"degree**{fault}")
     try:
         bound = LowerBoundSequence(
             str(payload.get("graph")), values,
@@ -1016,8 +1024,11 @@ def _earliest_fault(search: _Search, checks: list, lo: int,
     where the search has follow-up checks, passes those too)."""
     k = len(search.names)
     probes = [c for c in checks if c.name in search.names]
-    order = [(n, name) for n in range(lo, chosen + 1) for name in search.names]
-    if not order or [(c.index, c.name) for c in probes] != order:
+    # the count first: lo..chosen may be far longer than the stored list
+    if chosen < lo or len(probes) != (chosen - lo + 1) * k or \
+            [(c.index, c.name) for c in probes] != \
+            [(n, name) for n in range(lo, chosen + 1)
+             for name in search.names]:
         return f"{search.what} search does not probe {lo}..{chosen} " \
                "contiguously"
     holds = [all(c.holds for c in probes[i:i + k])

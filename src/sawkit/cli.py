@@ -101,16 +101,20 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     d = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".saw-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".saw-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as e:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(e, OSError):  # name the file asked for, not the temp
+            raise OSError(e.errno, e.strerror, out) from None
         raise
 
 
@@ -203,9 +207,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    report = args.report
+    if args.format == "json" and report != "type":
+        raise UsageError(f"--format json applies only to the type report, "
+                         f"not to --report {report}")
     g = _graph_from(args)
     q = build_quotient(g, _action_from(args))
-    report = args.report
     if report == "summary":
         _emit(q.to_text(probe_radius=args.radius) + "\n", args.out)
         return 0
@@ -358,9 +365,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    if args.workers is not None and not args.n:
-        raise UsageError("--workers applies only to a SAW count, "
-                         "which needs --n")
+    for flag, given in (("--workers", args.workers is not None),
+                        ("--format json", args.format == "json")):
+        if given and not args.n:
+            raise UsageError(f"{flag} applies only to a SAW count, "
+                             "which needs --n")
     g = _graph_from(args)
     parts = args.chord.split()
     if len(parts) != 2:

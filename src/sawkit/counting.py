@@ -578,16 +578,13 @@ def _quotient_split(q: QuotientGraph, start=None) -> tuple:
     (id, slot) -> slot.
 
     The start must be the canonical key of its orbit, with a valid base
-    vertex as its representative; any other key is refused, because its
-    rows belong to no orbit and would give wrong counts.
+    vertex as its representative; :meth:`QuotientGraph.validate_key`
+    refuses any other key, because its rows belong to no orbit and would
+    give wrong counts.
     """
     if start is None:
         start = q.origin_orbit()
-    rep = q.rep_of(start)
-    q.base.validate_key(rep)
-    if q.orbit_of(rep) != start:
-        raise ValueError(f"start {start!r} is not a canonical orbit key "
-                         f"(its orbit's key is {q.orbit_of(rep)!r})")
+    q.validate_key(start)
     table = _IdTable(q.drow)
     s0 = table.intern(start)
     return table, s0, [partial(_quotient_slot, table, sigma)
@@ -851,14 +848,18 @@ def count_walks(g: GraphHandle, v0=None, n_max: int = 0) -> list:
 
 
 def count_directed_walks(q: QuotientGraph, n_max: int, start=None) -> list:
-    """All directed n-step walks on the quotient (loops usable)."""
+    """All directed n-step walks on the quotient (loops usable) from a
+    start orbit given by its canonical key (default: the origin's)."""
     start = q.origin_orbit() if start is None else start
+    q.validate_key(start)
     return _walk_counts(q.drow, start, n_max)
 
 
 def _walk_counts(source, v0, n_max: int) -> list:
     """Walk counts for depths 0..n_max from v0, where ``source(v)`` lists
     v's out-slots as (target, ..., multiplicity) tuples."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     counts = [1]
     frontier = {v0: 1}
     for _ in range(n_max):

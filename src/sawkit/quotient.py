@@ -27,6 +27,9 @@ quotient once edge slots are numbered consistently; :func:`lift` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
+from math import prod
 from typing import Optional
 
 from .graphs import (GraphHandle, GraphError, PeriodicLattice, TreeWithEnd,
@@ -180,16 +183,23 @@ class QuotientGraph:
 
     Orbit keys are canonical and hashable: reduced (cell, offset) pairs
     for sublattice actions, integers (levels, or levels mod k) for the
-    tree actions.  ``finite`` tells whether the orbit set is finite; when
-    it is, ``orbits`` lists all keys and ``orbit_count`` their number.
-    Adjacency rows are cached on demand either way, so infinite-orbit
-    quotients cost only what is actually probed.
+    tree actions; :meth:`validate_key` alone decides what is one.
+    ``finite`` tells whether the orbit set is finite; when it is,
+    ``orbit_count`` is their number and ``orbits`` lists every key, worked
+    out the first time it is read.  Each adjacency row is built the first
+    time it is asked for, so a quotient costs only what is probed.
+
+    No row needs an out-degree check: a row tallies the entries of the
+    base graph's ``expanded_neighbors`` at one vertex, and every handle
+    lists exactly ``degree`` of them there (a :class:`PeriodicLattice`
+    refuses cells of unequal degree; a :class:`TreeWithEnd` lists d keys).
     """
 
     def __init__(self, base: GraphHandle, action: SubgroupAction):
         self.base = base
         self.action = action
         self.quotient_id = f"{base.graph_id}/{action.action_id()}"
+        self._rows: dict = {}       # orbit -> tuple of (target_orbit, mult)
 
         if action.kind == "sublattice":
             if not isinstance(base, PeriodicLattice):
@@ -199,43 +209,23 @@ class QuotientGraph:
                 raise InvalidActionError(
                     f"sublattice rows must have length {base.dimension}")
             self._hnf, self._piv = hermite_rows(action.rows, base.dimension)
-            rank = len(self._hnf)
-            self.finite = rank == base.dimension
-            if self.finite:
-                diag = [self._hnf[j][self._piv[j]] for j in range(rank)]
-                self.orbit_count: Optional[int] = base.cells
-                for v in diag:
-                    self.orbit_count *= v
-            else:
-                self.orbit_count = None
-            self._mode = "sublattice"
+            self._diag = tuple(r[c] for r, c in zip(self._hnf, self._piv))
+            self.finite = len(self._hnf) == base.dimension
+            self.orbit_count: Optional[int] = \
+                base.cells * prod(self._diag) if self.finite else None
         else:
             if not isinstance(base, TreeWithEnd):
                 raise InvalidActionError(
                     "catalog tree actions require a tree-with-end graph")
-            if action.name == "child-swap":
-                self.finite, self.orbit_count = False, None
-                self._shift = 0
-            else:
-                self._shift = int(action.name.split(":", 1)[1])
-                self.finite, self.orbit_count = True, self._shift
-            self._mode = "tree"
-
-        self._rows: dict = {}       # orbit -> tuple of (target_orbit, mult)
-        self.orbits: Optional[tuple] = None
-        if self.finite:
-            self.orbits = self._enumerate_orbits()
-            for o in self.orbits:       # populate rows + degree invariant
-                row = self.drow(o)
-                out = sum(m for _, m in row)
-                if out != base.degree:
-                    raise QuotientError(
-                        f"orbit {o!r} has out-multiplicity {out} != degree")
+            self._shift = 0 if action.name == "child-swap" else \
+                int(action.name.split(":", 1)[1])
+            self.finite = self._shift > 0
+            self.orbit_count = self._shift or None
 
     # -- orbit machinery -----------------------------------------------------
 
     def orbit_of(self, v):
-        if self._mode == "sublattice":
+        if self.action.kind == "sublattice":
             c, x = v
             return (c, reduce_mod_lattice(x, self._hnf, self._piv))
         lvl = self.base.level(v)
@@ -243,23 +233,33 @@ class QuotientGraph:
 
     def rep_of(self, o):
         """The canonical representative vertex of an orbit key."""
-        if self._mode == "sublattice":
+        if self.action.kind == "sublattice":
             return o
         return (o, ())
 
-    def _enumerate_orbits(self) -> tuple:
-        if self._mode == "tree":
+    def validate_key(self, o) -> None:
+        """Refuse anything but the canonical key of an orbit: the base
+        graph refuses a malformed representative with its
+        ``InvalidVertexError``, and a ``ValueError`` names the canonical
+        key of the orbit the representative lies in."""
+        rep = self.rep_of(o)
+        self.base.validate_key(rep)
+        key = self.orbit_of(rep)
+        if key != o:
+            raise ValueError(f"{o!r} is not a canonical orbit key "
+                             f"(its orbit's key is {key!r})")
+
+    @cached_property
+    def orbits(self) -> Optional[tuple]:
+        """Every orbit key of a finite quotient, sorted; None otherwise.
+        At full rank the canonical offsets form the box prod_j [0, pivot_j)
+        over the pivot columns, one per coset, listed in order."""
+        if not self.finite:
+            return None
+        if self.action.kind != "sublattice":
             return tuple(range(self._shift))
-        # Full-rank sublattice: canonical representatives form the box
-        # prod_j [0, pivot_j) over the pivot columns (all columns at full
-        # rank), one per coset.
-        diag = [self._hnf[j][self._piv[j]] for j in range(len(self._hnf))]
-        offsets = [()]
-        for dv in diag:
-            offsets = [o + (t,) for o in offsets for t in range(dv)]
-        return tuple(sorted((c, off)
-                            for c in range(self.base.cells)
-                            for off in offsets))
+        return tuple((c, off) for c in range(self.base.cells)
+                     for off in product(*map(range, self._diag)))
 
     def drow(self, o) -> tuple:
         """Directed adjacency row: sorted tuple of (target_orbit, mult),
@@ -417,7 +417,25 @@ def classify_type(q: QuotientGraph) -> TypeReport:
 # Undirected derivations
 # ---------------------------------------------------------------------------
 
-class DerivedSimpleGraph(GraphHandle):
+class _DerivedGraph(GraphHandle):
+    """An undirected graph on the orbit keys of ``quotient``, whose
+    origin is the origin's orbit and whose keys the quotient validates."""
+
+    def __init__(self, q: QuotientGraph, suffix: str):
+        self.quotient = q
+        self.graph_id = f"{q.quotient_id}|{suffix}"
+
+    def origin(self):
+        return self.quotient.origin_orbit()
+
+    def validate_key(self, v) -> None:
+        self.quotient.validate_key(v)
+
+    def key_str(self, v) -> str:
+        return repr(v)
+
+
+class DerivedSimpleGraph(_DerivedGraph):
     """Simple undirected graph on orbit keys: one edge wherever any
     directed multiplicity is positive, loops dropped.
 
@@ -429,31 +447,15 @@ class DerivedSimpleGraph(GraphHandle):
     """
 
     def __init__(self, q: QuotientGraph):
-        self.quotient = q
-        self.graph_id = f"{q.quotient_id}|simple"
+        super().__init__(q, "simple")
         self.is_simple = True
-        self.is_acyclic = False
         self.degree = len(self.expanded_neighbors(self.origin()))
-
-    def origin(self):
-        return self.quotient.origin_orbit()
-
-    def validate_key(self, v) -> None:
-        try:
-            ok = self.quotient.orbit_of(self.quotient.rep_of(v)) == v
-        except Exception:
-            ok = False
-        if not ok:
-            raise GraphError(f"not an orbit key: {v!r}")
 
     def expanded_neighbors(self, v) -> tuple:
         return tuple(sorted(t for t, m in self.quotient.drow(v) if t != v))
 
-    def key_str(self, v) -> str:
-        return repr(v)
 
-
-class DerivedMultigraph(GraphHandle):
+class DerivedMultigraph(_DerivedGraph):
     """Undirected multigraph on orbit keys retaining multiplicities.
 
     Defined only for finite quotients whose multiplicity table is
@@ -469,28 +471,16 @@ class DerivedMultigraph(GraphHandle):
         if not check_symmetry(q):
             raise SymmetryRequiredError(
                 "multiplicity-retaining derivation needs a symmetric quotient")
-        self.quotient = q
-        self.graph_id = f"{q.quotient_id}|multi"
+        super().__init__(q, "multi")
         self.is_simple = all(m == 1 and t != o
                              for o in q.orbits for t, m in q.drow(o))
-        self.is_acyclic = False
         self.degree = q.base.degree
-
-    def origin(self):
-        return self.quotient.origin_orbit()
-
-    def validate_key(self, v) -> None:
-        if v not in set(self.quotient.orbits):
-            raise GraphError(f"not an orbit key: {v!r}")
 
     def expanded_neighbors(self, v) -> tuple:
         out = []
         for t, m in self.quotient.drow(v):
             out.extend([t] * m)
         return tuple(out)
-
-    def key_str(self, v) -> str:
-        return repr(v)
 
 
 def derive_undirected(q: QuotientGraph, keep_multiplicity: bool) -> GraphHandle:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from sawkit.bounds import LowerBoundSequence, bridge_bounds
 from sawkit.certificate import (CertificateError, CheckRecord,
                                 NoContractionError, RatioCertificate, _BLOCK,
-                                _FLOAT_PARAMETERS, _Inputs, _earliest_fault,
+                                _FLOAT_PARAMETERS, _Inputs, _count_fault,
+                                _earliest_fault,
                                 certify_ratio, compute_R, compute_S,
                                 find_epsilon_m, verify_certificate)
 from sawkit.cli import run
@@ -468,11 +470,18 @@ def test_malformed_field_is_one_fail_line(request, mutate, text, tmp_path,
 def test_relabelled_bound_table_is_read_by_its_labels(zd1_bridges_cert,
                                                       zd2_bridges_cert):
     # dropping n = 1 and relabelling the rest n - 1 gives a well-labelled
-    # table.  On Z^2 every check that reads a moved value fails; on Z the
-    # bridge roots are all 1, so every value a check reads is unchanged
-    # and the certificate is the same proof.
+    # table.  On Z^2 the entry now labelled 2 is a cube root, above the
+    # index its label allows; on Z the bridge roots are all 1, so every
+    # value a check reads is unchanged and the certificate is the same
+    # proof.
     rep = verify_certificate(_tampered(zd2_bridges_cert,
                                        _FIRST_DROPPED_RELABELLED))
+    _fails_once(rep, "counts.lower_bound[1] is neither a rational nor a "
+                "root of index at most 2")
+    # each entry moved one label up stays within its label's index, and
+    # every check that reads a moved value fails
+    rep = verify_certificate(_tampered(zd2_bridges_cert, _bound_table(
+        lambda t: [dict(e, n=n) for n, e in enumerate(t[:1] + t[:-1], 1)])))
     assert not rep.ok
     assert any("event_decay[2] value mismatch" in line for line in rep.lines)
     rep = verify_certificate(_tampered(zd1_bridges_cert,
@@ -581,6 +590,94 @@ def test_top_level_non_object_is_one_fail_line(doc, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out.startswith("CONTRADICTION: ?")
     assert "Traceback" not in out.err
+
+
+def _peak_bytes(fn):
+    """fn's result and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_HUGE = 2 ** 70
+
+
+def _huge_index(key):
+    def edit(p):
+        p["budget"] = _HUGE
+        if key == "root":
+            p["counts"]["lower_bound"][0]["value"] = {
+                "num": "1", "den": "1", "rad": "2", "idx": _HUGE}
+        else:
+            p["parameters"][key] = _HUGE
+    return edit
+
+
+@pytest.mark.parametrize("key,text", [
+    ("decay_index", "decay index search does not probe 1.."),
+    ("agreement_index", "agreement index search does not probe 2.."),
+    ("block_length", "block length search does not probe 1.."),
+    ("root", "counts.lower_bound[0] is neither a rational nor a root of "
+             "index at most 2")])
+def test_huge_index_is_a_fail_line(golden, key, text):
+    # a budget of 2**70 lets an index that large through the range checks;
+    # the verifier must not build lo..index or compare a 2**70-th root
+    bad = _tampered(golden, _huge_index(key))
+    rep, peak = _peak_bytes(lambda: verify_certificate(bad))
+    assert not rep.ok and rep.status == "certified"
+    assert any(line.startswith("FAIL " + text) for line in rep.lines), \
+        rep.lines
+    assert peak < 4 * 2 ** 20
+
+
+def test_huge_degree_with_long_zero_series_is_a_verdict(golden):
+    # degree**(2*1+1) is inside the float range, but degree**n for every
+    # n up to 20 000 would take gigabytes
+    def forge(p):
+        p.update(degree=2 ** 300, cycle_length=1)
+        p["counts"]["undirected"] = ["0"] * 20000
+    bad = _tampered(golden, forge)
+    assert len(bad.to_json()) > 100_000
+    rep, peak = _peak_bytes(lambda: verify_certificate(bad))
+    assert not rep.ok and any(line.startswith("FAIL") for line in rep.lines)
+    assert peak < 4 * 2 ** 20
+
+
+def test_count_fault_checks_each_count_against_its_power():
+    # degree 2: counts far past any small power, exact at the boundary
+    counts = [2 ** n for n in range(300)]
+    assert _count_fault(counts, 2) is None
+    assert _count_fault(counts[:10], 2) is None
+    for n, bad in ((280, 2 ** 280 + 1), (299, -1), (3, 9), (0, 2)):
+        assert _count_fault(counts[:n] + [bad] + counts[n + 1:], 2) == n
+    assert _count_fault([1, 6, 30, 150, 726], 6) is None
+    assert _count_fault([1, 6, 36, 217], 6) == 3
+    assert _count_fault([1, 7], 6) == 1
+    assert _count_fault([], 6) is None
+
+
+def test_big_roots_at_large_labels_are_a_fail_line(golden):
+    # two entries at labels 999 and 1000: a 1000-bit numerator would make
+    # their comparison raise it to the power lcm(999, 1000), and a radicand
+    # past degree**label does the same through the radicand
+    def table(num, rad):
+        def edit(p):
+            t = p["counts"]["lower_bound"]
+            top = dict(t[-1], value=dict(t[-1]["value"]))
+            t[:] = t + [dict(top, n=n) for n in range(len(t) + 1, 1001)]
+            for e in t[-2:]:
+                e["value"] = {"num": str(num), "den": "1", "rad": str(rad),
+                              "idx": e["n"]}
+        return edit
+    for num, rad in ((2 ** 1000 + 1, 3), (1, 2 ** 2500 + 1)):
+        bad = _tampered(golden, table(num, rad))
+        rep, peak = _peak_bytes(lambda: verify_certificate(bad))
+        assert not rep.ok and rep.status == "certified"
+        _fails_once(rep, "counts.lower_bound[998] is neither a rational nor "
+                    "a root of index at most 999")
+        assert peak < 4 * 2 ** 20
 
 
 def _field_paths(doc, path=()):

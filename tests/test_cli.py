@@ -105,6 +105,50 @@ def test_workers_is_refused_where_nothing_is_counted(argv, capsys):
     assert got.err.startswith("usage error: --workers ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["quotient", *Z1MOD3],
+    ["quotient", *Z1MOD3, "--report", "summary"],
+    ["quotient", *Z1MOD3, "--report", "symmetry"],
+    ["quotient", *Z1MOD3, "--report", "independence"],
+    ["augment", "--graph", "zd:2", "--chord", "0:0,0 0:1,1"]],
+    ids=["quotient-default", "quotient-summary", "quotient-symmetry",
+         "quotient-independence", "augment-spec"])
+def test_format_json_is_refused_where_only_text_is_printed(argv, capsys):
+    assert run([*argv, "--format", "json"]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("usage error: --format json ")
+    assert got.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--graph", "zd:2", "--walks", "--n", "-1"],
+    ["--graph", "zd:2", "--sublattice", "2 0;0 2", "--walks", "--n", "-2"]],
+    ids=["graph", "quotient"])
+def test_negative_walk_counts_are_refused(argv, capsys):
+    assert run(["count", *argv]) == 4
+    assert capsys.readouterr() == ("", "error: n_max must be >= 0\n")
+
+
+def test_out_error_names_the_file_asked_for(tmp_path, capsys):
+    out = str(tmp_path / "no-such-dir" / "x")
+    errs = []
+    for _ in range(2):
+        assert run(["count", "--graph", "zd:2", "--n", "3", "--out", out]) == 4
+        got = capsys.readouterr()
+        assert got.out == ""
+        errs.append(got.err)
+    assert errs[0] == errs[1] == \
+        f"error: [Errno 2] No such file or directory: {out!r}\n"
+    # a failed rename names the target too and leaves no temp file behind
+    target = tmp_path / "a-dir"
+    target.mkdir()
+    assert run(["count", "--graph", "zd:2", "--n", "3",
+                "--out", str(target)]) == 4
+    assert str(target) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir"]
+
+
 def test_count_start_key(capsys):
     assert run(["count", "--graph", "zd:2", "--n", "2",
                 "--start", "0:5,-1"]) == 0

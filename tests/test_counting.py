@@ -14,7 +14,8 @@ from sawkit.counting import (WalkCounts, count_directed_saws,
                              count_directed_walks, count_saws, count_walks,
                              resolve_workers)
 from sawkit.exact import Radical
-from sawkit.graphs import PeriodicLattice, augment, catalog
+from sawkit.graphs import (InvalidVertexError, PeriodicLattice, augment,
+                           catalog)
 
 # [frozen]
 SAW_Z2_10 = [1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100]
@@ -69,6 +70,25 @@ def test_walk_counts_match(z2, q_z1mod3, q_tree_end):
         q_z1mod3, 6)
     assert count_directed_walks(q_tree_end, 6) == naive_directed_walk_counts(
         q_tree_end, 6)
+
+
+def test_negative_walk_lengths_are_refused(z2, q_z2mod22):
+    with pytest.raises(ValueError, match=r"n_max must be >= 0"):
+        count_walks(z2, n_max=-1)
+    with pytest.raises(ValueError, match=r"n_max must be >= 0"):
+        count_directed_walks(q_z2mod22, -2)
+    assert count_walks(z2, n_max=0) == [1]
+    assert count_directed_walks(q_z2mod22, 0) == [1]
+
+
+def test_directed_walks_refuse_non_canonical_starts(q_z2mod22):
+    # (0, (5, 5)) lies in the orbit keyed (0, (1, 1)); Z^2 has no cell 3
+    with pytest.raises(ValueError, match="orbit's key is"):
+        count_directed_walks(q_z2mod22, 3, start=(0, (5, 5)))
+    with pytest.raises(InvalidVertexError):
+        count_directed_walks(q_z2mod22, 3, start=(3, (0, 0)))
+    assert count_directed_walks(q_z2mod22, 3, start=(0, (1, 1))) == \
+        [1, 4, 16, 64]
 
 
 def test_tree_closed_form():
