@@ -11,7 +11,9 @@ alike.  Bridges run through :func:`sawkit.counting._split_counts` with
 their own walker, which carries the first coordinate and its running
 maximum, on the half-space table of :func:`sawkit.counting._lattice_split`,
 which also supplies the origin's stabiliser maps that fix the first
-coordinate.
+coordinate and the tail memo of the SAW kernel.  The walker shares that
+memo's step and adds the first coordinate's two capped distances to its
+key.
 
 Lower-bound sequences are kept non-decreasing by a running-maximum
 transform — replacing an entry by an earlier, larger valid lower bound
@@ -27,7 +29,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .counting import _lattice_split, _split_counts
+from .counting import (_flush_tails, _lattice_split, _memo_depth,
+                       _split_counts, _store_tail)
 from .exact import Radical
 from .graphs import PeriodicLattice, catalog
 from .quotient import hermite_rows
@@ -49,8 +52,17 @@ def _bridge_counts_from(task, table, xs, x1, n_total):
 
     The DFS explores SAWs on half-space rows, whose first coordinate x
     stays >= 1 after the origin, and counts a depth whenever x attains
-    the walk's running maximum (the endpoint-confinement condition,
-    checked incrementally).
+    the walk's running maximum ``hi`` (the endpoint-confinement
+    condition, checked incrementally).
+
+    Each tail is counted once, by the memo step of the SAW walker
+    (:func:`sawkit.counting._counts_from`), in the calls its 2K rule
+    admits.  A tail of at most K steps from a vertex at x depends on
+    three values, which key it: the occupancy of the vertex's radius-K
+    ball; min(x - 1, K), its distance to the blocked half-space x < 1,
+    which no tail from x > K reaches; and min(hi - x, K + 1), how far
+    below ``hi`` it starts, as a tail from K + 1 or more below counts
+    nothing.
     """
     prefix, _slots, weight = task
     keys, rows, row_of, visited = \
@@ -60,38 +72,63 @@ def _bridge_counts_from(task, table, xs, x1, n_total):
         xs.extend(map(x1, keys[len(xs):]))
 
     grow()
-    top = max(xs[o] for o in prefix)
+    hi = max(xs[o] for o in prefix)
     base = len(prefix) - 1
     counts = [0] * (n_total - base + 1)
-    counts[0] = 1 if xs[prefix[-1]] == top else 0
+    counts[0] = 1 if xs[prefix[-1]] == hi else 0
     if base < n_total:
         for o in prefix:
             visited[o] = 1
+        limit = n_total - base
+        top = _memo_depth(table, limit)
+        merged: dict = {}
 
-        def rec(o, top, depth, rows=rows, xs=xs, visited=visited,
-                counts=counts, limit=n_total - base):
+        def rec(o, hi, depth, rows=rows, xs=xs, visited=visited,
+                counts=counts, limit=limit, top=top, tails=table.tails,
+                tail_of=table.tail, K=table.radius, merged=merged):
             nd = depth + 1
             row = rows[o]
             if row is None:
                 row = row_of(o)
                 grow()
+            if nd == top:
+                for t, _m in row:
+                    if not visited[t]:
+                        x = xs[t]
+                        if x >= hi:
+                            counts[nd] += 1
+                            nt = x
+                        else:
+                            nt = hi
+                        memo, occupied = tails[t] or tail_of(t)
+                        key = (occupied(visited), x - 1 if x <= K else K,
+                               nt - x if nt - x <= K else K + 1)
+                        got = memo.get(key)
+                        if got is None:
+                            visited[t] = 1
+                            got = _store_tail(memo, key, counts, nd + 1,
+                                              partial(rec, t, nt, nd))
+                            visited[t] = 0
+                        merged[got] = merged.get(got, 0) + 1
+                return
             for t, _m in row:
                 if not visited[t]:
                     x = xs[t]
-                    if x >= top:
+                    if x >= hi:
                         counts[nd] += 1
                         nt = x
                     else:
-                        nt = top
+                        nt = hi
                     if nd < limit:
                         visited[t] = 1
                         rec(t, nt, nd)
                         visited[t] = 0
 
-        rec(prefix[-1], top, 0)
+        rec(prefix[-1], hi, 0)
         rec = None      # break the closure's cycle, which holds the table
         for o in prefix:
             visited[o] = 0
+        _flush_tails(merged, counts, top + 1)
     return [c * weight for c in counts] if weight != 1 else counts
 
 

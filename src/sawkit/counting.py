@@ -9,11 +9,15 @@ All counts are exact Python integers.  The engines are:
   periodic lattices (a neighbor is one addition away), orbit keys for
   directed quotient rows, and plain keys for any other handle (trees,
   word graphs, derived graphs), with parallel-edge weights;
-* a tail memo inside that kernel on periodic lattices: the last K steps
-  of a walk depend only on which vertices of its endpoint's radius-K
-  ball are occupied, so each such tail is counted once per cell and
-  occupancy in a count and looked up after (:func:`_counts_from`), at
-  the depth and on the balls of one cached search (:func:`_tail_balls`);
+* a tail memo on periodic lattices, shared by that kernel and the Z^d
+  bridge walker of :mod:`sawkit.bounds`: the last K steps of a walk
+  depend only on which vertices of its endpoint's radius-K ball are
+  occupied (and, for bridges, on two capped distances), so each such
+  tail is counted once per cell and key in a count.  The step above
+  looks each child's tail up and sums the children's weights per
+  distinct tail, which is multiplied into the counts once when the call
+  ends (:func:`_store_tail`, :func:`_flush_tails`); the depth and the
+  balls come from one cached search (:func:`_tail_balls`);
 * closed forms for acyclic regular handles, where a SAW is exactly a
   non-backtracking walk: sigma_n = d(d-1)**(n-1);
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
@@ -136,10 +140,10 @@ class _IdTable:
     With a ``radius`` K > 0 the keys are packed lattice keys, whose
     residue modulo the cell count is the cell, and ``balls[c]`` lists the
     key offsets of the radius-K ball around a vertex of cell c (see
-    :func:`_lattice_split`).  The table then holds the tail memo of
-    :func:`_counts_from`, one per cell, so the memo serves one count
-    only.  ``tails[i]`` is None until :meth:`tail` builds id i's (memo,
-    occupancy getter) pair.
+    :func:`_lattice_split`).  The table then holds the tail memo of its
+    walker (:func:`_counts_from` or the bridge walker), one per cell, so
+    the memo serves one count only.  ``tails[i]`` is None until
+    :meth:`tail` builds id i's (memo, occupancy getter) pair.
     """
 
     def __init__(self, source, radius=0, balls=()):
@@ -241,22 +245,20 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
         for c in range(len(slots)))
 
 
-def _counts_from(task, table, n_total):
-    """Weighted SAW counts for depths len(prefix)-1 .. n_total from a
-    prefix task (id path, slot indices, weight); the prefix's endpoint is
-    counted here, earlier depths are not.
+# The tail memo step, shared by the SAW walker below and the bridge walker
+# of :mod:`sawkit.bounds`.  A call counts tails only if it counts at least
+# 2K steps past its prefix (:func:`_memo_depth`).  Its nodes one step
+# above the memo depth then look each child's tail up in the child's
+# cell memo (``table.tail``), under a key that each walker builds in its
+# own loop, count a missing tail once at weight 1 (:func:`_store_tail`),
+# and add the child's weight to the call's ``merged`` dict under the
+# tail.  When the call ends, each distinct tail is multiplied into its
+# counts once (:func:`_flush_tails`): sum_i w_i * tail = (sum_i w_i) *
+# tail, in exact integers.
 
-    Each tail is counted once: a node K steps above the limit (K =
-    ``table.radius``, see :func:`_tail_balls`) looks its last K depths
-    up in the memo of its cell, keyed by the visited bytes of its
-    radius-K ball; on a miss the same recursion counts them at weight 1
-    and stores them.  This is sound: a tail of at most K steps from o
-    stays inside the ball of radius K around o, so its weighted counts
-    depend only on which ball vertices are occupied.  One memo serves a
-    cell: a translation carries o's ball onto the ball of any vertex of
-    o's cell, in the same breadth-first order, with equal
-    multiplicities.  The memo adds exact integers, scaled by the node's
-    weight, so counts stay exact.
+def _memo_depth(table, limit: int) -> int:
+    """The depth, below a call's prefix, whose nodes' tails a call that
+    counts ``limit`` steps past it looks up, or -1 for no memo.
 
     Only a call that counts at least 2K steps past its prefix uses the
     memo.  With fewer, a node K steps above the limit is fewer than K
@@ -268,6 +270,45 @@ def _counts_from(task, table, n_total):
     host).  This rule uses no memo there (0.96-1.11x, within the noise
     of these sub-millisecond counts) and keeps it on zd:2 at n = 12.
     """
+    K = table.radius
+    return limit - K if K and limit >= 2 * K else -1
+
+
+def _store_tail(memo, key, counts, start: int, count_tail) -> tuple:
+    """Count a missing tail once and store it: ``count_tail()`` adds the
+    tail's counts at weight 1 to ``counts[start:]``, which are set aside
+    meanwhile; the stored tuple is what it added."""
+    saved = counts[start:]
+    counts[start:] = [0] * len(saved)
+    count_tail()
+    got = memo[key] = tuple(counts[start:])
+    counts[start:] = saved
+    return got
+
+
+def _flush_tails(merged: dict, counts, start: int) -> None:
+    """Add each distinct tail of ``merged``, times its summed weight, to
+    ``counts[start:]``."""
+    for tail, w in merged.items():
+        for i, c in enumerate(tail, start):
+            counts[i] += w * c
+
+
+def _counts_from(task, table, n_total):
+    """Weighted SAW counts for depths len(prefix)-1 .. n_total from a
+    prefix task (id path, slot indices, weight); the prefix's endpoint is
+    counted here, earlier depths are not.
+
+    Each tail is counted once, by the memo step above: a node K + 1
+    steps above the limit (K = ``table.radius``, see :func:`_tail_balls`)
+    looks each child's last K depths up in the memo of the child's cell,
+    keyed by the visited bytes of the child's radius-K ball.  This is
+    sound: a tail of at most K steps from o stays inside the ball of
+    radius K around o, so its weighted counts depend only on which ball
+    vertices are occupied.  One memo serves a cell: a translation
+    carries o's ball onto the ball of any vertex of o's cell, in the
+    same breadth-first order, with equal multiplicities.
+    """
     prefix, _slots, weight = task
     base = len(prefix) - 1
     counts = [0] * (n_total - base + 1)
@@ -278,31 +319,33 @@ def _counts_from(task, table, n_total):
     for o in prefix:
         visited[o] = 1
     limit = n_total - base
-    K = table.radius
-    top = limit - K if K and limit >= 2 * K else -1
+    top = _memo_depth(table, limit)
+    merged: dict = {}
 
     def rec(o, depth, wt, top=top, rows=table.rows, row_of=table.row,
             tails=table.tails, tail_of=table.tail, visited=visited,
-            counts=counts, limit=limit):
+            counts=counts, limit=limit, merged=merged):
         nd = depth + 1
-        if depth == top:
-            memo, occupied = tails[o] or tail_of(o)
-            key = occupied(visited)
-            got = memo.get(key)
-            if got is None:
-                saved = counts[nd:]
-                counts[nd:] = [0] * (limit - depth)
-                rec(o, depth, 1, -1)
-                got = memo[key] = tuple(counts[nd:])
-                counts[nd:] = saved
-            for i, c in enumerate(got, nd):
-                counts[i] += wt * c
-            return
         row = rows[o] or row_of(o)
         if nd == limit:
             for t, m in row:
                 if not visited[t]:
                     counts[nd] += wt * m
+            return
+        if nd == top:
+            for t, m in row:
+                if not visited[t]:
+                    w = wt * m
+                    counts[nd] += w
+                    memo, occupied = tails[t] or tail_of(t)
+                    key = occupied(visited)
+                    got = memo.get(key)
+                    if got is None:
+                        visited[t] = 1
+                        got = _store_tail(memo, key, counts, nd + 1,
+                                          partial(rec, t, nd, 1))
+                        visited[t] = 0
+                    merged[got] = merged.get(got, 0) + w
             return
         for t, m in row:
             if not visited[t]:
@@ -316,6 +359,7 @@ def _counts_from(task, table, n_total):
     rec = None      # break the closure's cycle, which holds the table
     for o in prefix:
         visited[o] = 0
+    _flush_tails(merged, counts, top + 1)
     return counts
 
 
@@ -361,9 +405,10 @@ def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
     v0 to n_max steps: an id table on packed keys with the tail memo of
     :func:`_tail_balls`, the maps of :func:`lattice_stabiliser` as
     functions (id, slot) -> slot, and x_1 of a packed key.  With
-    ``half_space`` (Z^d bridges) the rows are :func:`_half_space_row`'s,
-    no translates of one another near x_1 = 1, so the table keeps no
-    memo, and only the maps fixing x_1 are kept.  The table's row source
+    ``half_space`` (Z^d bridges) the rows are :func:`_half_space_row`'s
+    and only the maps fixing x_1 are kept.  Those rows are no translates
+    of one another near x_1 = 1, so the bridge walker adds a vertex's
+    distance to that boundary to its memo key.  The table's row source
     and x_1 are picklable."""
     slots = lat.slot_table()
     maxoff = max((abs(c) for _, _, off, _ in lat.edges for c in off), default=1)
@@ -381,13 +426,12 @@ def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
     c0, x0 = v0
     key0 = c0 + sum((xi + B) * w for xi, w in zip(x0, weights))
     x1 = partial(_lattice_x1, C, B, W)
-    if half_space:
-        table = _IdTable(partial(_half_space_row, moves, x1, key0))
-    else:
-        K, balls = _tail_balls(slots, c0, lat.dimension)
-        table = _IdTable(partial(_lattice_row, moves), K, tuple(
-            tuple(offset(c, tc, x) for tc, x in ball)
-            for c, ball in enumerate(balls)))
+    K, balls = _tail_balls(slots, c0, lat.dimension)
+    table = _IdTable(
+        partial(_half_space_row, moves, x1, key0) if half_space
+        else partial(_lattice_row, moves),
+        K, tuple(tuple(offset(c, tc, x) for tc, x in ball)
+                 for c, ball in enumerate(balls)))
     start = table.intern(key0)
     maps = [partial(_lattice_slot, slot_map, C, table.keys)
             for *_, slot_map in lattice_stabiliser(lat, c0, half_space)]

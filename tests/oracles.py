@@ -201,25 +201,3 @@ def naive_bridge_counts(d: int, n_max: int) -> list:
                         if path[-1][0] == max(v[0] for v in path))
     return counts
 
-
-def naive_half_space_saw_counts(d: int, n_max: int) -> list:
-    """[h_0..h_n_max]: SAWs on Z^d from the origin whose every vertex
-    after the origin has x1 >= 1."""
-    origin = (0,) * d
-    steps = []
-    for i in range(d):
-        for s in (1, -1):
-            steps.append(tuple(s if t == i else 0 for t in range(d)))
-    counts = [1] + [0] * n_max
-    paths = [[origin]]
-    for n in range(1, n_max + 1):
-        nxt = []
-        for path in paths:
-            seen = set(path)
-            for mv in steps:
-                w = tuple(a + b for a, b in zip(path[-1], mv))
-                if w[0] >= 1 and w not in seen:
-                    nxt.append(path + [w])
-        paths = nxt
-        counts[n] = len(paths)
-    return counts

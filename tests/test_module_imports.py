@@ -1,6 +1,7 @@
 """Every module-level import in the package is read by its module, every
-module-level private function or class is read by the package, and every
-parameter of every function is read by its body."""
+module-level private function or class is read by the package, every
+parameter of every function is read by its body, and one step stores
+every tail memo entry."""
 
 import ast
 import pathlib
@@ -220,3 +221,61 @@ def test_only_bounds_chooses_a_lower_bound():
     assert _bound_sources_outside_bounds(
         {path.name: path.read_text(encoding="utf-8")
          for path in PACKAGE}) == []
+
+
+def _is_tail_memo(node) -> bool:
+    """Whether ``node``, subscripts peeled off, reads a tail memo: a name
+    that holds "memo", or the ``memos`` attribute of an id table (the
+    check table's ``memo`` in certificate.py is another cache)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return "memo" in getattr(node, "id", "") or \
+        getattr(node, "attr", "") == "memos"
+
+
+def _memo_writes(source: str) -> list:
+    """The functions (outermost ``def`` by name, "" at module level), in
+    source order, that store an entry into a tail memo: by a subscript
+    assignment, also chained or augmented, or by ``setdefault`` or
+    ``update``."""
+    writes = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = fn or node.name
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AugAssign) else []
+        if any(isinstance(t, ast.Subscript) and _is_tail_memo(t.value)
+               for t in targets) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("setdefault", "update")
+                and _is_tail_memo(node.func.value)):
+            writes.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), "")
+    return writes
+
+
+def test_the_scan_sees_a_memo_write():
+    source = ("def a(memo, k):\n"
+              "    got = memo[k] = 1\n"
+              "    return got, memo[k]\n"
+              "class T:\n"
+              "    def b(self, c, k):\n"
+              "        def inner():\n"
+              "            self.memos[c][k] += 1\n"
+              "        self.tails[k] = self.memo[k] = None\n"
+              "        return inner\n"
+              "def c(tail_memo, k):\n"
+              "    return tail_memo.setdefault(k, 0), tail_memo.get(k)\n")
+    assert _memo_writes(source) == ["a", "b", "c"]
+
+
+def test_src_stores_a_memo_entry_in_one_step():
+    # the SAW and bridge walkers share the miss-then-store step
+    writes = [(path.name, fn) for path in PACKAGE
+              for fn in _memo_writes(path.read_text(encoding="utf-8"))]
+    assert writes == [("counting.py", "_store_tail")]

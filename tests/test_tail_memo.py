@@ -1,26 +1,28 @@
-"""The SAW kernel's tail memo against the naive oracles.
+"""The tail memo of the SAW and bridge walkers against the naive oracles.
 
-A node K steps above a count's limit looks its last K depths up in the
-memo of its cell, keyed by the occupancy of its radius-K ball, in calls
-that count at least 2K steps (``counting._counts_from``).  Each cell's
-ball, decoded from its packed keys, is the radius-K ball of
-``graphs.ball_with_dist`` in breadth-first order.  Root counts run at
-every depth 0..2K+1, so the limit is below, at and above both K and 2K;
-split counts run at a depth whose prefix tasks reach 2K.  Tables off a
-lattice and the bridge table keep no memo, and no table outlives its
-count.
+A node K steps above a count's limit has its last K depths looked up in
+the memo of its cell, keyed by the occupancy of its radius-K ball, in
+calls that count at least 2K steps (``counting._counts_from``); the
+bridge walker adds its distances to x_1 = 1 and to the running maximum
+to the key (``bounds._bridge_counts_from``).  Each cell's ball, decoded
+from its packed keys, is the radius-K ball of ``graphs.ball_with_dist``
+in breadth-first order.  Root counts run at every depth 0..2K+1, so the
+limit is below, at and above both K and 2K; split counts run at a depth
+whose prefix tasks reach 2K.  Tables off a lattice keep no memo, and
+no table outlives its count.
 """
 
 import gc
 import pickle
 import weakref
+from functools import lru_cache
 
 import pytest
 
-from oracles import (naive_directed_saw_counts, naive_half_space_saw_counts,
+from oracles import (naive_bridge_counts, naive_directed_saw_counts,
                      naive_saw_counts)
 from sawkit import bounds, counting
-from sawkit.bounds import bridge_counts
+from sawkit.bounds import _bridge_counts_from, bridge_counts
 from sawkit.counting import (_counts_from, _lattice_split, count_directed_saws,
                              count_saws)
 from sawkit.events import build_cycle_family, event_free_series
@@ -175,23 +177,42 @@ def test_tables_off_a_lattice_keep_no_memo(monkeypatch, graph, n):
     assert [t.radius for t in seen] == [0] and not seen[0].memos
 
 
-def test_the_bridge_table_keeps_no_memo(monkeypatch):
-    # half-space rows are no translates of one another: a memo shared by
-    # one class would carry tails across the boundary x_1 = 1
+naive_bridges = lru_cache(maxsize=None)(naive_bridge_counts)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d,n", [(1, 26), (1, 48), (2, 13), (3, 8)])
+def test_bridge_counts_match_oracle_with_the_memo(monkeypatch, d, n,
+                                                  workers):
+    # half-space rows are no translates of one another near x_1 = 1, and
+    # a bridge tail depends on the running maximum: the memo key holds
+    # both distances
     seen = []
     real = bounds._split_counts
 
-    def spy(table, start, *args):
-        seen.append((table, start))
-        return real(table, start, *args)
+    def spy(table, *args):
+        seen.append(table)
+        return real(table, *args)
 
     monkeypatch.setattr(bounds, "_split_counts", spy)
-    for d, n in ((1, 12), (2, 8), (3, 6)):
-        seen.clear()
-        bridge_counts(d, n)
-        (table, start), = seen
-        assert _counts_from(((start,), (), 1), table, n) == \
-            naive_half_space_saw_counts(d, n)
+    assert bridge_counts(d, n, workers=workers) == naive_bridges(d, n)
+    (table,) = seen
+    # on two workers Z^1's one prefix grows to n // 2 steps, which leaves
+    # its task 13 < 2K = 24 steps at n = 26
+    assert any(table.memos) == ((d, n, workers) != (1, 26, 2))
+
+
+def test_a_bridge_table_pickles_with_its_memo():
+    # a spawned pool process receives the bridge table, memo included
+    z2 = catalog("zd(2)")
+    table, start, _maps, x1 = _lattice_split(z2, z2.origin(), 12,
+                                             half_space=True)
+    root = ((start,), (), 1)
+    want = _bridge_counts_from(root, table, [], x1, 12)
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy.memos == table.memos and any(copy.memos)
+    assert _bridge_counts_from(root, copy, [], x1, 12) == want == \
+        naive_bridges(2, 12)
 
 
 def test_a_table_pickles_with_its_memo():
@@ -207,15 +228,15 @@ def test_a_table_pickles_with_its_memo():
 
 
 @pytest.mark.parametrize("count", [
-    lambda: count_saws(Z2, n_max=8),
+    lambda: count_saws(Z2, n_max=12),
     lambda: count_saws(catalog("ladder"), n_max=12),
-    lambda: bridge_counts(2, 8),
+    lambda: bridge_counts(2, 12),
     lambda: count_directed_saws(Z2MOD22, 8),
     lambda: event_free_series(Z2MOD22, build_cycle_family(Z2MOD22), 2, 8)],
     ids=["zd(2)", "ladder", "bridges", "quotient", "event-free"])
 def test_each_table_is_freed_when_its_count_returns(tables, count):
     # no reference cycle keeps a table, and its memo, alive until the
-    # cyclic collector runs
+    # cyclic collector runs; the zd(2) and bridge counts reach the memo
     gc.collect()
     gc.disable()
     try:
