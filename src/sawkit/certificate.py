@@ -65,7 +65,8 @@ from functools import wraps
 from typing import Callable, Optional
 
 from .bounds import BoundError, LowerBoundSequence
-from .counting import WalkCounts, count_directed_saws, count_saws
+from .counting import (WalkCounts, _series_split, count_directed_saws,
+                       count_saws)
 from .events import CycleFamily, event_free_series
 from .exact import Interval, Radical, float_repr, log_of_count_root
 from .graphs import GraphHandle
@@ -423,31 +424,50 @@ def _agreement_target(us: list, b: LowerBoundSequence, eps: Fraction,
     holding the undirected counts ``us`` and having expanded ``spent``
     nodes so far.
 
-    sigma_n is extrapolated from the last count by the parity-averaged
-    ratio sqrt(sigma_k / sigma_{k-2}), and a count to n is predicted to
-    expand sigma_0 + ... + sigma_n nodes.  The deciding depth is the
-    first depth at which the extrapolated sigma_n meets the agreement
-    inequality, or hi.  The greedy depth is the deciding depth, cut
-    short where a count would expand more than _JUMP_COST times
-    ``spent`` nodes; depth lo itself is always allowed.  Where the
-    greedy depth falls short of the deciding depth, a later count will
-    go there unless agreement comes sooner, so the search looks ahead:
-    it counts instead to the first depth in lo..greedy from which one
-    more capped count reaches the deciding depth, rather than to a depth
-    that count would pass by one or two.  No count is deeper than the greedy one, so the cap
-    still bounds what a count past the agreement index wastes.  The
-    choice affects only the cost of the search: every depth is still
-    counted exactly, from the root.
+    sigma_n is extrapolated from the last count step by step.  The ratio
+    of step n is mu * (1 + c/n), the form of sigma_n ~ A mu**n n**(g-1),
+    with mu and c fitted to the parity-averaged ratios
+    sqrt(sigma_k / sigma_{k-2}) and sqrt(sigma_{k-2} / sigma_{k-4}),
+    taken as the ratios of steps k - 1/2 and k - 5/2.  The fit needs
+    k >= 5, so that it never reads sigma_1 / sigma_0 = degree, which is
+    no step of the trend: every later step has at most degree - 1
+    choices.  Where it cannot be made, or the ratios do not fall as such
+    a law allows, every step takes the last parity-averaged ratio, which
+    overshoots where the ratios fall (on ladder/3 at mu 1.61 it put the
+    agreement depth at 14, not 13).  A count to n is predicted to expand
+    sigma_0 + ... + sigma_n nodes.
+
+    The deciding depth is the first depth at which the extrapolated
+    sigma_n meets the agreement inequality, or hi.  The greedy depth is
+    the deciding depth, cut short where a count would expand more than
+    _JUMP_COST times ``spent`` nodes; depth lo itself is always allowed.
+    Where the greedy depth falls short of the deciding depth, a later
+    count will go there unless agreement comes sooner, so the search
+    looks ahead: it counts instead to the first depth in lo..greedy from
+    which one more capped count reaches the deciding depth, rather than
+    to a depth that count would pass by one or two.  No count is deeper
+    than the greedy one, so the cap still bounds what a count past the
+    agreement index wastes.  The choice affects only the cost of the
+    search: every depth is still counted exactly, from the root.
     """
     k = len(us) - 1
     if k < 2 or not us[k - 2] or not us[k]:
         return lo
     rho = math.sqrt(us[k] / us[k - 2])
+    mu, c = rho, 0.0
+    if k >= 5:
+        # rho = mu (1 + c/a) and the ratio two steps back = mu (1 + c/a2)
+        a, a2 = k - 0.5, k - 2.5
+        q = math.sqrt(us[k - 2] / us[k - 4]) / rho
+        d = 1 / a2 - q / a
+        if q > 1 and d > 0:
+            c = (q - 1) / d
+            mu = rho / (1 + c / a)
     sigma, total = float(us[k]), float(sum(us))
     lift = float(1 + eps) / float(1 + eps / 2)
     nodes = {}                       # the predicted cost of a count to n
     for n in range(k + 1, hi + 1):
-        sigma *= rho
+        sigma *= mu * (1 + c / n) if c else rho
         total += sigma
         nodes[n] = total
         if n >= lo and float(b.value_at(n)) * lift >= sigma ** (1 / n):
@@ -478,15 +498,24 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
     counts when the search never went past them.  All comparisons are
     exact; the budget-exhausted outcomes carry the reason and the
     partial state.
+
+    Each series source is split once for the search, for depths up to
+    n_budget: the zero-occurrence and directed series share one split of
+    q from the origin's orbit, and every count of the agreement search
+    runs on one split of g, so each recount reuses its rows, tail memo
+    and merged prefixes.  Both are freed when the search returns.  The
+    counts are exact whatever a table holds; only their cost changes.
     """
     if n_budget < 1:
         return SearchOutcome("exhausted", "budget is zero", None, None,
                              None, None)
     g = q.base if g is None else g
+    q_split = _series_split(q, None, n_budget)
     x = _Inputs(
         ef=event_free_series(q, family, family.length, n_budget,
-                             workers=workers),
-        ds=list(count_directed_saws(q, n_budget, workers=workers).counts),
+                             workers=workers, split=q_split),
+        ds=list(count_directed_saws(q, n_budget, workers=workers,
+                                    split=q_split).counts),
         us=list(a_n.counts) if a_n is not None else [1], bound=b)
     supplied = len(x.us)
     checks: list = []
@@ -503,12 +532,14 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
     # each count runs from the root to a predicted depth, and the next
     # one starts only if s is not found by then
     spent = sum(x.us)
+    g_split = _series_split(g, None, n_budget)
 
     def count_to(n: int) -> None:
         nonlocal spent
         if n >= len(x.us):
             depth = _agreement_target(x.us, b, x.eps, n, n_budget, spent)
-            x.us = list(count_saws(g, None, depth, workers=workers).counts)
+            x.us = list(count_saws(g, None, depth, workers=workers,
+                                   split=g_split).counts)
             spent += sum(x.us)
 
     s = _first_hold(_AGREEMENT, x, r, n_budget, checks, count_to)
@@ -673,6 +704,10 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
     and ratio_bound < 1) or ``inconclusive-budget`` (some search or
     contraction failed within the budget).  Never raises for an
     unproductive search; raising is reserved for misuse.
+
+    The search splits each series source once (:func:`find_epsilon_m`);
+    the rewiring stage's directed counts past the budget, where it needs
+    them, run on a fresh table.
     """
     if q.base is not g and q.base.graph_id != g.graph_id:
         raise CertificateError("quotient was not built from this graph")

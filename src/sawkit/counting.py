@@ -3,7 +3,7 @@
 All counts are exact Python integers.  The engines are:
 
 * one depth-first SAW kernel (:func:`_counts_from`) on integer vertex
-  ids, interned per call on first sight with lazily built (target id,
+  ids, interned per table on first sight with lazily built (target id,
   multiplicity) rows, so infinite graphs cost only what the walks reach.
   The only per-graph part is the row source: packed integers for
   periodic lattices (a neighbor is one addition away), orbit keys for
@@ -13,7 +13,7 @@ All counts are exact Python integers.  The engines are:
   bridge walker of :mod:`sawkit.bounds`: the last K steps of a walk
   depend only on which vertices of its endpoint's radius-K ball are
   occupied (and, for bridges, on two capped distances), so each such
-  tail is counted once per cell and key in a count.  The step above
+  tail is counted once per cell and key in a table.  The step above
   looks each child's tail up and sums the children's weights per
   distinct tail, which is multiplied into the counts once when the call
   ends (:func:`_store_tail`, :func:`_flush_tails`); the depth and the
@@ -43,7 +43,16 @@ image, so each orbit's subtree is enumerated once and weighted by the
 orbit's summed prefix weight.  On a sublattice quotient the stabiliser
 maps that normalise the sublattice and fix the start orbit descend to
 the quotient and merge its prefixes the same way (:func:`_merge_prefixes`
-serves both).
+serves both).  Both act on slots through their lattice slot tables; a
+quotient orbit's lattice slots are mapped to its row entries once
+(:meth:`QuotientGraph.slot_rows`).
+
+A count makes its own id table, prefix split and tail memo, unless it is
+given a :class:`_Split` (:func:`_series_split`): a run that counts one
+series source several times, as ``saw ratio``'s search does, keeps one
+split per source and frees it with the run.  Its counts to any depth up
+to the split's bound reuse the rows, tail memo and merged prefix levels
+of the counts before them, and are the counts of a fresh table.
 """
 
 from __future__ import annotations
@@ -126,7 +135,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 # interns vertex keys on first sight and builds their rows from a row
 # source, its only per-graph part.  The source must be picklable: a pool
 # process receives the table once, with the walker, and goes on interning
-# in its own copy.  Tables are never stored on a graph or a quotient.
+# in its own copy.  A count makes its own table, unless it is given a
+# :class:`_Split`: a run that counts one series source several times
+# keeps one table per source, and frees it with the run.  Tables are
+# never stored on a graph, on a quotient or in a module-level cache.
 
 class _IdTable:
     """Vertex keys interned as ids 0, 1, 2, ... on first sight.
@@ -142,7 +154,8 @@ class _IdTable:
     key offsets of the radius-K ball around a vertex of cell c (see
     :func:`_lattice_split`).  The table then holds the tail memo of its
     walker (:func:`_counts_from` or the bridge walker), one per cell, so
-    the memo serves one count only.  ``tails[i]`` is None until
+    the memo lives as long as the table: one count, or the counts of a
+    run through one :class:`_Split`.  ``tails[i]`` is None until
     :meth:`tail` builds id i's (memo, occupancy getter) pair.
     """
 
@@ -415,27 +428,40 @@ def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
     B = maxoff * max(n_max, 1) + 1
     W = 2 * B + 1
     C = lat.cells
-    weights = [C * W ** i for i in range(lat.dimension)]
+    c0, x0 = v0
+    moves, K, balls = _packing(slots, c0, lat.dimension, W)
+    key0 = c0 + sum((xi + B) * C * W ** i for i, xi in enumerate(x0))
+    x1 = partial(_lattice_x1, C, B, W)
+    table = _IdTable(
+        partial(_half_space_row, moves, x1, key0) if half_space
+        else partial(_lattice_row, moves), K, balls)
+    start = table.intern(key0)
+    maps = [partial(_lattice_slot, slot_map, C, table.keys)
+            for *_, slot_map in lattice_stabiliser(lat, c0, half_space)]
+    return table, start, maps, x1
+
+
+@lru_cache(maxsize=64)
+def _packing(slots: tuple, cell: int, dimension: int, W: int) -> tuple:
+    """(moves, K, balls) of a lattice with slot table ``slots`` packed at
+    width W: ``moves[c]`` lists the (key offset, multiplicity) of cell
+    c's slots, and ``balls[c]`` the key offsets of the vertices of
+    :func:`_tail_balls`' radius-K ball around a vertex of cell c, for
+    counts from (cell, 0).  They depend on nothing else, so a lattice's
+    counts to one depth share them; a graph id plays no part in the
+    key."""
+    C = len(slots)
+    weights = [C * W ** i for i in range(dimension)]
 
     def offset(c, tc, x):
         """The packed key of (tc, y + x) minus that of (c, y)."""
         return tc - c + sum(xi * w for xi, w in zip(x, weights))
 
-    moves = tuple(tuple((offset(c, tc, delta), m) for tc, delta, m in row)
-                  for c, row in enumerate(slots))
-    c0, x0 = v0
-    key0 = c0 + sum((xi + B) * w for xi, w in zip(x0, weights))
-    x1 = partial(_lattice_x1, C, B, W)
-    K, balls = _tail_balls(slots, c0, lat.dimension)
-    table = _IdTable(
-        partial(_half_space_row, moves, x1, key0) if half_space
-        else partial(_lattice_row, moves),
-        K, tuple(tuple(offset(c, tc, x) for tc, x in ball)
-                 for c, ball in enumerate(balls)))
-    start = table.intern(key0)
-    maps = [partial(_lattice_slot, slot_map, C, table.keys)
-            for *_, slot_map in lattice_stabiliser(lat, c0, half_space)]
-    return table, start, maps, x1
+    K, balls = _tail_balls(slots, cell, dimension)
+    return (tuple(tuple((offset(c, tc, delta), m) for tc, delta, m in row)
+                  for c, row in enumerate(slots)),
+            K, tuple(tuple(offset(c, tc, x) for tc, x in ball)
+                     for c, ball in enumerate(balls)))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +584,7 @@ def _stabiliser(dimension: int, cells: int, edges: tuple, cell: int,
     return tuple(found.values())
 
 
-def _merge_prefixes(steps, start, n_max: int, maps=()) -> tuple:
+def _merge_prefixes(steps, start, n_max: int, maps=(), levels=None) -> tuple:
     """(pdepth, tasks) for a count to depth n_max: one task (path, slot
     indices, weight) per orbit of ``maps`` on the SAW prefixes of pdepth
     steps from ``start``; the weight sums the orbit's prefix weights.
@@ -577,30 +603,43 @@ def _merge_prefixes(steps, start, n_max: int, maps=()) -> tuple:
     for every worker count: no one task is then a large share of the
     count, as :func:`_run_split` runs the first tasks inline before it
     starts a pool, and deeper merged prefixes expand fewer nodes.
+
+    A level does not depend on n_max, so ``levels``, a list of the
+    levels grown so far from ``start`` under ``maps`` (level d at index
+    d), is extended only past its end, for later counts to reuse.
     """
-    level = [((start,), (), 1, tuple(maps))]
+    levels = [] if levels is None else levels
+    if not levels:
+        levels.append([((start,), (), 1, tuple(maps))])
     depth = 0
-    while depth < min(3, n_max) or (0 < len(level) < _SPLIT_TASKS
+    while depth < min(3, n_max) or (0 < len(levels[depth]) < _SPLIT_TASKS
                                     and depth < n_max // 2):
-        grown = []
-        for path, slots, weight, stab in level:
-            v = path[-1]
-            orbits: dict = {}
-            for k, (w, m) in enumerate(steps(v)):
-                if w in path:
-                    continue
-                images = [s(v, k) for s in stab]
-                key = min(images, default=k)
-                if key in orbits:
-                    orbits[key][2] += weight * m
-                else:
-                    orbits[key] = [path + (w,), slots + (k,), weight * m,
-                                   tuple(s for s, j in zip(stab, images)
-                                         if j == k)]
-            grown.extend(orbits.values())
-        level = grown
         depth += 1
-    return depth, [(path, slots, weight) for path, slots, weight, _ in level]
+        if depth == len(levels):
+            levels.append(_grow_level(steps, levels[-1]))
+    return depth, [(path, slots, weight)
+                   for path, slots, weight, _ in levels[depth]]
+
+
+def _grow_level(steps, level) -> list:
+    """The merged prefixes one step longer than those of ``level``."""
+    grown = []
+    for path, slots, weight, stab in level:
+        v = path[-1]
+        orbits: dict = {}
+        for k, (w, m) in enumerate(steps(v)):
+            if w in path:
+                continue
+            images = [s(v, k) for s in stab]
+            key = min(images, default=k)
+            if key in orbits:
+                orbits[key][2] += weight * m
+            else:
+                orbits[key] = [path + (w,), slots + (k,), weight * m,
+                               tuple(s for s, j in zip(stab, images)
+                                     if j == k)]
+        grown.extend(orbits.values())
+    return grown
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +652,14 @@ def _merge_prefixes(steps, start, n_max: int, maps=()) -> tuple:
 # the orbit of its image, and directed quotient SAWs onto directed
 # quotient SAWs of equal weight.  Those that also fix the start orbit
 # merge quotient prefixes exactly as the lattice stabiliser merges
-# lattice prefixes.  The maps are closures on one table's ids.
+# lattice prefixes, and act on slots through their lattice slot tables.
 
 def _quotient_split(q: QuotientGraph, start=None) -> tuple:
     """(table, start id, maps) for a split count on q from the orbit key
     ``start`` (default: the origin's orbit): an id table on q's directed
     rows and the maps of :func:`_quotient_maps` as functions
-    (id, slot) -> slot.
+    (id, slot) -> slot (:func:`_quotient_slot`); none for a tree action,
+    whose only map is the identity.
 
     The start must be the canonical key of its orbit, with a valid base
     vertex as its representative; :meth:`QuotientGraph.validate_key`
@@ -631,16 +671,23 @@ def _quotient_split(q: QuotientGraph, start=None) -> tuple:
     q.validate_key(start)
     table = _IdTable(q.drow)
     s0 = table.intern(start)
-    return table, s0, [partial(_quotient_slot, table, sigma)
-                       for sigma in _quotient_maps(q, table, s0)]
+    return table, s0, [partial(_quotient_slot, q.slot_rows, table.keys, slots)
+                       for _sigma, slots in _quotient_maps(q, table, s0)
+                       if slots is not None]
 
 
-def _quotient_slot(table: _IdTable, sigma, i: int, k: int) -> int:
-    """The slot of row i onto which ``sigma``, a map on ids fixing i,
-    carries slot k."""
-    row = table.row(i)
-    t = sigma(row[k][0])
-    return next(j for j, (u, _m) in enumerate(row) if u == t)
+def _quotient_slot(slot_rows, keys, slot_map, i: int, k: int) -> int:
+    """The slot of row i onto which a map with lattice slot table
+    ``slot_map`` that fixes orbit i carries slot k.
+
+    Such a map keeps orbit i's cell c, and carries lattice slot l of c
+    onto slot ``slot_map[c][l]`` at a vertex of the same orbit.  A
+    translation by L keeps every neighbour's orbit, so a lattice slot
+    reaches the same row entry from every vertex of the orbit, which
+    ``slot_rows`` (:meth:`QuotientGraph.slot_rows`) lists."""
+    key = keys[i]
+    rows, firsts = slot_rows(key)
+    return rows[slot_map[key[0]][firsts[k]]]
 
 
 def _orbit_map(q: QuotientGraph, table: _IdTable, P, pi, t):
@@ -659,25 +706,27 @@ def _orbit_map(q: QuotientGraph, table: _IdTable, P, pi, t):
 
 
 def _quotient_maps(q: QuotientGraph, table: _IdTable, start: int) -> tuple:
-    """Maps of ``lattice_stabiliser(q.base, start cell)`` that descend to
-    q and fix the start orbit, as functions on the ids of a table of q's
-    orbit keys; the identity comes first.
+    """(sigma, slot table) for each map of ``lattice_stabiliser(q.base,
+    start cell)`` that descends to q and fixes the start orbit: its
+    action on the ids of a table of q's orbit keys (:func:`_orbit_map`),
+    which tests that it fixes the start, and its lattice slot table; the
+    identity comes first.
 
     A map descends when P.h lies in L for each generator h of L; that
     containment gives P.L = L because P has finite order.  Tree actions
-    get the identity only.
+    get the identity only, with no slot table.
     """
     if q.action.kind != "sublattice":
-        return (lambda i: i,)
+        return ((lambda i: i, None),)
     c0 = table.keys[start][0]
     zero = (0,) * q.base.dimension
     kept = []
-    for P, pi, t, _slots in lattice_stabiliser(q.base, c0):
+    for P, pi, t, slots in lattice_stabiliser(q.base, c0):
         if all(q.orbit_of((0, tuple(s * h[a] for a, s in P)))[1] == zero
                for h in q.action.rows):
             sigma = _orbit_map(q, table, P, pi, t)
             if sigma(start) == start:
-                kept.append(sigma)
+                kept.append((sigma, slots))
     return tuple(kept)
 
 
@@ -772,7 +821,7 @@ def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
 
 
 def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
-                  maps=(), walker=None) -> list:
+                  maps=(), walker=None, levels=None) -> list:
     """Counts for depths 0..n_max of the walks from id ``start``: the
     depths below the split from a direct run, the others summed over the
     prefix tasks merged under ``maps``, functions (id, slot) -> slot (see
@@ -782,9 +831,12 @@ def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
     len(path)-1..n of a task (default: SAWs, :func:`_counts_from`) and
     vets its prefix: one that no counted walk extends counts zeros, where
     the table's rows do not already leave its steps out.  A pool process
-    receives the walker, with its table, once.  Walkers recurse once per
-    step, so a count deeper than the interpreter's recursion limit allows
-    raises a ValueError that names n_max."""
+    receives the walker, with its table, once.  ``levels`` holds the
+    merged prefix levels of earlier counts from ``start`` under ``maps``
+    (:func:`_merge_prefixes`), which this count reuses and extends.
+    Walkers recurse once per step, so a count deeper than the
+    interpreter's recursion limit allows raises a ValueError that names
+    n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     workers = resolve_workers(workers)
@@ -793,7 +845,8 @@ def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
     try:
         if n_max == 0 or (workers == 1 and len(maps) <= 1):
             return walker(root, n_total=n_max)
-        pdepth, tasks = _merge_prefixes(table.row, start, n_max, maps)
+        pdepth, tasks = _merge_prefixes(table.row, start, n_max, maps,
+                                        levels)
         head = walker(root, n_total=pdepth - 1)
         return _run_split(head, tasks, partial(walker, n_total=n_max),
                           n_max, pdepth, workers)
@@ -802,13 +855,78 @@ def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
                          "interpreter's recursion limit") from None
 
 
+class _Split:
+    """One series source's split, kept for a run: the id table, start id
+    and stabiliser maps of counts from the start key ``key`` on
+    ``source`` (a graph or a quotient), to depths up to ``bound``.  Every
+    count through it reuses the table's rows and tail memo, and the
+    merged prefix levels kept in ``levels``: a memo entry is the K-step
+    tail of an occupancy key, which no count depth changes, and a
+    lattice's packing is wide enough for walks of ``bound`` steps.  Made
+    by :func:`_series_split`."""
+
+    __slots__ = ("source", "key", "bound", "table", "start", "maps",
+                 "levels")
+
+    def __init__(self, source, key, bound: int, table: _IdTable,
+                 start: int, maps):
+        self.source, self.key, self.bound = source, key, bound
+        self.table, self.start, self.maps = table, start, tuple(maps)
+        self.levels: list = []
+
+    def check(self, source, key, n_max: int) -> None:
+        """Refuse, with a ValueError, counts from ``key`` (None: the
+        split's own start) on another source or from another start, and
+        a depth past the bound."""
+        if source is not self.source or key not in (None, self.key):
+            raise ValueError("the split serves counts from "
+                             f"{self.key!r} on another series source")
+        if n_max > self.bound:
+            raise ValueError(f"depth {n_max} is past the split's bound "
+                             f"{self.bound}")
+
+    def counts(self, source, key, n_max: int, workers: int,
+               walker=None) -> list:
+        """Counts for depths 0..n_max through the split, checked by
+        :meth:`check`: SAW counts, or those of ``walker`` (see
+        :func:`_split_counts`) with the split's table bound to its
+        ``table`` argument."""
+        self.check(source, key, n_max)
+        if walker is not None:
+            walker = partial(walker, table=self.table)
+        return _split_counts(self.table, self.start, n_max, workers,
+                             self.maps, walker, self.levels)
+
+
+def _series_split(source, start, bound: int) -> Optional[_Split]:
+    """A split for counts from ``start`` on ``source`` to depths up to
+    ``bound``: SAWs on a graph (default start: the origin) or directed
+    SAWs and event series on a quotient (default: the origin's orbit).
+    None for an acyclic regular graph, whose SAW counts are a closed
+    form."""
+    if isinstance(source, QuotientGraph):
+        table, s0, maps = _quotient_split(source, start)
+        return _Split(source, table.keys[s0], bound, table, s0, maps)
+    start = source.origin() if start is None else start
+    source.validate_key(start)
+    if source.is_acyclic:
+        return None
+    if isinstance(source, PeriodicLattice):
+        table, s0, maps, _x1 = _lattice_split(source, start, bound)
+    else:
+        table, maps = _IdTable(source.neighbors), ()
+        s0 = table.intern(start)
+    return _Split(source, start, bound, table, s0, maps)
+
+
 # ---------------------------------------------------------------------------
 # Public counting operations
 # ---------------------------------------------------------------------------
 
 def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
                workers: Optional[int] = None,
-               max_nodes: Optional[int] = None) -> WalkCounts:
+               max_nodes: Optional[int] = None,
+               split: Optional[_Split] = None) -> WalkCounts:
     """Exact sigma_0..sigma_n_max from v0 (default: the origin).
 
     Parallel edges count as distinct SAWs.  With ``max_nodes`` set, depth
@@ -821,6 +939,10 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
     pass to the deepest n that fits when every depth not yet counted is
     bounded by sigma_{j+1} <= (degree - 1) * sigma_j; a further pass runs
     only if the counted sigma show that more depths fit.
+
+    ``split``, from ``_series_split(g, v0, bound)`` (None on an acyclic
+    graph), is a run's table to count on instead of a fresh one; it
+    refuses a depth past its bound.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -829,8 +951,12 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
     v0 = g.origin() if v0 is None else v0
     g.validate_key(v0)
     workers = resolve_workers(workers)
+    series = _saw_series
+    if split is not None:
+        split.check(g, v0, n_max)
+        series = split.counts
     if max_nodes is None:
-        counts = _saw_series(g, v0, n_max, workers)
+        counts = series(g, v0, n_max, workers)
         return WalkCounts(g.graph_id, v0, False, tuple(counts))
     counts = [1]
     while True:
@@ -838,7 +964,7 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
         if n < len(counts):
             return WalkCounts(g.graph_id, v0, False, tuple(counts[:n + 1]),
                               truncated=n < n_max)
-        counts = _saw_series(g, v0, n, workers)
+        counts = series(g, v0, n, workers)
 
 
 def _budget_reach(counts, n_max: int, max_nodes: int, degree: int) -> int:
@@ -865,22 +991,20 @@ def _saw_series(g: GraphHandle, v0, n_max: int, workers: int) -> list:
         # SAW == non-backtracking walk on a tree: d*(d-1)**(n-1) exactly.
         d = g.degree
         return [1] + [d * (d - 1) ** (n - 1) for n in range(1, n_max + 1)]
-    if isinstance(g, PeriodicLattice):
-        table, s0, maps, _x1 = _lattice_split(g, v0, n_max)
-        return _split_counts(table, s0, n_max, workers, maps)
-    table = _IdTable(g.neighbors)
-    return _split_counts(table, table.intern(v0), n_max, workers)
+    return _series_split(g, v0, n_max).counts(g, v0, n_max, workers)
 
 
 def count_directed_saws(q: QuotientGraph, n_max: int, start=None,
-                        workers: Optional[int] = None) -> WalkCounts:
+                        workers: Optional[int] = None,
+                        split: Optional[_Split] = None) -> WalkCounts:
     """Exact directed SAW counts on a quotient from a start orbit
     (default: the origin's orbit), which must be given by its canonical
     key.  Parallel directed edges are distinct; loops never appear in a
-    SAW of length >= 1."""
-    table, s0, maps = _quotient_split(q, start)
-    counts = _split_counts(table, s0, n_max, workers, maps)
-    return WalkCounts(q.quotient_id, table.keys[s0], True, tuple(counts))
+    SAW of length >= 1.  ``split``, as for :func:`count_saws`, from
+    ``_series_split(q, start, bound)``."""
+    split = split or _series_split(q, start, n_max)
+    counts = split.counts(q, start, n_max, workers)
+    return WalkCounts(q.quotient_id, split.key, True, tuple(counts))
 
 
 def count_walks(g: GraphHandle, v0=None, n_max: int = 0) -> list:

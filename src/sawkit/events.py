@@ -32,7 +32,7 @@ from functools import partial
 from itertools import product
 from typing import Optional
 
-from .counting import _IdTable, _quotient_split, _split_counts
+from .counting import _IdTable, _quotient_split, _Split, _split_counts
 from .exact import Radical
 from .quotient import QuotientGraph, TypeReport, classify_type
 
@@ -263,12 +263,15 @@ def _event_counts_from(task, table: _IdTable, family: CycleFamily, k: int,
 
 def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
                      n_max: int, m: Optional[int], r: int, start,
-                     workers: Optional[int]) -> list:
+                     workers: Optional[int],
+                     split: Optional[_Split] = None) -> list:
     """The counts of :func:`_event_counts_from`, bound with ``partial``
     and so picklable, for depths 0..n_max, split on an id table of q's
     orbit keys with its prefixes merged under the start stabiliser, whose
     maps carry the family sets at o onto those at the image of o and
-    keep every orbit's position on the walk."""
+    keep every orbit's position on the walk.  The count runs through
+    ``split`` (see :func:`sawkit.counting.count_directed_saws`), else on
+    a fresh table."""
     if k < 1 or k > family.length:
         raise EventParameterError(
             f"threshold k={k} outside 1..{family.length}")
@@ -276,20 +279,27 @@ def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
         raise EventParameterError("window half-width m must be >= 0")
     if r < 0:
         raise EventParameterError("occurrence allowance r must be >= 0")
+    walker = partial(_event_counts_from, family=family, k=k, m=m, r=r,
+                     sets=({}, [], [], [], [], []))
+    if split is not None:
+        return split.counts(q, start, n_max, workers, walker)
     table, s0, maps = _quotient_split(q, start)
-    return _split_counts(table, s0, n_max, workers, maps, partial(
-        _event_counts_from, table=table, family=family, k=k, m=m, r=r,
-        sets=({}, [], [], [], [], [])))
+    return _split_counts(table, s0, n_max, workers, maps,
+                         partial(walker, table=table))
 
 
 def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
                       n_max: int, start=None,
-                      workers: Optional[int] = None) -> list:
+                      workers: Optional[int] = None,
+                      split: Optional[_Split] = None) -> list:
     """Exact zero-occurrence counts of the unwindowed event for every
     depth 0..n_max in one pass: :func:`event_series` with m=None, r=0.
     A task replays the arrivals along its prefix, so a prefix that
-    already holds an event adds nothing."""
-    return _quotient_series(q, family, k, n_max, None, 0, start, workers)
+    already holds an event adds nothing.  ``split``, from
+    ``_series_split(q, start, bound)``, is a run's table to count on, as
+    for :func:`sawkit.counting.count_directed_saws`."""
+    return _quotient_series(q, family, k, n_max, None, 0, start, workers,
+                            split)
 
 
 def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,

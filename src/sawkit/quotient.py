@@ -200,6 +200,8 @@ class QuotientGraph:
         self.action = action
         self.quotient_id = f"{base.graph_id}/{action.action_id()}"
         self._rows: dict = {}       # orbit -> tuple of (target_orbit, mult)
+        self._slot_rows: dict = {}  # orbit -> (row entry per lattice slot,
+                                    #          first lattice slot per entry)
 
         if action.kind == "sublattice":
             if not isinstance(base, PeriodicLattice):
@@ -269,6 +271,23 @@ class QuotientGraph:
             row = self._rows[o] = _orbit_tally(self.base, self.orbit_of,
                                                self.rep_of(o))
         return row
+
+    def slot_rows(self, o) -> tuple:
+        """(rows, firsts) for orbit o of a sublattice quotient: rows[l] is
+        the index in ``drow(o)`` of the orbit that slot l of the base
+        lattice's slot table reaches from o's cell, and firsts[j] the
+        first slot reaching entry j.  A translation by L keeps every
+        neighbour's orbit, so they hold at every vertex of o."""
+        got = self._slot_rows.get(o)
+        if got is None:
+            c, x = o
+            index = {t: j for j, (t, _m) in enumerate(self.drow(o))}
+            rows = tuple(index[self.orbit_of((tc, tuple(
+                a + b for a, b in zip(x, delta))))]
+                for tc, delta, _m in self.base.slot_table()[c])
+            got = self._slot_rows[o] = (rows, tuple(map(rows.index,
+                                                        range(len(index)))))
+        return got
 
     def dmult(self, o, t) -> int:
         """Number of directed edges o -> t, i.e. |neighbors of a vertex of

@@ -1,5 +1,6 @@
 import os
 import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -89,3 +90,17 @@ def forced_pool(spy_pools, monkeypatch):
     monkeypatch.setattr(counting, "_POOL_SAMPLE_NODES", 0)
     monkeypatch.setattr(counting, "_POOL_BREAK_EVEN_NODES", 0)
     return spy_pools
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """A weak reference to every id table made."""
+    made = []
+    init = counting._IdTable.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(counting._IdTable, "__init__", spy)
+    return made

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 import pytest
 
-from sawkit import certificate
+from sawkit import bounds, certificate
 from sawkit.bounds import LowerBoundSequence, bridge_bounds, lower_bounds
 from sawkit.certificate import (CheckRecord, SearchOutcome, _fmt_radical,
                                 certify_ratio, find_epsilon_m)
 from sawkit.cli import run
-from sawkit.counting import (_stabiliser, count_directed_saws, count_saws,
-                             lattice_stabiliser)
+from sawkit.counting import (_series_split, _stabiliser, count_directed_saws,
+                             count_saws, lattice_stabiliser)
 from sawkit.events import CycleFamily, build_cycle_family, event_free_series
 from sawkit.exact import Radical, float_repr
 from sawkit.graphs import PeriodicLattice, catalog, load_spec_file
@@ -113,18 +113,34 @@ def _stepwise_search(q, family, b, a_n=None, n_budget=10, workers=None,
 class _NodeMeter:
     """Wraps ``count_saws`` in the certificate module and sums the nodes
     of its runs: sigma_0 + ... + sigma_t for a run to depth t.  ``last``
-    holds the nodes of the last run."""
+    holds the nodes of the last run.
+
+    ``series`` sums the same for every series the search counts, by
+    name: ``us`` (``count_saws``), ``ds`` (``count_directed_saws``) and
+    ``ef`` (``event_free_series``) as the certificate module calls them,
+    and ``beta`` (``bridge_counts``) as the bounds module does."""
 
     def __init__(self, monkeypatch):
         self.nodes = self.last = 0
-        inner = certificate.count_saws
+        self.series = {}
+        for module, name, key in (
+                (certificate, "count_saws", "us"),
+                (certificate, "count_directed_saws", "ds"),
+                (certificate, "event_free_series", "ef"),
+                (bounds, "bridge_counts", "beta")):
+            monkeypatch.setattr(module, name,
+                                self._metered(getattr(module, name), key))
 
+    def _metered(self, inner, key):
         def counted(*args, **kwargs):
             out = inner(*args, **kwargs)
-            self.last = sum(out.counts)
-            self.nodes += self.last
+            nodes = sum(getattr(out, "counts", out))
+            self.series[key] = self.series.get(key, 0) + nodes
+            if key == "us":
+                self.last = nodes
+                self.nodes += nodes
             return out
-        monkeypatch.setattr(certificate, "count_saws", counted)
+        return counted
 
 
 def _bound(g, mu, budget):
@@ -147,14 +163,45 @@ SEARCH_CASES = [
 ]
 
 
+# the nodes each series of a SEARCH_CASES run metered before the search
+# shared one split per series source, bridges included: sharing tables
+# adds no count and drops none.  Only the two ladder cases' undirected
+# counts differ, as the sigma model of _agreement_target fits the fall
+# of the ratios there: ladder/3 counts to 4, 8 and 13 (5240 nodes) where
+# the constant ratio counted to 4, 8, 9 and 14 (8906), and ladder/2 to
+# 2, 5 and 7 (324) where it counted to 2, 5 and 8 (484).
+SEARCH_NODES = {
+    ("zd:2", "2 0;0 2", None, 12):
+        {"beta": 42991, "ds": 29, "ef": 1, "us": 551162},
+    ("zd:2", "2 0;0 2", None, 13):
+        {"beta": 109644, "ds": 29, "ef": 1, "us": 1666727},
+    ("zd:2", "2 0;0 2", None, 16):
+        {"beta": 1843795, "ds": 29, "ef": 1, "us": 12179096},
+    ("zd:2", "3 0;0 1", "2.63", 14): {"ds": 5, "ef": 0, "us": 607},
+    ("zd:2", "2 0;0 2", "2.63", 12): {"ds": 29, "ef": 1, "us": 607},
+    ("zd:1", "3", None, 10): {"beta": 11, "ds": 5, "ef": 3, "us": 21},
+    ("square-octagon", "1 -1", "1.8", 16):
+        {"ds": 20560, "ef": 6956, "us": 100870},
+    ("square-octagon", "1 -1", "1.8", 18):
+        {"ds": 53986, "ef": 16120, "us": 335808},
+    ("ladder", "3", "1.61", 30): {"ds": 44, "ef": 14, "us": 5240},
+    ("ladder", "2", "1.61", 30): {"ds": 14, "ef": 2, "us": 324},
+    ("zd:2", "2 0;0 2", None, 0): {"beta": 2},
+    ("zd:2", "2 0;0 2", None, 1): {"beta": 2, "ds": 5, "ef": 1},
+    ("zd:2", "2 0;0 2", None, 2): {"beta": 5, "ds": 13, "ef": 1, "us": 17},
+    ("zd:1", "3", None, 2): {"beta": 3, "ds": 5, "ef": 3, "us": 5},
+}
+
+
 @pytest.mark.parametrize("graph,rows,mu,budget", SEARCH_CASES)
 def test_certificate_bytes_match_stepwise_search(graph, rows, mu, budget,
                                                   monkeypatch):
     q = _quotient(graph, rows)
     g, family = q.base, build_cycle_family(q)
-    b = _bound(g, mu, budget)
     meter = _NodeMeter(monkeypatch)
+    b = _bound(g, mu, budget)
     got = certify_ratio(g, q, family, b, budget, workers=1).to_json()
+    assert meter.series == SEARCH_NODES[graph, rows, mu, budget]
     predicted = meter.nodes
     meter.nodes = 0
     monkeypatch.setattr(certificate, "find_epsilon_m", _stepwise_search)
@@ -230,6 +277,99 @@ def test_agreement_target_looks_ahead_to_the_deciding_depth():
     b = _bound(g, None, 13)
     assert certificate._agreement_target(us, b, Fraction(1, 2), 11, 13,
                                          spent) != 12
+
+
+# ---------------------------------------------------------------------------
+# One split per series source for a run
+# ---------------------------------------------------------------------------
+
+# (graph, split bound): the ladder and Z^2 counts reach their tail memos
+SPLIT_GRAPHS = [("zd:2", 12), ("ladder", 14), ("square-octagon", 9),
+                ("tree:4", 6)]
+# (graph, sublattice rows or tree action, split bound)
+SPLIT_QUOTIENTS = [("zd:3", "3 0 0;0 3 0;0 0 3", 7), ("zd:2", "1 1", 8),
+                   ("tree-with-end(3)", "child-swap", 7)]
+
+
+def _split_quotient(graph, rows):
+    if rows == "child-swap":
+        return build_quotient(catalog(graph), tree_action(rows))
+    return _quotient(graph, rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_counts_through_a_shared_split_match_fresh_counts(workers,
+                                                          forced_pool,
+                                                          tables):
+    # the deepest count first, so that the shallower ones read what it
+    # left in the table, then every depth up to the bound
+    fresh, shared = [], []
+    for graph, bound in SPLIT_GRAPHS:
+        g = catalog(graph)
+        fresh.append([count_saws(g, None, n) for n in range(bound + 1)])
+    for graph, rows, bound in SPLIT_QUOTIENTS:
+        q = _split_quotient(graph, rows)
+        fam = build_cycle_family(q)
+        fresh.append([(count_directed_saws(q, n),
+                       event_free_series(q, fam, fam.length, n))
+                      for n in range(bound + 1)])
+    fresh_tables = len(tables)
+    for graph, bound in SPLIT_GRAPHS:
+        g = catalog(graph)
+        split = _series_split(g, None, bound)
+        got = {n: count_saws(g, None, n, workers=workers, split=split)
+               for n in [bound] + list(range(bound))}
+        shared.append([got[n] for n in range(bound + 1)])
+    for graph, rows, bound in SPLIT_QUOTIENTS:
+        q = _split_quotient(graph, rows)
+        fam = build_cycle_family(q)
+        split = _series_split(q, None, bound)
+        got = {n: (count_directed_saws(q, n, workers=workers, split=split),
+                   event_free_series(q, fam, fam.length, n,
+                                     workers=workers, split=split))
+               for n in [bound] + list(range(bound))}
+        shared.append([got[n] for n in range(bound + 1)])
+    assert shared == fresh
+    # one table per split, none on the tree, whose counts are a formula
+    assert len(tables) - fresh_tables == \
+        len(SPLIT_GRAPHS) - 1 + len(SPLIT_QUOTIENTS)
+    assert bool(forced_pool) == (workers == 2)
+
+
+def test_a_split_refuses_a_depth_past_its_bound_and_other_sources():
+    g = catalog("zd:2")
+    split = _series_split(g, None, 6)
+    assert count_saws(g, None, 6, split=split) == count_saws(g, None, 6)
+    for bad in (lambda: count_saws(g, None, 7, split=split),
+                lambda: count_saws(g, None, 9, max_nodes=10 ** 6,
+                                   split=split),
+                # refused before a pass, however few depths fit the budget
+                lambda: count_saws(g, None, 9, max_nodes=10, split=split),
+                lambda: count_saws(g, (0, (1, 0)), 3, split=split),
+                lambda: count_saws(catalog("ladder"), None, 3, split=split)):
+        with pytest.raises(ValueError):
+            bad()
+    q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
+    fam = build_cycle_family(q)
+    qsplit = _series_split(q, None, 6)
+    for bad in (lambda: count_directed_saws(q, 7, split=qsplit),
+                lambda: event_free_series(q, fam, 3, 7, split=qsplit),
+                lambda: count_directed_saws(q, 3, start=(0, (1, 0, 0)),
+                                            split=qsplit),
+                lambda: count_directed_saws(q, 3, split=split),
+                lambda: count_saws(g, None, 3, split=qsplit)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_certify_makes_one_table_per_series_source(tables):
+    # ladder/3 at mu 1.61 counts ef, ds and three undirected series
+    q = _quotient("ladder", "3")
+    g, family = q.base, build_cycle_family(q)
+    b = _bound(g, "1.61", 30)
+    cert = certify_ratio(g, q, family, b, 30, workers=1)
+    assert cert.status == "certified"
+    assert len(tables) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ family onto itself.
 
 import multiprocessing
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -17,8 +18,10 @@ from oracles import (naive_at_most, naive_directed_saw_counts,
                      naive_directed_saw_paths, naive_event_count,
                      naive_occurrence_tally)
 from sawkit import counting
-from sawkit.counting import (_counts_from, _quotient_maps, _quotient_split,
-                             count_directed_saws)
+from sawkit.bounds import bridge_bounds
+from sawkit.certificate import certify_ratio
+from sawkit.counting import (_counts_from, _merge_prefixes, _quotient_maps,
+                             _quotient_split, count_directed_saws)
 from sawkit.events import (CycleFamily, build_cycle_family, count_with_events,
                            event_free_series, event_series)
 from sawkit.graphs import InvalidVertexError, catalog
@@ -162,7 +165,7 @@ def test_tree_actions_keep_the_identity_only():
         q = _quotient("tree-with-end(3)", action)
         table, s0, _maps = _quotient_split(q)
         maps = _quotient_maps(q, table, s0)
-        assert len(maps) == 1 and maps[0](s0) == s0
+        assert len(maps) == 1 and maps[0][0](s0) == s0
 
 
 def _probe(q, radius=3):
@@ -182,7 +185,7 @@ def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows):
     fam = build_cycle_family(q)
     for start in _starts(q):
         table, s0, _maps = _quotient_split(q, start)
-        for sigma in _quotient_maps(q, table, s0):
+        for sigma, _slots in _quotient_maps(q, table, s0):
             assert sigma(s0) == s0
 
             def image(key):
@@ -197,6 +200,42 @@ def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows):
                     == set(fam.sets_at(image(o)))
 
 
+def _orbit_image_slot(table, sigma, i, k):
+    """The slot action the slot-table maps replaced, kept as their
+    reference: the slot of row i holding the image under ``sigma``, a
+    map on ids that fixes i, of slot k's target, found by a search of
+    the row."""
+    row = table.row(i)
+    t = sigma(row[k][0])
+    return next(j for j, (u, _m) in enumerate(row) if u == t)
+
+
+def _merged_keys(table, maps, start, n):
+    """``_merge_prefixes``' pdepth and every level it grew, with each
+    path's ids given as orbit keys: the tasks alone are empty on the
+    quotients whose SAWs end before pdepth."""
+    levels = []
+    pdepth, tasks = _merge_prefixes(table.row, start, n, maps, levels)
+    assert tasks == [tuple(task[:3]) for task in levels[pdepth]]
+    return pdepth, [[(tuple(table.keys[i] for i in path), slots, weight)
+                     for path, slots, weight, _stab in level]
+                    for level in levels]
+
+
+@pytest.mark.parametrize("graph,rows", [(g, r) for g, r, _ in
+                                        FINITE + INFINITE])
+def test_slot_table_maps_merge_as_the_orbit_image_action(graph, rows):
+    q = _quotient(graph, rows)
+    for start in _starts(q):
+        for n in (8, 10):
+            table, s0, maps = _quotient_split(q, start)
+            ref, r0, _maps = _quotient_split(q, start)
+            orbit_maps = [partial(_orbit_image_slot, ref, sigma)
+                          for sigma, _slots in _quotient_maps(q, ref, r0)]
+            assert _merged_keys(table, maps, s0, n) == \
+                _merged_keys(ref, orbit_maps, r0, n), (start, n)
+
+
 def test_counting_leaves_the_quotient_as_it_was():
     q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
     fam = build_cycle_family(q)
@@ -204,6 +243,15 @@ def test_counting_leaves_the_quotient_as_it_was():
     count_directed_saws(q, 6)
     event_free_series(q, fam, 3, 6)
     assert set(vars(q)) == before
+
+
+def test_certifying_leaves_the_graph_and_quotient_as_they_were():
+    # certify_ratio keeps its tables for the run and stores none of them
+    q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
+    g = q.base
+    before = set(vars(q)), dict(vars(g))
+    certify_ratio(g, q, build_cycle_family(q), bridge_bounds(3, 6)[1], 6)
+    assert (set(vars(q)), dict(vars(g))) == before
 
 
 def test_directed_counts_match_across_workers(forced_pool, monkeypatch):

@@ -247,11 +247,12 @@ def test_every_walker_pickles(monkeypatch):
     kinds = []
     real = counting._split_counts
 
-    def spy(table, start, n_max, workers, maps=(), walker=None):
+    def spy(table, start, n_max, workers, maps=(), walker=None,
+            levels=None):
         walker = walker or partial(counting._counts_from, table=table)
         assert pickle.loads(pickle.dumps(walker)).func is walker.func
         kinds.append(walker.func.__name__)
-        return real(table, start, n_max, workers, maps, walker)
+        return real(table, start, n_max, workers, maps, walker, levels)
 
     for module in (counting, bounds, events):
         monkeypatch.setattr(module, "_split_counts", spy)

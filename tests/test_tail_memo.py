@@ -14,7 +14,6 @@ no table outlives its count.
 
 import gc
 import pickle
-import weakref
 from functools import lru_cache
 
 import pytest
@@ -22,7 +21,8 @@ import pytest
 from oracles import (naive_bridge_counts, naive_directed_saw_counts,
                      naive_saw_counts)
 from sawkit import bounds, counting
-from sawkit.bounds import _bridge_counts_from, bridge_counts
+from sawkit.bounds import _bridge_counts_from, bridge_bounds, bridge_counts
+from sawkit.certificate import certify_ratio
 from sawkit.counting import (_counts_from, _lattice_split, count_directed_saws,
                              count_saws)
 from sawkit.events import build_cycle_family, event_free_series
@@ -133,20 +133,6 @@ def test_split_counts_match_oracle_past_the_memo_depth(monkeypatch, name,
     assert len(depths) == 1 and n - depths[0] >= 2 * K
 
 
-@pytest.fixture
-def tables(monkeypatch):
-    """A weak reference to every id table made."""
-    made = []
-    init = counting._IdTable.__init__
-
-    def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(weakref.ref(self))
-
-    monkeypatch.setattr(counting._IdTable, "__init__", spy)
-    return made
-
-
 Z2MOD22 = build_quotient(Z2, sublattice_action([[2, 0], [0, 2]]))
 
 
@@ -232,8 +218,10 @@ def test_a_table_pickles_with_its_memo():
     lambda: count_saws(catalog("ladder"), n_max=12),
     lambda: bridge_counts(2, 12),
     lambda: count_directed_saws(Z2MOD22, 8),
-    lambda: event_free_series(Z2MOD22, build_cycle_family(Z2MOD22), 2, 8)],
-    ids=["zd(2)", "ladder", "bridges", "quotient", "event-free"])
+    lambda: event_free_series(Z2MOD22, build_cycle_family(Z2MOD22), 2, 8),
+    lambda: certify_ratio(Z2, Z2MOD22, build_cycle_family(Z2MOD22),
+                          bridge_bounds(2, 13)[1], 13)],
+    ids=["zd(2)", "ladder", "bridges", "quotient", "event-free", "certify"])
 def test_each_table_is_freed_when_its_count_returns(tables, count):
     # no reference cycle keeps a table, and its memo, alive until the
     # cyclic collector runs; the zd(2) and bridge counts reach the memo
