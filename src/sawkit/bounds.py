@@ -7,13 +7,13 @@ root is a valid lower bound), and the degree bound sqrt(degree-1) for
 simple transitive graphs.  A user-supplied exact constant (e.g. a known
 growth constant) is the third, trivial, source.  :func:`lower_bounds`
 alone picks a graph's source, for ``saw ratio`` and ``saw bounds``
-alike.  Bridges run through :func:`sawkit.counting._split_counts` with
-their own walker, which carries the first coordinate and its running
-maximum, on the half-space table of :func:`sawkit.counting._lattice_split`,
-which also supplies the origin's stabiliser maps that fix the first
-coordinate and the tail memo of the SAW kernel.  The walker shares that
-memo's step and adds the first coordinate's two capped distances to its
-key.
+alike.  Bridges are counted by :meth:`sawkit.counting._Split.counts`
+with their own walker, which carries the first coordinate and its
+running maximum, on a split around the half-space table of
+:func:`sawkit.counting._lattice_split`, which also supplies the origin's
+stabiliser maps that fix the first coordinate and the tail memo of the
+SAW kernel.  The walker shares that memo's step and adds the first
+coordinate's two capped distances to its key.
 
 Lower-bound sequences are kept non-decreasing by a running-maximum
 transform — replacing an entry by an earlier, larger valid lower bound
@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .counting import (_flush_tails, _lattice_split, _memo_depth,
-                       _split_counts, _store_tail)
+from .counting import (_flush_tails, _lattice_split, _memo_depth, _Split,
+                       _store_tail)
 from .exact import Radical
 from .graphs import PeriodicLattice, catalog
 from .quotient import hermite_rows
@@ -146,9 +146,9 @@ def bridge_counts(d: int, n_max: int, workers: Optional[int] = None) -> list:
     lat = catalog(f"zd:{d}")
     table, start, maps, x1 = _lattice_split(lat, lat.origin(), n_max,
                                             half_space=True)
-    return _split_counts(
-        table, start, n_max, workers, maps,
-        partial(_bridge_counts_from, table=table, xs=[], x1=x1))
+    split = _Split(lat, lat.origin(), n_max, table, start, maps)
+    return split.counts(lat, None, n_max, workers,
+                        partial(_bridge_counts_from, xs=[], x1=x1))
 
 
 # ---------------------------------------------------------------------------

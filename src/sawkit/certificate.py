@@ -707,7 +707,7 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
 
     The search splits each series source once (:func:`find_epsilon_m`);
     the rewiring stage's directed counts past the budget, where it needs
-    them, run on a fresh table.
+    them, run on a split of their own.
     """
     if q.base is not g and q.base.graph_id != g.graph_id:
         raise CertificateError("quotient was not built from this graph")

@@ -22,9 +22,9 @@ All counts are exact Python integers.  The engines are:
   non-backtracking walk: sigma_n = d(d-1)**(n-1);
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
 
-Every split series, here and in :mod:`sawkit.bounds` (Z^d bridges) and
-:mod:`sawkit.events` (both event series), runs through
-:func:`_split_counts`: it splits the search by short prefixes, by one
+Every series, here and in :mod:`sawkit.bounds` (Z^d bridges) and
+:mod:`sawkit.events` (both event series), is counted by
+:meth:`_Split.counts`: it splits the search by short prefixes, by one
 rule for every worker count, merges them under stabiliser maps that act
 on slots, and sums exact integer subtree counts from the caller's
 walker, which vets its own prefixes.  On one worker with at most one
@@ -47,12 +47,14 @@ serves both).  Both act on slots through their lattice slot tables; a
 quotient orbit's lattice slots are mapped to its row entries once
 (:meth:`QuotientGraph.slot_rows`).
 
-A count makes its own id table, prefix split and tail memo, unless it is
-given a :class:`_Split` (:func:`_series_split`): a run that counts one
-series source several times, as ``saw ratio``'s search does, keeps one
-split per source and frees it with the run.  Its counts to any depth up
-to the split's bound reuse the rows, tail memo and merged prefix levels
-of the counts before them, and are the counts of a fresh table.
+A split holds the id table, prefix levels and tail memo of one series
+source (:func:`_series_split`; Z^d bridges wrap their half-space table
+in one).  A count makes its own split unless it is given one: a run
+that counts one source several times, as ``saw ratio``'s search does,
+keeps one split per source and frees it with the run, and the passes of
+a node-budget count share one.  Counts to any depth up to the split's
+bound reuse the rows, tail memo and merged prefix levels of the counts
+before them, and are the counts of a fresh table.
 """
 
 from __future__ import annotations
@@ -131,14 +133,13 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 # Interned vertex ids and the SAW kernel
 # ---------------------------------------------------------------------------
 #
-# Every SAW count runs on integer ids.  A table made when counting starts
-# interns vertex keys on first sight and builds their rows from a row
-# source, its only per-graph part.  The source must be picklable: a pool
-# process receives the table once, with the walker, and goes on interning
-# in its own copy.  A count makes its own table, unless it is given a
-# :class:`_Split`: a run that counts one series source several times
-# keeps one table per source, and frees it with the run.  Tables are
-# never stored on a graph, on a quotient or in a module-level cache.
+# Every count runs on integer ids.  A table interns vertex keys on first
+# sight and builds their rows from a row source, its only per-graph part.
+# The source must be picklable: a pool process receives the table once,
+# with the walker, and goes on interning in its own copy.  Each table
+# belongs to one :class:`_Split`, which lives as long as the count or
+# the run that made it.  Tables are never stored on a graph, on a
+# quotient or in a module-level cache.
 
 class _IdTable:
     """Vertex keys interned as ids 0, 1, 2, ... on first sight.
@@ -154,8 +155,8 @@ class _IdTable:
     key offsets of the radius-K ball around a vertex of cell c (see
     :func:`_lattice_split`).  The table then holds the tail memo of its
     walker (:func:`_counts_from` or the bridge walker), one per cell, so
-    the memo lives as long as the table: one count, or the counts of a
-    run through one :class:`_Split`.  ``tails[i]`` is None until
+    the memo lives as long as the table: for the counts through its
+    :class:`_Split`.  ``tails[i]`` is None until
     :meth:`tail` builds id i's (memo, occupancy getter) pair.
     """
 
@@ -654,28 +655,6 @@ def _grow_level(steps, level) -> list:
 # merge quotient prefixes exactly as the lattice stabiliser merges
 # lattice prefixes, and act on slots through their lattice slot tables.
 
-def _quotient_split(q: QuotientGraph, start=None) -> tuple:
-    """(table, start id, maps) for a split count on q from the orbit key
-    ``start`` (default: the origin's orbit): an id table on q's directed
-    rows and the maps of :func:`_quotient_maps` as functions
-    (id, slot) -> slot (:func:`_quotient_slot`); none for a tree action,
-    whose only map is the identity.
-
-    The start must be the canonical key of its orbit, with a valid base
-    vertex as its representative; :meth:`QuotientGraph.validate_key`
-    refuses any other key, because its rows belong to no orbit and would
-    give wrong counts.
-    """
-    if start is None:
-        start = q.origin_orbit()
-    q.validate_key(start)
-    table = _IdTable(q.drow)
-    s0 = table.intern(start)
-    return table, s0, [partial(_quotient_slot, q.slot_rows, table.keys, slots)
-                       for _sigma, slots in _quotient_maps(q, table, s0)
-                       if slots is not None]
-
-
 def _quotient_slot(slot_rows, keys, slot_map, i: int, k: int) -> int:
     """The slot of row i onto which a map with lattice slot table
     ``slot_map`` that fixes orbit i carries slot k.
@@ -690,44 +669,27 @@ def _quotient_slot(slot_rows, keys, slot_map, i: int, k: int) -> int:
     return rows[slot_map[key[0]][firsts[k]]]
 
 
-def _orbit_map(q: QuotientGraph, table: _IdTable, P, pi, t):
-    """The lattice map (c, x) -> (pi[c], P.x + t[c]) acting on the ids of
-    a table of q's orbit keys, each image computed on first use."""
-    images: dict = {}
-
-    def sigma(i: int) -> int:
-        j = images.get(i)
-        if j is None:
-            c, x = table.keys[i]
-            j = images[i] = table.intern(q.orbit_of((pi[c], tuple(
-                s * x[a] + b for (a, s), b in zip(P, t[c])))))
-        return j
-    return sigma
-
-
-def _quotient_maps(q: QuotientGraph, table: _IdTable, start: int) -> tuple:
-    """(sigma, slot table) for each map of ``lattice_stabiliser(q.base,
-    start cell)`` that descends to q and fixes the start orbit: its
-    action on the ids of a table of q's orbit keys (:func:`_orbit_map`),
-    which tests that it fixes the start, and its lattice slot table; the
-    identity comes first.
+def _quotient_maps(q: QuotientGraph, start) -> tuple:
+    """The lattice slot table of each map of ``lattice_stabiliser(q.base,
+    start cell)`` that descends to q and fixes the orbit key ``start``,
+    a base vertex: the orbit of its image is the start.  The identity
+    comes first.
 
     A map descends when P.h lies in L for each generator h of L; that
-    containment gives P.L = L because P has finite order.  Tree actions
-    get the identity only, with no slot table.
+    containment gives P.L = L because P has finite order.  A tree
+    action gets none: its only map is the identity, which merges
+    nothing.
     """
     if q.action.kind != "sublattice":
-        return ((lambda i: i, None),)
-    c0 = table.keys[start][0]
+        return ()
+    c0, x0 = start
     zero = (0,) * q.base.dimension
-    kept = []
-    for P, pi, t, slots in lattice_stabiliser(q.base, c0):
+    return tuple(
+        slots for P, pi, t, slots in lattice_stabiliser(q.base, c0)
         if all(q.orbit_of((0, tuple(s * h[a] for a, s in P)))[1] == zero
-               for h in q.action.rows):
-            sigma = _orbit_map(q, table, P, pi, t)
-            if sigma(start) == start:
-                kept.append((sigma, slots))
-    return tuple(kept)
+               for h in q.action.rows)
+        and q.orbit_of((pi[c0], tuple(s * x0[a] + b for (a, s), b
+                                      in zip(P, t[c0])))) == start)
 
 
 # ---------------------------------------------------------------------------
@@ -820,50 +782,16 @@ def _run_split(head, tasks, task_fn, n_max: int, pdepth: int, workers: int):
     return list(head) + tail
 
 
-def _split_counts(table: _IdTable, start: int, n_max: int, workers: int,
-                  maps=(), walker=None, levels=None) -> list:
-    """Counts for depths 0..n_max of the walks from id ``start``: the
-    depths below the split from a direct run, the others summed over the
-    prefix tasks merged under ``maps``, functions (id, slot) -> slot (see
-    :func:`_merge_prefixes`).  On one worker with at most one map, where
-    the split would merge nothing and start no pool, one direct run
-    counts every depth.  ``walker(task, n_total=n)`` counts depths
-    len(path)-1..n of a task (default: SAWs, :func:`_counts_from`) and
-    vets its prefix: one that no counted walk extends counts zeros, where
-    the table's rows do not already leave its steps out.  A pool process
-    receives the walker, with its table, once.  ``levels`` holds the
-    merged prefix levels of earlier counts from ``start`` under ``maps``
-    (:func:`_merge_prefixes`), which this count reuses and extends.
-    Walkers recurse once per step, so a count deeper than the
-    interpreter's recursion limit allows raises a ValueError that names
-    n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    workers = resolve_workers(workers)
-    walker = walker or partial(_counts_from, table=table)
-    root = ((start,), (), 1)
-    try:
-        if n_max == 0 or (workers == 1 and len(maps) <= 1):
-            return walker(root, n_total=n_max)
-        pdepth, tasks = _merge_prefixes(table.row, start, n_max, maps,
-                                        levels)
-        head = walker(root, n_total=pdepth - 1)
-        return _run_split(head, tasks, partial(walker, n_total=n_max),
-                          n_max, pdepth, workers)
-    except RecursionError:
-        raise ValueError(f"a count to depth {n_max} exceeds the "
-                         "interpreter's recursion limit") from None
-
-
 class _Split:
-    """One series source's split, kept for a run: the id table, start id
-    and stabiliser maps of counts from the start key ``key`` on
-    ``source`` (a graph or a quotient), to depths up to ``bound``.  Every
-    count through it reuses the table's rows and tail memo, and the
-    merged prefix levels kept in ``levels``: a memo entry is the K-step
-    tail of an occupancy key, which no count depth changes, and a
-    lattice's packing is wide enough for walks of ``bound`` steps.  Made
-    by :func:`_series_split`."""
+    """One series source's split: the id table, start id and stabiliser
+    maps, functions (id, slot) -> slot, of counts from the start key
+    ``key`` on ``source`` (a graph or a quotient), to depths up to
+    ``bound``.  Every count through it reuses the table's rows and tail
+    memo, and the merged prefix levels kept in ``levels``: a memo entry
+    is the K-step tail of an occupancy key, which no count depth
+    changes, and a lattice's packing is wide enough for walks of
+    ``bound`` steps.  Made by :func:`_series_split`, or around the Z^d
+    bridge table."""
 
     __slots__ = ("source", "key", "bound", "table", "start", "maps",
                  "levels")
@@ -875,48 +803,82 @@ class _Split:
         self.levels: list = []
 
     def check(self, source, key, n_max: int) -> None:
-        """Refuse, with a ValueError, counts from ``key`` (None: the
-        split's own start) on another source or from another start, and
-        a depth past the bound."""
-        if source is not self.source or key not in (None, self.key):
-            raise ValueError("the split serves counts from "
-                             f"{self.key!r} on another series source")
+        """Refuse, with a ValueError that names the cause, counts on
+        another source, from another start ``key`` (None: the split's
+        own start) or to a depth past the bound."""
+        if source is not self.source:
+            raise ValueError("the split serves another series source")
+        if key not in (None, self.key):
+            raise ValueError(f"the split serves counts from {self.key!r}, "
+                             f"not from {key!r}")
         if n_max > self.bound:
             raise ValueError(f"depth {n_max} is past the split's bound "
                              f"{self.bound}")
 
     def counts(self, source, key, n_max: int, workers: int,
                walker=None) -> list:
-        """Counts for depths 0..n_max through the split, checked by
-        :meth:`check`: SAW counts, or those of ``walker`` (see
-        :func:`_split_counts`) with the split's table bound to its
-        ``table`` argument."""
+        """Counts for depths 0..n_max of the walks from the split's start,
+        checked by :meth:`check`: the depths below the split from a direct
+        run, the others summed over the prefix tasks merged under the
+        maps (:func:`_merge_prefixes`, which extends ``levels``); one
+        direct run counts every depth on one worker with at most one map,
+        where the split would merge nothing and start no pool.
+
+        ``walker(task, table=..., n_total=n)`` counts depths
+        len(path)-1..n of a task (default: SAWs, :func:`_counts_from`)
+        and vets its prefix: one that no counted walk extends counts
+        zeros, where the table's rows do not already leave its steps out.
+        A pool process receives it, with the split's table, once.  A
+        count deeper than the interpreter's recursion limit allows raises
+        a ValueError that names n_max."""
         self.check(source, key, n_max)
-        if walker is not None:
-            walker = partial(walker, table=self.table)
-        return _split_counts(self.table, self.start, n_max, workers,
-                             self.maps, walker, self.levels)
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        workers = resolve_workers(workers)
+        table, start = self.table, self.start
+        walker = partial(walker or _counts_from, table=table)
+        root = ((start,), (), 1)
+        try:
+            if n_max == 0 or (workers == 1 and len(self.maps) <= 1):
+                return walker(root, n_total=n_max)
+            pdepth, tasks = _merge_prefixes(table.row, start, n_max,
+                                            self.maps, self.levels)
+            head = walker(root, n_total=pdepth - 1)
+            return _run_split(head, tasks, partial(walker, n_total=n_max),
+                              n_max, pdepth, workers)
+        except RecursionError:
+            raise ValueError(f"a count to depth {n_max} exceeds the "
+                             "interpreter's recursion limit") from None
 
 
 def _series_split(source, start, bound: int) -> Optional[_Split]:
     """A split for counts from ``start`` on ``source`` to depths up to
     ``bound``: SAWs on a graph (default start: the origin) or directed
-    SAWs and event series on a quotient (default: the origin's orbit).
-    None for an acyclic regular graph, whose SAW counts are a closed
-    form."""
-    if isinstance(source, QuotientGraph):
-        table, s0, maps = _quotient_split(source, start)
-        return _Split(source, table.keys[s0], bound, table, s0, maps)
-    start = source.origin() if start is None else start
+    SAWs and event series on a quotient (default: the origin's orbit),
+    with the maps of :func:`_quotient_maps` acting through
+    :func:`_quotient_slot`.  None for an acyclic regular graph, whose SAW
+    counts are a closed form.
+
+    A quotient start must be the canonical key of its orbit, with a
+    valid base vertex as its representative;
+    :meth:`QuotientGraph.validate_key` refuses any other key, because its
+    rows belong to no orbit and would give wrong counts."""
+    quotient = isinstance(source, QuotientGraph)
+    if start is None:
+        start = source.origin_orbit() if quotient else source.origin()
     source.validate_key(start)
-    if source.is_acyclic:
+    if quotient:
+        table = _IdTable(source.drow)
+        maps = [partial(_quotient_slot, source.slot_rows, table.keys, slots)
+                for slots in _quotient_maps(source, start)]
+    elif source.is_acyclic:
         return None
-    if isinstance(source, PeriodicLattice):
+    elif isinstance(source, PeriodicLattice):
         table, s0, maps, _x1 = _lattice_split(source, start, bound)
+        return _Split(source, start, bound, table, s0, maps)
     else:
         table, maps = _IdTable(source.neighbors), ()
-        s0 = table.intern(start)
-    return _Split(source, start, bound, table, s0, maps)
+    return _Split(source, start, bound, table, table.intern(start), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -941,8 +903,9 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
     only if the counted sigma show that more depths fit.
 
     ``split``, from ``_series_split(g, v0, bound)`` (None on an acyclic
-    graph), is a run's table to count on instead of a fresh one; it
-    refuses a depth past its bound.
+    graph), is a run's split to count on; without one the count makes
+    its own, which every pass shares.  A split refuses a depth past its
+    bound before any pass.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -951,20 +914,21 @@ def count_saws(g: GraphHandle, v0=None, n_max: int = 0,
     v0 = g.origin() if v0 is None else v0
     g.validate_key(v0)
     workers = resolve_workers(workers)
-    series = _saw_series
-    if split is not None:
+    split = split or _series_split(g, v0, n_max)
+    if split is None:
+        series = partial(_tree_counts, g.degree)
+    else:
         split.check(g, v0, n_max)
-        series = split.counts
+        series = partial(split.counts, g, v0, workers=workers)
     if max_nodes is None:
-        counts = series(g, v0, n_max, workers)
-        return WalkCounts(g.graph_id, v0, False, tuple(counts))
+        return WalkCounts(g.graph_id, v0, False, tuple(series(n_max)))
     counts = [1]
     while True:
         n = _budget_reach(counts, n_max, max_nodes, g.degree)
         if n < len(counts):
             return WalkCounts(g.graph_id, v0, False, tuple(counts[:n + 1]),
                               truncated=n < n_max)
-        counts = series(g, v0, n, workers)
+        counts = series(n)
 
 
 def _budget_reach(counts, n_max: int, max_nodes: int, degree: int) -> int:
@@ -986,12 +950,10 @@ def _budget_reach(counts, n_max: int, max_nodes: int, degree: int) -> int:
     return n
 
 
-def _saw_series(g: GraphHandle, v0, n_max: int, workers: int) -> list:
-    if g.is_acyclic:
-        # SAW == non-backtracking walk on a tree: d*(d-1)**(n-1) exactly.
-        d = g.degree
-        return [1] + [d * (d - 1) ** (n - 1) for n in range(1, n_max + 1)]
-    return _series_split(g, v0, n_max).counts(g, v0, n_max, workers)
+def _tree_counts(d: int, n_max: int) -> list:
+    """SAW counts to depth n_max on an acyclic d-regular graph, where a
+    SAW is a non-backtracking walk: d*(d-1)**(n-1) exactly."""
+    return [1] + [d * (d - 1) ** (n - 1) for n in range(1, n_max + 1)]
 
 
 def count_directed_saws(q: QuotientGraph, n_max: int, start=None,

@@ -10,19 +10,21 @@ unwindowed form, or by the positions within j±m in the windowed form
 (windows truncate at the walk's ends).  The central quantity is the
 exact number of n-step directed SAWs with at most r occurrences.
 
-Every series runs through :func:`sawkit.counting._split_counts` on
-interned orbit and family-set ids (:func:`_quotient_series`), its
-prefixes merged under the quotient's start stabiliser maps, which act on
-slots; where the stabiliser is the identity alone, the walker runs once
-from the root.  One walker, :func:`_event_counts_from`, counts every
-(k, m, r): it keeps each set's live intersection count with the walk and
-marks a position once, when it occurs; the unwindowed zero-occurrence
-counts, which the ratio certificate consumes, are its case m=None, r=0.
-Occurrences only accumulate along an extension, so a branch dies once
-they exceed r, and one pass gives every depth.  The walker vets its own
-prefixes: it replays a prefix's arrivals, and one that already holds
-more than r occurrences counts zeros.  It is bound with ``partial``, as
-the SAW and bridge walkers are, so it pickles and honours ``workers``.
+Every series is counted by :meth:`sawkit.counting._Split.counts` on
+interned orbit and family-set ids (:func:`_quotient_series`), through
+the caller's split of the quotient or one of its own, as the directed
+counts are: its prefixes are merged under the quotient's start
+stabiliser maps, which act on slots, and where the stabiliser is the
+identity alone, the walker runs once from the root.  One walker,
+:func:`_event_counts_from`, counts every (k, m, r): it keeps each set's
+live intersection count with the walk and marks a position once, when
+it occurs; the unwindowed zero-occurrence counts, which the ratio
+certificate consumes, are its case m=None, r=0.  Occurrences only
+accumulate along an extension, so a branch dies once they exceed r, and
+one pass gives every depth.  The walker vets its own prefixes: it
+replays a prefix's arrivals, and one that already holds more than r
+occurrences counts zeros.  It is bound with ``partial``, as the SAW and
+bridge walkers are, so it pickles and honours ``workers``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import partial
 from itertools import product
 from typing import Optional
 
-from .counting import _IdTable, _quotient_split, _Split, _split_counts
+from .counting import _IdTable, _series_split, _Split
 from .exact import Radical
 from .quotient import QuotientGraph, TypeReport, classify_type
 
@@ -266,12 +268,11 @@ def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
                      workers: Optional[int],
                      split: Optional[_Split] = None) -> list:
     """The counts of :func:`_event_counts_from`, bound with ``partial``
-    and so picklable, for depths 0..n_max, split on an id table of q's
-    orbit keys with its prefixes merged under the start stabiliser, whose
-    maps carry the family sets at o onto those at the image of o and
-    keep every orbit's position on the walk.  The count runs through
-    ``split`` (see :func:`sawkit.counting.count_directed_saws`), else on
-    a fresh table."""
+    and so picklable, for depths 0..n_max, through ``split`` (see
+    :func:`sawkit.counting.count_directed_saws`) or a split of its own:
+    an id table of q's orbit keys with its prefixes merged under the
+    start stabiliser, whose maps carry the family sets at o onto those
+    at the image of o and keep every orbit's position on the walk."""
     if k < 1 or k > family.length:
         raise EventParameterError(
             f"threshold k={k} outside 1..{family.length}")
@@ -281,11 +282,8 @@ def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
         raise EventParameterError("occurrence allowance r must be >= 0")
     walker = partial(_event_counts_from, family=family, k=k, m=m, r=r,
                      sets=({}, [], [], [], [], []))
-    if split is not None:
-        return split.counts(q, start, n_max, workers, walker)
-    table, s0, maps = _quotient_split(q, start)
-    return _split_counts(table, s0, n_max, workers, maps,
-                         partial(walker, table=table))
+    split = split or _series_split(q, start, n_max)
+    return split.counts(q, start, n_max, workers, walker)
 
 
 def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
@@ -313,9 +311,9 @@ def event_series(q: QuotientGraph, family: CycleFamily, k: int, n_max: int,
     event, whose occurrences may involve vertices the walk only reaches
     later.  Occurrences are counted over all n+1 walk positions, so only
     ``r >= n+1`` is guaranteed unconstraining.  Every series comes from
-    :func:`_event_counts_from` through :func:`_split_counts` on
-    ``workers`` (default: ``SAW_WORKERS`` or 1); the unwindowed
-    zero-occurrence series is :func:`event_free_series`.
+    :func:`_event_counts_from` through one split on ``workers``
+    (default: ``SAW_WORKERS`` or 1); the unwindowed zero-occurrence
+    series is :func:`event_free_series`.
     """
     if r == 0 and m is None:
         return event_free_series(q, family, k, n_max, start, workers)

@@ -9,11 +9,14 @@ import sys
 
 import pytest
 
+from oracles import naive_directed_saw_counts
 import sawkit.certificate as certificate
+import sawkit.counting as counting
 import sawkit.events as events
 from sawkit.certificate import RatioCertificate
 from sawkit.cli import run
-from sawkit.graphs import load_spec_file
+from sawkit.graphs import catalog, load_spec_file
+from sawkit.quotient import build_quotient, sublattice_action
 
 Z1MOD3 = ["--graph", "zd:1", "--sublattice", "3"]
 
@@ -230,13 +233,13 @@ def test_events_json_enumerates_once(capsys, monkeypatch):
 def test_events_windowed_enumerates_once(capsys, monkeypatch):
     # one split pass gives the count at every depth, not one per depth
     calls = []
-    original = events._split_counts
+    original = counting._Split.counts
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def counted(split, source, key, n_max, *args, **kwargs):
+        calls.append(n_max)
+        return original(split, source, key, n_max, *args, **kwargs)
 
-    monkeypatch.setattr(events, "_split_counts", counted)
+    monkeypatch.setattr(counting._Split, "counts", counted)
     assert run(["events", "--graph", "square-octagon", "--sublattice",
                 "1 -1", "--n", "12", "--m", "2", "--r", "1"]) == 0
     out = capsys.readouterr().out
@@ -385,6 +388,28 @@ def test_ratio_byte_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("SAW_WORKERS", "8")
     assert run([*args, "--out", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_ratio_deepens_the_directed_counts_past_the_budget(tmp_path,
+                                                          capsys):
+    # zd:1/5 certifies at block length 4, so the rewiring stage needs
+    # directed counts to 2m = 8, one past the search's budget of 7
+    args = ["ratio", "--graph", "zd:1", "--sublattice", "5", "--budget",
+            "7", "--deterministic"]
+    one, two = str(tmp_path / "one.json"), str(tmp_path / "two.json")
+    assert run([*args, "--workers", "1", "--out", one]) == 0
+    assert run([*args, "--workers", "2", "--out", two]) == 0
+    assert open(one, "rb").read() == open(two, "rb").read()
+    payload = json.loads(open(one).read())
+    assert payload["status"] == "certified"
+    assert payload["parameters"]["block_length"] == 4
+    q = build_quotient(catalog("zd:1"), sublattice_action([[5]]))
+    assert [int(c) for c in payload["counts"]["directed"]] == \
+        naive_directed_saw_counts(q, 8)
+    capsys.readouterr()
+    assert run(["verify", one]) == 0
+    out, _ = lines_of(capsys)
+    assert out[0] == "verified: certified"
 
 
 def test_out_files_are_atomic(tmp_path):

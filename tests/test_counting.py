@@ -159,25 +159,28 @@ def test_one_pass_budget_matches_per_depth_loop(graph, n_max):
             _per_depth_budget(g, n_max, budget), budget
 
 
-def test_budget_covering_the_series_counts_once(monkeypatch, z2):
+def test_budget_covering_the_series_counts_once(monkeypatch, z2, tables):
     passes = []
-    inner = counting._saw_series
+    inner = counting._Split.counts
 
-    def metered(g, v0, n, workers):
-        out = inner(g, v0, n, workers)
+    def metered(split, *args, **kwargs):
+        out = inner(split, *args, **kwargs)
         passes.append(sum(out))
         return out
-    monkeypatch.setattr(counting, "_saw_series", metered)
+    monkeypatch.setattr(counting._Split, "counts", metered)
     wc = count_saws(z2, n_max=10, max_nodes=10 ** 9)
     assert wc.counts == tuple(SAW_Z2_10) and not wc.truncated
     assert passes == [sum(SAW_Z2_10)]
     # at exactly the series' charge the bound sigma_{n+1} <= 3 sigma_n
     # stops the first pass one depth short, and the counts show the rest fits
     passes.clear()
+    made = len(tables)
     charge = sum(sum(SAW_Z2_10[:n]) for n in range(1, 11))
     assert count_saws(z2, n_max=10, max_nodes=charge).counts == \
         tuple(SAW_Z2_10)
     assert passes == [sum(SAW_Z2_10[:10]), sum(SAW_Z2_10)]
+    # the two passes share one table, with its rows and tail memo
+    assert len(tables) - made == 1
 
 
 def test_worker_count_does_not_change_counts(z2, q_z2mod22):

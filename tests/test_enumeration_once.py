@@ -340,25 +340,35 @@ def test_a_split_refuses_a_depth_past_its_bound_and_other_sources():
     g = catalog("zd:2")
     split = _series_split(g, None, 6)
     assert count_saws(g, None, 6, split=split) == count_saws(g, None, 6)
-    for bad in (lambda: count_saws(g, None, 7, split=split),
-                lambda: count_saws(g, None, 9, max_nodes=10 ** 6,
-                                   split=split),
-                # refused before a pass, however few depths fit the budget
-                lambda: count_saws(g, None, 9, max_nodes=10, split=split),
-                lambda: count_saws(g, (0, (1, 0)), 3, split=split),
-                lambda: count_saws(catalog("ladder"), None, 3, split=split)):
-        with pytest.raises(ValueError):
+    past = "past the split's bound 6"
+    source = "serves another series source"
+    for bad, match in (
+            (lambda: count_saws(g, None, 7, split=split), past),
+            (lambda: count_saws(g, None, 9, max_nodes=10 ** 6, split=split),
+             past),
+            # refused before a pass, however few depths fit the budget
+            (lambda: count_saws(g, None, 9, max_nodes=10, split=split),
+             past),
+            (lambda: count_saws(g, (0, (1, 0)), 3, split=split),
+             r"serves counts from \(0, \(0, 0\)\), not from "
+             r"\(0, \(1, 0\)\)"),
+            (lambda: count_saws(catalog("ladder"), None, 3, split=split),
+             source)):
+        with pytest.raises(ValueError, match=match):
             bad()
     q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
     fam = build_cycle_family(q)
     qsplit = _series_split(q, None, 6)
-    for bad in (lambda: count_directed_saws(q, 7, split=qsplit),
-                lambda: event_free_series(q, fam, 3, 7, split=qsplit),
-                lambda: count_directed_saws(q, 3, start=(0, (1, 0, 0)),
-                                            split=qsplit),
-                lambda: count_directed_saws(q, 3, split=split),
-                lambda: count_saws(g, None, 3, split=qsplit)):
-        with pytest.raises(ValueError):
+    for bad, match in (
+            (lambda: count_directed_saws(q, 7, split=qsplit), past),
+            (lambda: event_free_series(q, fam, 3, 7, split=qsplit), past),
+            (lambda: count_directed_saws(q, 3, start=(0, (1, 0, 0)),
+                                         split=qsplit),
+             r"serves counts from \(0, \(0, 0, 0\)\), not from "
+             r"\(0, \(1, 0, 0\)\)"),
+            (lambda: count_directed_saws(q, 3, split=split), source),
+            (lambda: count_saws(g, None, 3, split=qsplit), source)):
+        with pytest.raises(ValueError, match=match):
             bad()
 
 

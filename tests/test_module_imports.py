@@ -279,3 +279,75 @@ def test_src_stores_a_memo_entry_in_one_step():
     writes = [(path.name, fn) for path in PACKAGE
               for fn in _memo_writes(path.read_text(encoding="utf-8"))]
     assert writes == [("counting.py", "_store_tail")]
+
+
+SPLIT_INTERNALS = {"_run_split", "_merge_prefixes", "_IdTable"}
+
+
+def _calls(source: str, names: set) -> list:
+    """(enclosing definition, name), in source order, for each call of a
+    function or class in ``names``, also through ``partial``.  The
+    enclosing definition is dotted from the module's top level, as
+    "_Split.counts", and "" at module level."""
+    found = []
+
+    def name_of(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if name_of(fn) == "partial" and node.args:
+                fn = node.args[0]
+            if name_of(fn) in names:
+                found.append((where, name_of(fn)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def _split_internals_outside(sources: dict) -> list:
+    """(module, definition, name) for each call that goes round the one
+    count path: of ``_run_split`` or ``_merge_prefixes`` anywhere but in
+    counting.py's ``_Split.counts``, or of ``_IdTable`` outside
+    counting.py."""
+    return [(mod, where, name) for mod, source in sources.items()
+            for where, name in _calls(source, SPLIT_INTERNALS)
+            if mod != "counting.py" or (
+                name != "_IdTable" and where != "_Split.counts")]
+
+
+def test_the_scan_sees_a_count_outside_the_split():
+    sources = {"counting.py": "class _Split:\n"
+                              "    def counts(self):\n"
+                              "        t = _merge_prefixes(self.levels)\n"
+                              "        return _run_split(t)\n"
+                              "def _series_split(g):\n"
+                              "    return _IdTable(g.neighbors)\n"
+                              "def _fresh(g, n):\n"
+                              "    return _run_split(n, _IdTable(g))\n",
+               "events.py": "from .counting import _IdTable\n"
+                            "def f(t: _IdTable):\n"
+                            "    return partial(_merge_prefixes, t)\n"
+                            "class _Split:\n"
+                            "    def counts(self, q):\n"
+                            "        return counting._IdTable(q.drow)\n"}
+    assert _split_internals_outside(sources) == [
+        ("counting.py", "_fresh", "_run_split"),
+        ("events.py", "f", "_merge_prefixes"),
+        ("events.py", "_Split.counts", "_IdTable")]
+
+
+def test_every_count_runs_through_a_split():
+    # _Split.counts is the one path from a table to the walker
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in PACKAGE}
+    assert _split_internals_outside(sources) == []
+    assert sorted(_calls(sources["counting.py"],
+                         {"_run_split", "_merge_prefixes"})) == \
+        [("_Split.counts", "_merge_prefixes"), ("_Split.counts", "_run_split")]

@@ -21,7 +21,8 @@ from sawkit import counting
 from sawkit.bounds import bridge_bounds
 from sawkit.certificate import certify_ratio
 from sawkit.counting import (_counts_from, _merge_prefixes, _quotient_maps,
-                             _quotient_split, count_directed_saws)
+                             _series_split, count_directed_saws,
+                             lattice_stabiliser)
 from sawkit.events import (CycleFamily, build_cycle_family, count_with_events,
                            event_free_series, event_series)
 from sawkit.graphs import InvalidVertexError, catalog
@@ -148,24 +149,54 @@ def test_deep_counts_match_unmerged_runs():
     # the merged split against a run with the identity map alone
     for graph, rows, _ in FINITE + INFINITE:
         q = _quotient(graph, rows)
-        table, s0, _maps = _quotient_split(q)
-        want = _counts_from(((s0,), (), 1), table, 10)
+        split = _series_split(q, None, 10)
+        want = _counts_from(((split.start,), (), 1), split.table, 10)
         assert list(count_directed_saws(q, 10).counts) == want, rows
+
+
+def _apply(m, v):
+    """The image of base vertex v = (c, x) under a stabiliser map
+    m = (P, pi, t, slot table): (pi[c], P.x + t[c])."""
+    P, pi, t, _slots = m
+    c, x = v
+    return pi[c], tuple(s * x[a] + b for (a, s), b in zip(P, t[c]))
+
+
+def _descending_maps(q, start):
+    """The maps of ``lattice_stabiliser(q.base, start cell)`` that carry
+    orbits onto orbits and fix the orbit ``start``, found from their
+    action on base vertices: a map carries orbits onto orbits when it
+    sends (c, h) and (c, 0) into one orbit for each generator h of L."""
+    c0 = start[0]
+    zero = (0,) * q.base.dimension
+    return [m for m in lattice_stabiliser(q.base, c0)
+            if all(q.orbit_of(_apply(m, (c0, tuple(h))))
+                   == q.orbit_of(_apply(m, (c0, zero)))
+                   for h in q.action.rows)
+            and q.orbit_of(_apply(m, q.rep_of(start))) == start]
+
+
+def _orbit_sigma(q, table, m):
+    """The map m acting on the ids of a table of q's orbit keys."""
+    return lambda i: table.intern(
+        q.orbit_of(_apply(m, q.rep_of(table.keys[i]))))
 
 
 @pytest.mark.parametrize("graph,rows,order", FINITE + INFINITE)
 def test_quotient_map_orders(graph, rows, order):
     q = _quotient(graph, rows)
-    table, s0, _maps = _quotient_split(q)
-    assert len(_quotient_maps(q, table, s0)) == order
+    start = q.origin_orbit()
+    assert len(_quotient_maps(q, start)) == order
+    assert _quotient_maps(q, start) == \
+        tuple(m[3] for m in _descending_maps(q, start))
 
 
 def test_tree_actions_keep_the_identity_only():
+    # the identity merges nothing, so a tree action's split has no maps
     for action in TREES:
         q = _quotient("tree-with-end(3)", action)
-        table, s0, _maps = _quotient_split(q)
-        maps = _quotient_maps(q, table, s0)
-        assert len(maps) == 1 and maps[0][0](s0) == s0
+        assert _quotient_maps(q, q.origin_orbit()) == ()
+        assert _series_split(q, None, 4).maps == ()
 
 
 def _probe(q, radius=3):
@@ -184,12 +215,11 @@ def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows):
     q = _quotient(graph, rows)
     fam = build_cycle_family(q)
     for start in _starts(q):
-        table, s0, _maps = _quotient_split(q, start)
-        for sigma, _slots in _quotient_maps(q, table, s0):
-            assert sigma(s0) == s0
+        for m in _descending_maps(q, start):
+            def image(key, m=m):
+                return q.orbit_of(_apply(m, q.rep_of(key)))
 
-            def image(key):
-                return table.keys[sigma(table.intern(key))]
+            assert image(start) == start
 
             for o in (q.orbits if q.finite else _probe(q)):
                 # rows: sigma(row(o)) = row(sigma(o)), multiplicities kept
@@ -228,12 +258,14 @@ def test_slot_table_maps_merge_as_the_orbit_image_action(graph, rows):
     q = _quotient(graph, rows)
     for start in _starts(q):
         for n in (8, 10):
-            table, s0, maps = _quotient_split(q, start)
-            ref, r0, _maps = _quotient_split(q, start)
-            orbit_maps = [partial(_orbit_image_slot, ref, sigma)
-                          for sigma, _slots in _quotient_maps(q, ref, r0)]
-            assert _merged_keys(table, maps, s0, n) == \
-                _merged_keys(ref, orbit_maps, r0, n), (start, n)
+            split = _series_split(q, start, n)
+            ref = _series_split(q, start, n)
+            orbit_maps = [partial(_orbit_image_slot, ref.table,
+                                  _orbit_sigma(q, ref.table, m))
+                          for m in _descending_maps(q, start)]
+            assert _merged_keys(split.table, split.maps, split.start, n) \
+                == _merged_keys(ref.table, orbit_maps, ref.start, n), \
+                (start, n)
 
 
 def test_counting_leaves_the_quotient_as_it_was():

@@ -12,7 +12,7 @@ from functools import partial
 import pytest
 
 from oracles import naive_bridge_counts, naive_saw_counts
-from sawkit import bounds, counting, events
+from sawkit import counting
 from sawkit.bounds import bridge_counts
 from sawkit.cli import run
 from sawkit.counting import (_IdTable, _lattice_split,
@@ -245,17 +245,15 @@ def test_every_walker_pickles(monkeypatch):
     # a spawn or forkserver pool, the default off Linux, pickles the
     # walker for each process, so a closure walker would fail there only
     kinds = []
-    real = counting._split_counts
+    real = counting._Split.counts
 
-    def spy(table, start, n_max, workers, maps=(), walker=None,
-            levels=None):
-        walker = walker or partial(counting._counts_from, table=table)
-        assert pickle.loads(pickle.dumps(walker)).func is walker.func
-        kinds.append(walker.func.__name__)
-        return real(table, start, n_max, workers, maps, walker, levels)
+    def spy(split, source, key, n_max, workers, walker=None):
+        bound = partial(walker or counting._counts_from, table=split.table)
+        assert pickle.loads(pickle.dumps(bound)).func is bound.func
+        kinds.append(bound.func.__name__)
+        return real(split, source, key, n_max, workers, walker)
 
-    for module in (counting, bounds, events):
-        monkeypatch.setattr(module, "_split_counts", spy)
+    monkeypatch.setattr(counting._Split, "counts", spy)
     cube = build_quotient(catalog("zd:3"), sublattice_action(
         [[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
     fam = build_cycle_family(cube)

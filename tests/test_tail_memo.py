@@ -20,7 +20,7 @@ import pytest
 
 from oracles import (naive_bridge_counts, naive_directed_saw_counts,
                      naive_saw_counts)
-from sawkit import bounds, counting
+from sawkit import counting
 from sawkit.bounds import _bridge_counts_from, bridge_bounds, bridge_counts
 from sawkit.certificate import certify_ratio
 from sawkit.counting import (_counts_from, _lattice_split, count_directed_saws,
@@ -146,13 +146,13 @@ Z2MOD22 = build_quotient(Z2, sublattice_action([[2, 0], [0, 2]]))
     ids=["zd(1)/3", "zd(2)/(1,1)", "tree-with-end(3)/child-swap", "cayley"])
 def test_tables_off_a_lattice_keep_no_memo(monkeypatch, graph, n):
     seen = []
-    real = counting._split_counts
+    real = counting._Split.counts
 
-    def spy(table, *args):
-        seen.append(table)
-        return real(table, *args)
+    def spy(split, *args, **kwargs):
+        seen.append(split.table)
+        return real(split, *args, **kwargs)
 
-    monkeypatch.setattr(counting, "_split_counts", spy)
+    monkeypatch.setattr(counting._Split, "counts", spy)
     if isinstance(graph, CayleyGraph):
         got = count_saws(graph, n_max=n).counts
         want = naive_saw_counts(graph, graph.origin(), n)
@@ -174,13 +174,13 @@ def test_bridge_counts_match_oracle_with_the_memo(monkeypatch, d, n,
     # a bridge tail depends on the running maximum: the memo key holds
     # both distances
     seen = []
-    real = bounds._split_counts
+    real = counting._Split.counts
 
-    def spy(table, *args):
-        seen.append(table)
-        return real(table, *args)
+    def spy(split, *args, **kwargs):
+        seen.append(split.table)
+        return real(split, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "_split_counts", spy)
+    monkeypatch.setattr(counting._Split, "counts", spy)
     assert bridge_counts(d, n, workers=workers) == naive_bridges(d, n)
     (table,) = seen
     # on two workers Z^1's one prefix grows to n // 2 steps, which leaves
