@@ -13,11 +13,15 @@ All counts are exact Python integers.  The engines are:
   bridge walker of :mod:`sawkit.bounds`: the last K steps of a walk
   depend only on which vertices of its endpoint's radius-K ball are
   occupied (and, for bridges, on two capped distances), so each such
-  tail is counted once per cell and key in a table.  The step above
-  looks each child's tail up and sums the children's weights per
-  distinct tail, which is multiplied into the counts once when the call
-  ends (:func:`_store_tail`, :func:`_flush_tails`); the depth and the
-  balls come from one cached search (:func:`_tail_balls`);
+  tail is counted once per class of cells and key in a table: cells
+  that a lattice automorphism exchanges share one memo, their balls
+  listed in matching order.  The step above looks each child's tail up
+  and sums the children's weights per distinct tail, which is
+  multiplied into the counts once when the call ends
+  (:func:`_store_tail`, :func:`_flush_tails`); the depth, the balls and
+  the classes come from one cached search (:func:`_tail_balls`).  The
+  kernel's last two depths are counted in one loop, with no call per
+  child;
 * closed forms for acyclic regular handles, where a SAW is exactly a
   non-backtracking walk: sigma_n = d(d-1)**(n-1);
 * frontier dynamic programming for (not necessarily self-avoiding) walks.
@@ -154,17 +158,20 @@ class _IdTable:
     residue modulo the cell count is the cell, and ``balls[c]`` lists the
     key offsets of the radius-K ball around a vertex of cell c (see
     :func:`_lattice_split`).  The table then holds the tail memo of its
-    walker (:func:`_counts_from` or the bridge walker), one per cell, so
-    the memo lives as long as the table: for the counts through its
-    :class:`_Split`.  ``tails[i]`` is None until
-    :meth:`tail` builds id i's (memo, occupancy getter) pair.
+    walker (:func:`_counts_from` or the bridge walker), one per class of
+    cells: ``memos[c]`` is the one dict of ``classes[c]``, which every
+    cell of that class reads and writes (:func:`_tail_balls`), and a
+    pickled copy keeps that sharing.  The memo lives as long as the
+    table: for the counts through its :class:`_Split`.  ``tails[i]`` is
+    None until :meth:`tail` builds id i's (memo, occupancy getter) pair.
     """
 
-    def __init__(self, source, radius=0, balls=()):
+    def __init__(self, source, radius=0, balls=(), classes=()):
         self.source = source
         self.radius = radius
         self.balls = balls
-        self.memos = [{} for _ in balls]
+        memos = {r: {} for r in classes}
+        self.memos = [memos[r] for r in classes]
         self.ids: dict = {}
         self.keys: list = []
         self.rows: list = []
@@ -193,8 +200,8 @@ class _IdTable:
         return row
 
     def tail(self, i: int) -> tuple:
-        """Id i's (memo, occupancy getter): the memo of its cell, and
-        ``itemgetter`` of the ids of its ball, its cell's offsets
+        """Id i's (memo, occupancy getter): the memo of its cell's class,
+        and ``itemgetter`` of the ids of its ball, its cell's offsets
         translated to i's key."""
         key = self.keys[i]
         c = key % len(self.balls)
@@ -222,10 +229,25 @@ _TAIL_BALL = 24
 
 @lru_cache(maxsize=64)
 def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
-    """(K, balls) for SAW counts from (cell, 0) on the lattice with slot
-    table ``slots``: the memo depth K, and ``balls[c]``, the vertices
-    (cell, x) within K steps of (c, 0) for each cell c, (c, 0) first, in
-    breadth-first slot order; (0, ()) where no K >= 2 fits (no memo).
+    """(K, balls, classes) for SAW counts from (cell, 0) on the lattice
+    with slot table ``slots``: the memo depth K; ``balls[c]``, the
+    vertices (cell, x) within K steps of (c, 0) for each cell c, (c, 0)
+    first; and ``classes[c]``, the cell whose memo c shares.  (0, (), ())
+    where no K >= 2 fits (no memo).
+
+    The first cell of each class lists its ball in breadth-first slot
+    order.  Every other cell c joins the first class whose cell r has an
+    automorphism phi with phi(r, 0) = (c, 0) (:func:`_cell_maps`), and
+    lists phi's image of r's ball, in r's order.  phi carries each slot
+    onto a slot of equal multiplicity, and all cells have one degree, so
+    it carries each row onto a row: each K-step tail from (r, 0) that
+    avoids S goes onto one from (c, 0) that avoids phi(S), with equal
+    multiplicities, and an occupancy key means the same tails in either
+    cell.  A cell that no map found joins keeps its own
+    memo, which only shares less.  A walker whose memo key holds more
+    than occupancy, such as the distances of a height walker, may share
+    a memo only under maps that keep them; the Z^d bridge tables have
+    one cell.
 
     Only lattice tables get a memo: one per id, on a table whose keys
     are no translates, did not pay.  Against no memo (min of 7 runs,
@@ -253,22 +275,36 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
     K = next((d - 1 for i, (d, _v) in enumerate(bfs(cell))
               if i > _TAIL_BALL), 0)
     if K < 2:
-        return 0, ()
-    return K, tuple(
-        tuple(v for _d, v in takewhile(lambda dv: dv[0] <= K, bfs(c)))
-        for c in range(len(slots)))
+        return 0, (), ()
+    index = _slot_index(slots)
+    balls, classes = [], []
+    for c in range(len(slots)):
+        phi = next(((r, P, pi, t) for r in sorted(set(classes))
+                    for P in islice(_signed_perms(dimension), _MAX_MAPS)
+                    for pi, t in _cell_maps(slots, index, P, r, c)), None)
+        if phi is None:
+            classes.append(c)
+            balls.append(tuple(v for _d, v in takewhile(
+                lambda dv: dv[0] <= K, bfs(c))))
+        else:
+            r, P, pi, t = phi
+            classes.append(r)
+            balls.append(tuple(
+                (pi[tc], tuple(s * x[a] + b for (a, s), b in zip(P, t[tc])))
+                for tc, x in balls[r]))
+    return K, tuple(balls), tuple(classes)
 
 
 # The tail memo step, shared by the SAW walker below and the bridge walker
 # of :mod:`sawkit.bounds`.  A call counts tails only if it counts at least
 # 2K steps past its prefix (:func:`_memo_depth`).  Its nodes one step
-# above the memo depth then look each child's tail up in the child's
-# cell memo (``table.tail``), under a key that each walker builds in its
-# own loop, count a missing tail once at weight 1 (:func:`_store_tail`),
-# and add the child's weight to the call's ``merged`` dict under the
-# tail.  When the call ends, each distinct tail is multiplied into its
-# counts once (:func:`_flush_tails`): sum_i w_i * tail = (sum_i w_i) *
-# tail, in exact integers.
+# above the memo depth then look each child's tail up in the memo of
+# the child's cell class (``table.tail``), under a key that each walker
+# builds in its own loop, count a missing tail once at weight 1
+# (:func:`_store_tail`), and add the child's weight to the call's
+# ``merged`` dict under the tail.  When the call ends, each distinct tail
+# is multiplied into its counts once (:func:`_flush_tails`): sum_i w_i *
+# tail = (sum_i w_i) * tail, in exact integers.
 
 def _memo_depth(table, limit: int) -> int:
     """The depth, below a call's prefix, whose nodes' tails a call that
@@ -315,13 +351,20 @@ def _counts_from(task, table, n_total):
 
     Each tail is counted once, by the memo step above: a node K + 1
     steps above the limit (K = ``table.radius``, see :func:`_tail_balls`)
-    looks each child's last K depths up in the memo of the child's cell,
-    keyed by the visited bytes of the child's radius-K ball.  This is
-    sound: a tail of at most K steps from o stays inside the ball of
+    looks each child's last K depths up in the memo of the child's cell
+    class, keyed by the visited bytes of the child's radius-K ball.  This
+    is sound: a tail of at most K steps from o stays inside the ball of
     radius K around o, so its weighted counts depend only on which ball
-    vertices are occupied.  One memo serves a cell: a translation
-    carries o's ball onto the ball of any vertex of o's cell, in the
-    same breadth-first order, with equal multiplicities.
+    vertices are occupied.  One memo serves a class of cells: a
+    translation carries o's ball onto the ball of any vertex of o's
+    cell, and the automorphism that joined o's cell to its class carries
+    the class's first cell's ball onto o's, each in the listed order,
+    with equal multiplicities.
+
+    A node two steps above the limit counts its children and their
+    unvisited neighbours in one loop instead of a call per child.  It
+    marks each child visited while reading the child's row, so a loop
+    of a quotient row is never counted as a step.
     """
     prefix, _slots, weight = task
     base = len(prefix) - 1
@@ -336,15 +379,27 @@ def _counts_from(task, table, n_total):
     top = _memo_depth(table, limit)
     merged: dict = {}
 
-    def rec(o, depth, wt, top=top, rows=table.rows, row_of=table.row,
-            tails=table.tails, tail_of=table.tail, visited=visited,
-            counts=counts, limit=limit, merged=merged):
+    def rec(o, depth, wt, top=top, last=limit - 1, rows=table.rows,
+            row_of=table.row, tails=table.tails, tail_of=table.tail,
+            visited=visited, counts=counts, limit=limit, merged=merged):
         nd = depth + 1
         row = rows[o] or row_of(o)
-        if nd == limit:
+        if nd == last:
+            # the children and their unvisited neighbours, in one loop;
+            # a child is marked while its row is read, so no loop counts
+            ones = twos = 0
             for t, m in row:
                 if not visited[t]:
-                    counts[nd] += wt * m
+                    visited[t] = 1
+                    s = 0
+                    for u, mu in rows[t] or row_of(t):
+                        if not visited[u]:
+                            s += mu
+                    visited[t] = 0
+                    ones += m
+                    twos += m * s
+            counts[nd] += wt * ones
+            counts[limit] += wt * twos
             return
         if nd == top:
             for t, m in row:
@@ -360,6 +415,11 @@ def _counts_from(task, table, n_total):
                                           partial(rec, t, nd, 1))
                         visited[t] = 0
                     merged[got] = merged.get(got, 0) + w
+            return
+        if nd == limit:     # only the root of a one-step count
+            for t, m in row:
+                if not visited[t]:
+                    counts[nd] += wt * m
             return
         for t, m in row:
             if not visited[t]:
@@ -430,12 +490,12 @@ def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
     W = 2 * B + 1
     C = lat.cells
     c0, x0 = v0
-    moves, K, balls = _packing(slots, c0, lat.dimension, W)
+    moves, K, balls, classes = _packing(slots, c0, lat.dimension, W)
     key0 = c0 + sum((xi + B) * C * W ** i for i, xi in enumerate(x0))
     x1 = partial(_lattice_x1, C, B, W)
     table = _IdTable(
         partial(_half_space_row, moves, x1, key0) if half_space
-        else partial(_lattice_row, moves), K, balls)
+        else partial(_lattice_row, moves), K, balls, classes)
     start = table.intern(key0)
     maps = [partial(_lattice_slot, slot_map, C, table.keys)
             for *_, slot_map in lattice_stabiliser(lat, c0, half_space)]
@@ -444,13 +504,13 @@ def _lattice_split(lat: PeriodicLattice, v0, n_max: int,
 
 @lru_cache(maxsize=64)
 def _packing(slots: tuple, cell: int, dimension: int, W: int) -> tuple:
-    """(moves, K, balls) of a lattice with slot table ``slots`` packed at
-    width W: ``moves[c]`` lists the (key offset, multiplicity) of cell
-    c's slots, and ``balls[c]`` the key offsets of the vertices of
-    :func:`_tail_balls`' radius-K ball around a vertex of cell c, for
-    counts from (cell, 0).  They depend on nothing else, so a lattice's
-    counts to one depth share them; a graph id plays no part in the
-    key."""
+    """(moves, K, balls, classes) of a lattice with slot table ``slots``
+    packed at width W: ``moves[c]`` lists the (key offset, multiplicity)
+    of cell c's slots, and ``balls[c]`` the key offsets of the vertices
+    of :func:`_tail_balls`' radius-K ball around a vertex of cell c, in
+    its order, for counts from (cell, 0), with its ``classes``.  They
+    depend on nothing else, so a lattice's counts to one depth share
+    them; a graph id plays no part in the key."""
     C = len(slots)
     weights = [C * W ** i for i in range(dimension)]
 
@@ -458,11 +518,11 @@ def _packing(slots: tuple, cell: int, dimension: int, W: int) -> tuple:
         """The packed key of (tc, y + x) minus that of (c, y)."""
         return tc - c + sum(xi * w for xi, w in zip(x, weights))
 
-    K, balls = _tail_balls(slots, cell, dimension)
+    K, balls, classes = _tail_balls(slots, cell, dimension)
     return (tuple(tuple((offset(c, tc, delta), m) for tc, delta, m in row)
                   for c, row in enumerate(slots)),
             K, tuple(tuple(offset(c, tc, x) for tc, x in ball)
-                     for c, ball in enumerate(balls)))
+                     for c, ball in enumerate(balls)), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +551,12 @@ def _signed_perms(d: int):
             yield tuple(zip(axes, signs))
 
 
+def _slot_index(slots) -> list:
+    """Per cell, the slot index of each (target cell, delta)."""
+    return [{(tc, delta): k for k, (tc, delta, _m) in enumerate(row)}
+            for row in slots]
+
+
 def _slot_target(index, P, pi, t, c, tc, delta):
     """The slot of cell pi[c] onto which the slot (tc, delta) of cell c is
     carried, or None if pi[c] has no such slot."""
@@ -498,9 +564,10 @@ def _slot_target(index, P, pi, t, c, tc, delta):
         s * delta[a] + b - x for (a, s), b, x in zip(P, t[tc], t[c]))))
 
 
-def _cell_maps(slots, index, P, c0):
-    """Every (pi, t) with pi[c0] = c0 and t[c0] = 0 that carries each slot
-    between mapped cells onto a slot of equal multiplicity.
+def _cell_maps(slots, index, P, c0, c1):
+    """Every (pi, t) with pi[c0] = c1 and t[c0] = 0 that carries each slot
+    between mapped cells onto a slot of equal multiplicity: the vertex
+    (c0, 0) goes to (c1, 0).
 
     The slot table is walked from cell c0: each slot that reaches a new
     cell is tried against every slot of equal multiplicity of its image
@@ -533,7 +600,7 @@ def _cell_maps(slots, index, P, c0):
                 return
         yield pi, t
 
-    pi, t = {c0: c0}, {c0: (0,) * len(P)}
+    pi, t = {c0: c1}, {c0: (0,) * len(P)}
     if fits(pi, t, c0):
         yield from extend(pi, t)
 
@@ -564,13 +631,12 @@ def _stabiliser(dimension: int, cells: int, edges: tuple, cell: int,
                 fix_first: bool) -> tuple:
     lat = PeriodicLattice(dimension, cells, edges)
     slots = lat.slot_table()
-    index = [{(tc, delta): k for k, (tc, delta, _m) in enumerate(row)}
-             for row in slots]
+    index = _slot_index(slots)
     perms = (P for P in _signed_perms(lat.dimension)
              if not fix_first or P[0] == (0, 1))
     found: dict = {}
     for P in islice(perms, _MAX_MAPS):
-        for pi, t in _cell_maps(slots, index, P, cell):
+        for pi, t in _cell_maps(slots, index, P, cell, cell):
             table = tuple(
                 tuple(_slot_target(index, P, pi, t, c, tc, delta)
                       for tc, delta, _m in row)

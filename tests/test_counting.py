@@ -5,6 +5,8 @@ path-list enumeration, written before the engines) and must never be
 edited to match an engine.
 """
 
+from functools import partial
+
 import pytest
 
 import sawkit.counting as counting
@@ -16,6 +18,7 @@ from sawkit.counting import (WalkCounts, count_directed_saws,
 from sawkit.exact import Radical
 from sawkit.graphs import (InvalidVertexError, PeriodicLattice, augment,
                            catalog)
+from sawkit.quotient import build_quotient, sublattice_action
 
 # [frozen]
 SAW_Z2_10 = [1, 4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100]
@@ -181,6 +184,33 @@ def test_budget_covering_the_series_counts_once(monkeypatch, z2, tables):
     assert passes == [sum(SAW_Z2_10[:10]), sum(SAW_Z2_10)]
     # the two passes share one table, with its rows and tail memo
     assert len(tables) - made == 1
+
+
+Z2 = catalog("zd(2)")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("graph,head", [
+    # the +-e_1 edges are loops
+    (build_quotient(Z2, sublattice_action([[1, 0], [0, 2]])), [1, 2, 0]),
+    (build_quotient(Z2, sublattice_action([[1, 0], [0, 3]])), [1, 2, 2]),
+    # zd(2) with doubled x-edges
+    (PeriodicLattice(2, 1, [(0, 0, (1, 0), 2), (0, 0, (0, 1), 1)]),
+     [1, 6, 26])],
+    ids=["Z2/(1,0;0,2)", "Z2/(1,0;0,3)", "doubled"])
+def test_last_two_depths_skip_loops_and_keep_multiplicities(graph, head,
+                                                            workers):
+    # the kernel counts its last two depths in one loop, at every depth:
+    # a loop must not count as a step, and parallel edges count apart
+    if isinstance(graph, PeriodicLattice):
+        want = naive_saw_counts(graph, graph.origin(), 6)
+        count = partial(count_saws, graph)
+    else:
+        want = naive_directed_saw_counts(graph, 6)
+        count = partial(count_directed_saws, graph)
+    assert want[:3] == head
+    for n in range(7):
+        assert list(count(n_max=n, workers=workers).counts) == want[:n + 1]
 
 
 def test_worker_count_does_not_change_counts(z2, q_z2mod22):

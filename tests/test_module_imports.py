@@ -351,3 +351,81 @@ def test_every_count_runs_through_a_split():
     assert sorted(_calls(sources["counting.py"],
                          {"_run_split", "_merge_prefixes"})) == \
         [("_Split.counts", "_merge_prefixes"), ("_Split.counts", "_run_split")]
+
+
+def _cell_map_builds(source: str) -> list:
+    """(enclosing definition, name), in source order, for each statement
+    that builds or changes a (pi, t) cell map: it binds a name ``pi`` or
+    ``pi`` and digits to a dict display, comprehension or ``dict(...)``
+    call, also within a tuple assignment, or stores into such a name by
+    subscript.  The enclosing definition is dotted as in :func:`_calls`."""
+    found = []
+
+    def is_pi(node):
+        name = getattr(node, "id", "")
+        return name == "pi" or name[:2] == "pi" and name[2:].isdigit()
+
+    def is_dict(node):
+        return isinstance(node, (ast.Dict, ast.DictComp)) or (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "dict")
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        pairs = []
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in targets:
+                if isinstance(target, ast.Tuple) and isinstance(
+                        node.value, ast.Tuple) and len(target.elts) == len(
+                            node.value.elts):
+                    pairs.extend(zip(target.elts, node.value.elts))
+                else:
+                    pairs.append((target, node.value))
+        for target, value in pairs:
+            if is_pi(target) and value is not None and is_dict(value):
+                found.append((where, target.id))
+            elif isinstance(target, ast.Subscript) and is_pi(target.value):
+                found.append((where, target.value.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_scan_sees_a_cell_map_built():
+    source = ("def _cell_maps(c0, c1):\n"
+              "    pi, t = {c0: c1}, {c0: 0}\n"
+              "    def extend(pi, t):\n"
+              "        pi2, t2 = {**pi, 1: 2}, dict(t)\n"
+              "        return pi2\n"
+              "    return extend(pi, t)\n"
+              "def _tail_balls(cells):\n"
+              "    pi = {c: c for c in cells}\n"
+              "    pi[0] += 1\n"
+              "    for pi, t in _cell_maps(0, 1):\n"
+              "        pi3: dict = dict(pi)\n"
+              "        pick = {0: 0}\n"
+              "    return pi, pick\n")
+    assert _cell_map_builds(source) == [
+        ("_cell_maps", "pi"), ("_cell_maps.extend", "pi2"),
+        ("_tail_balls", "pi"), ("_tail_balls", "pi"),
+        ("_tail_balls", "pi3")]
+
+
+def test_one_function_builds_cell_maps():
+    # the stabiliser and the tail memo's cell classes find their
+    # automorphisms by one search
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in PACKAGE}
+    builds = [(mod, where.split(".")[0]) for mod, source in sources.items()
+              for where, _name in _cell_map_builds(source)]
+    assert builds and set(builds) == {("counting.py", "_cell_maps")}
+    assert sorted(_calls(sources["counting.py"], {"_cell_maps"})) == [
+        ("_stabiliser", "_cell_maps"), ("_tail_balls", "_cell_maps")]
+    assert [(mod, where) for mod, source in sources.items()
+            for where, _name in _calls(source, {"_cell_maps"})
+            if mod != "counting.py"] == []

@@ -8,8 +8,10 @@ to the key (``bounds._bridge_counts_from``).  Each cell's ball, decoded
 from its packed keys, is the radius-K ball of ``graphs.ball_with_dist``
 in breadth-first order.  Root counts run at every depth 0..2K+1, so the
 limit is below, at and above both K and 2K; split counts run at a depth
-whose prefix tasks reach 2K.  Tables off a lattice keep no memo, and
-no table outlives its count.
+whose prefix tasks reach 2K.  Cells that an automorphism exchanges share
+one memo, also in a pickled table, and counts from every cell of a table
+whose memo the start cell filled match the oracle.  Tables off a lattice
+keep no memo, and no table outlives its count.
 """
 
 import gc
@@ -23,8 +25,8 @@ from oracles import (naive_bridge_counts, naive_directed_saw_counts,
 from sawkit import counting
 from sawkit.bounds import _bridge_counts_from, bridge_bounds, bridge_counts
 from sawkit.certificate import certify_ratio
-from sawkit.counting import (_counts_from, _lattice_split, count_directed_saws,
-                             count_saws)
+from sawkit.counting import (_counts_from, _lattice_split, _tail_balls,
+                             count_directed_saws, count_saws)
 from sawkit.events import build_cycle_family, event_free_series
 from sawkit.graphs import (CayleyGraph, PeriodicLattice, augment,
                            ball_with_dist, catalog)
@@ -37,7 +39,8 @@ from test_symmetry import SAW_Z3_8
 SAW_Z2_12 = SAW_Z2_10 + [120292, 324932]
 
 Z2 = catalog("zd(2)")
-# name -> (lattice, its memo depth K)
+# name -> (lattice, its memo depth K, or K per start cell where the balls
+# of the start cells differ)
 LATTICES = {
     "zd(1)": (catalog("zd(1)"), 12),
     "zd(2)": (Z2, 3),
@@ -52,14 +55,24 @@ LATTICES = {
     # Z with jumps 1 and 2: offsets reach 2
     "jumps": (PeriodicLattice(2, 1, [(0, 0, (1, 0), 1),
                                      (0, 0, (2, 0), 1)]), 6),
+    # both cells have degree 3, but their radius-4 balls hold 22 and 26
+    # vertices: no automorphism exchanges them
+    "two-ball": (PeriodicLattice(1, 2, [(0, 0, (1,), 1), (0, 1, (0,), 1),
+                                        (1, 1, (2,), 1)]), (4, 3)),
 }
+
+
+def _depth(name, cell):
+    """The memo depth K of counts from ``cell`` on LATTICES[name]."""
+    K = LATTICES[name][1]
+    return K[cell] if isinstance(K, tuple) else K
 
 
 @pytest.mark.parametrize("name,cell", [
     (name, cell) for name, (g, _k) in LATTICES.items()
     for cell in range(g.cells)])
 def test_root_counts_match_oracle_around_the_memo_depth(name, cell):
-    g, K = LATTICES[name]
+    g, K = LATTICES[name][0], _depth(name, cell)
     v0 = (cell, (0,) * g.dimension)
     want = naive_saw_counts(g, v0, 2 * K + 1)
     for n in range(2 * K + 2):
@@ -89,7 +102,7 @@ def test_each_cell_ball_is_its_radius_k_ball_in_bfs_order(name, cell):
     # from a start in every cell, the ball of the first vertex met of
     # every cell: a ball one step short, or the offsets of another cell,
     # hold other vertices
-    g, K = LATTICES[name]
+    g, K = LATTICES[name][0], _depth(name, cell)
     table, start, _maps, x1 = _lattice_split(g, (cell, (0,) * g.dimension),
                                              4 * K)
     firsts, layer = {}, [start]
@@ -117,7 +130,7 @@ def test_each_cell_ball_is_its_radius_k_ball_in_bfs_order(name, cell):
     ("chord(2,1)", 0, 7, None)])
 def test_split_counts_match_oracle_past_the_memo_depth(monkeypatch, name,
                                                        cell, n, want):
-    g, K = LATTICES[name]
+    g, K = LATTICES[name][0], _depth(name, cell)
     v0 = (cell, (0,) * g.dimension)
     depths = []
     real = counting._run_split
@@ -131,6 +144,51 @@ def test_split_counts_match_oracle_past_the_memo_depth(monkeypatch, name,
     assert got == (want or naive_saw_counts(g, v0, n))
     # the merged prefix tasks have at least 2K steps left
     assert len(depths) == 1 and n - depths[0] >= 2 * K
+
+
+@pytest.mark.parametrize("name,classes", [
+    ("zd(1)", (0,)), ("zd(2)", (0,)), ("zd(3)", (0,)), ("ladder", (0, 0)),
+    ("square-octagon", (0, 0, 0, 0)), ("two-ball", (0, 1))])
+def test_cells_an_automorphism_exchanges_share_one_memo(name, classes):
+    g, K = LATTICES[name][0], _depth(name, 0)
+    assert _tail_balls(g.slot_table(), 0, g.dimension)[2] == classes
+    table, start, _maps, _x1 = _lattice_split(g, g.origin(), 2 * K + 3)
+    assert _counts_from(((start,), (), 1), table, 2 * K + 1) == \
+        naive_saw_counts(g, g.origin(), 2 * K + 1)
+    # a spawned pool process receives the table pickled
+    for t in (table, pickle.loads(pickle.dumps(table))):
+        assert [[t.memos[c] is t.memos[r] for r in range(g.cells)]
+                for c in range(g.cells)] == \
+            [[classes[c] == classes[r] for r in range(g.cells)]
+             for c in range(g.cells)]
+        # the start cell filled the memo; counts from the origin of every
+        # cell read it, deeper than the count that filled it
+        assert all(t.memos)
+        for cell in range(g.cells):
+            v = (cell, (0,) * g.dimension)
+            i = t.intern(t.keys[start] + cell)
+            assert _counts_from(((i,), (), 1), t, 2 * K + 3) == \
+                naive_saw_counts(g, v, 2 * K + 3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cell", [0, 1])
+def test_cells_no_map_joins_count_with_their_own_memo(monkeypatch, cell,
+                                                      workers):
+    g, K = LATTICES["two-ball"][0], _depth("two-ball", cell)
+    v0 = (cell, (0,))
+    seen = []
+    real = counting._Split.counts
+
+    def spy(split, *args, **kwargs):
+        seen.append(split.table)
+        return real(split, *args, **kwargs)
+
+    monkeypatch.setattr(counting._Split, "counts", spy)
+    got = count_saws(g, v0, 2 * K + 3, workers=workers).counts
+    assert list(got) == naive_saw_counts(g, v0, 2 * K + 3)
+    (table,) = seen
+    assert table.radius == K and table.memos[0] is not table.memos[1]
 
 
 Z2MOD22 = build_quotient(Z2, sublattice_action([[2, 0], [0, 2]]))
