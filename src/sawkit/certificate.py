@@ -13,14 +13,14 @@ The pipeline has three stages.
    verdict; exhausting the budget is an *inconclusive* value, not an
    error.
 
-2. *Contraction constants* (outward-rounded interval floats): minimize
-   the block entropy factor over the split fraction by golden-section
-   search, re-verify the minimum below one with intervals, and derive
-   the per-step ratio bound R.  Separately bound the rewiring ratio S
-   through the occurrence density, the rewiring exponent kappa and the
-   rewiring weight Z.  Both verdicts are taken in log space: S is
-   routinely within a few ulps of 1, where only ln S < 0 is a
-   trustworthy comparison.
+2. *Contraction constants* (outward-rounded interval floats): take the
+   split fraction at the left end of its domain, where the block entropy
+   factor is least (:func:`compute_R`), verify the factor below one with
+   intervals, and derive the per-step ratio bound R.  Separately bound
+   the rewiring ratio S through the occurrence density, the rewiring
+   exponent kappa and the rewiring weight Z.  Both verdicts are taken in
+   log space: S is routinely within a few ulps of 1, where only
+   ln S < 0 is a trustworthy comparison.
 
 3. *Certificate* (JSON): all parameters, all raw integer counts (as
    decimal strings), every check, and the final bound
@@ -39,8 +39,8 @@ writes the entries and the verifier replays them.  The search fills
 one :class:`_Inputs` with the counts it reads (:func:`find_epsilon_m`);
 :func:`certify_ratio` builds a second from the search outcome's counts
 and runs the contraction stages and the certificate on it.  The split
-fraction is a stored input: the verifier never re-runs the minimizer,
-whose float result can differ across libm builds.
+fraction is a stored input, and the verifier replays any stored value in
+(0, 1).
 
 A display caveat: ``ratio_bound`` is exp(``ln_ratio_bound``) and can
 round to exactly "1" when the margin under one is below float
@@ -65,8 +65,7 @@ from functools import wraps
 from typing import Callable, Optional
 
 from .bounds import BoundError, LowerBoundSequence
-from .counting import (WalkCounts, _series_split, count_directed_saws,
-                       count_saws)
+from .counting import _series_split, count_directed_saws, count_saws
 from .events import CycleFamily, event_free_series
 from .exact import Interval, Radical, float_repr, log_of_count_root
 from .graphs import GraphHandle
@@ -79,8 +78,6 @@ _SLACK = Fraction(10 ** 9 + 1, 10 ** 9)       # multiplicative 1 + 1e-9
 _LN_SLACK = Interval.from_fraction(_SLACK).log()
 _NEG_INF = Interval(float("-inf"), float("-inf"))
 _ZETA_LO = 1e-9
-_ZETA_HI = 1.0 - 1e-9
-_GSS_ITERS = 60                               # interval ~ 0.618**60 < 1e-12
 _REPLAY_RTOL = 1e-12
 # a count's predicted nodes, at most, per node spent before it; no count
 # goes deeper, so a count past the agreement index wastes at most this
@@ -481,23 +478,19 @@ def _agreement_target(us: list, b: LowerBoundSequence, eps: Fraction,
 
 
 def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
-                   b: LowerBoundSequence, a_n: Optional[WalkCounts] = None,
-                   n_budget: int = 10, workers: Optional[int] = None,
+                   b: LowerBoundSequence, n_budget: int = 10,
+                   workers: Optional[int] = None,
                    g: Optional[GraphHandle] = None) -> SearchOutcome:
     """Run the three exact searches up to n_budget.
 
-    ``a_n`` optionally supplies precomputed undirected counts for the
-    base graph; anything missing (including the zero-occurrence and
-    directed series) is computed here.  The agreement search counts
-    past the supplied depths to the depth :func:`_agreement_target`
-    picks, and again only if the agreement index is not found there:
-    each count goes no deeper than the cost cap allows, and one that
-    cannot reach the predicted agreement depth stops where the next
-    capped count can.  ``undirected`` then holds the counts to the
-    agreement index (to the budget when none is found), or the supplied
-    counts when the search never went past them.  All comparisons are
-    exact; the budget-exhausted outcomes carry the reason and the
-    partial state.
+    The agreement search counts the base graph's undirected SAWs to the
+    depth :func:`_agreement_target` picks, and again only if the
+    agreement index is not found there: each count goes no deeper than
+    the cost cap allows, and one that cannot reach the predicted
+    agreement depth stops where the next capped count can.
+    ``undirected`` then holds the counts to the agreement index (to the
+    budget when none is found).  All comparisons are exact; the
+    budget-exhausted outcomes carry the reason and the partial state.
 
     Each series source is split once for the search, for depths up to
     n_budget: the zero-occurrence and directed series share one split of
@@ -516,8 +509,7 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
                              workers=workers, split=q_split),
         ds=list(count_directed_saws(q, n_budget, workers=workers,
                                     split=q_split).counts),
-        us=list(a_n.counts) if a_n is not None else [1], bound=b)
-    supplied = len(x.us)
+        us=[1], bound=b)
     checks: list = []
 
     def outcome(reason, r=None, s=None, m=None) -> SearchOutcome:
@@ -543,9 +535,7 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
             spent += sum(x.us)
 
     s = _first_hold(_AGREEMENT, x, r, n_budget, checks, count_to)
-    last = n_budget if s is None else s
-    if last >= supplied:
-        x.us = x.us[:last + 1]
+    x.us = x.us[:(n_budget if s is None else s) + 1]
     if s is None:
         return outcome(f"no agreement index s within budget {n_budget}", r)
     x.s = s
@@ -560,55 +550,32 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
 # Stage 2: contraction constants
 # ---------------------------------------------------------------------------
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(fn: Callable, lo: float, hi: float) -> float:
-    """Deterministic golden-section minimizer of _GSS_ITERS iterations;
-    returns the best point among the converged pair and both domain
-    endpoints."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_GSS_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    cands = [(fn(lo), lo), (fc, c), (fd, d), (fn(hi), hi)]
-    return min(cands)[1]
-
-
 def compute_R(x: _Inputs, m: int) -> tuple:
-    """Minimize the block entropy factor at block length m, set the split
-    fraction ``x.zeta`` and the occurrence density ``x.a_iv`` = zeta/(2m)
-    there, and return the factor records.
+    """Set the split fraction ``x.zeta`` and the occurrence density
+    ``x.a_iv`` = zeta/(2m) for block length m, and return the factor
+    records.
+
+    The split fraction is the left end ``_ZETA_LO`` of its domain
+    [_ZETA_LO, 1 - _ZETA_LO], where the block entropy factor is least.
+    Its log is ln g(zeta) = H(zeta) + zeta*c1 + c2, with H the binary
+    entropy, c1 = m*ln((1+eps)/(1-eps)) > 0 and c2 = m*ln(1-eps).  H is
+    strictly concave and the rest affine, so the least value lies at an
+    end of the domain; H is symmetric, so the right end exceeds the left
+    by c1*(1 - 2*_ZETA_LO) > 0.  At the left end the block factor
+    ln t = ln g + ln(1 + 1e-9) is about 2.27e-8 + m*ln(1-eps), so entropy
+    contraction fails only for margins below about 1/(4.4e7*m).
 
     Raises :class:`NoContractionError`, carrying the records, when the
     interval-verified factor fails to drop below one (the caller may
-    retry with a larger block length).  The minimizer runs in plain
-    floats; soundness comes from the interval re-evaluation at the
-    chosen point (any point with a verified factor below one is a valid
-    witness).  Its objective is a float copy of ``_Inputs.ln_entropy``:
-    minimizing the interval formula instead could move the chosen point,
-    and with it the certificate bytes.
+    retry with a larger block length).  Soundness rests on the interval
+    evaluation alone, whatever the split fraction: the verifier replays
+    the one a certificate stores.
     """
     if not (0 < x.eps < 1):
         raise CertificateError("margin must lie in (0, 1)")
     if m < 1:
         raise CertificateError("block length must be >= 1")
-    c1 = m * math.log(float((1 + x.eps) / (1 - x.eps)))
-    c2 = m * math.log(float(1 - x.eps))
-
-    def ln_g(z: float) -> float:
-        return -z * math.log(z) - (1.0 - z) * math.log1p(-z) + z * c1 + c2
-
-    x.zeta = _golden_min(ln_g, _ZETA_LO, _ZETA_HI)
+    x.zeta = _ZETA_LO
     x.a_iv = _density(x.zeta, m)
     checks = tuple(_record(name, x, m) for name in _BLOCK.then)
     if not all(c.holds for c in checks):
@@ -714,7 +681,7 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
     if budget < 0:
         raise CertificateError("budget must be >= 0")
 
-    outcome = find_epsilon_m(q, family, b, None, budget, workers=workers, g=g)
+    outcome = find_epsilon_m(q, family, b, budget, workers=workers, g=g)
     checks = list(outcome.checks)
     x = _Inputs(ef=outcome.event_free, ds=outcome.directed,
                 us=outcome.undirected, bound=b, eps=outcome.epsilon,
@@ -768,7 +735,7 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
     # root at the largest computed undirected index
     if len(x.ds) < 2 * m + 1:
         x.ds = list(count_directed_saws(q, 2 * m, workers=workers).counts)
-    n0 = len(x.us) - 1
+    n0 = params["mu_upper_index"] = len(x.us) - 1
     x.mu_upper = _upper_root(x.us, n0)
     try:
         checks.extend(compute_S(x, m))
@@ -779,7 +746,6 @@ def certify_ratio(g: GraphHandle, q: QuotientGraph, family: CycleFamily,
 
     checks.append(_record("final_ratio", x, m))
     ok_final = checks[-1].holds
-    params["mu_upper_index"] = n0
     params.update((key, float_repr(value(x, m)))
                   for key, value in _FLOAT_PARAMETERS.items())
     # a recorded failed probe (an early decay candidate, say) does not

@@ -14,6 +14,7 @@ import scipy.optimize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sawkit import certificate
 from sawkit.bounds import LowerBoundSequence, bridge_bounds
 from sawkit.certificate import (CertificateError, CheckRecord,
                                 NoContractionError, RatioCertificate, _BLOCK,
@@ -157,18 +158,49 @@ def test_compute_R_no_contraction():
 
 def test_split_fraction_is_a_grid_minimum():
     # the chosen split fraction should be at least as good as a fine
-    # float grid over the whole domain (the factor is endpoint-minimal)
-    eps, m = Fraction(1, 2), 2
-    c1 = m * math.log(float((1 + eps) / (1 - eps)))
-    c2 = m * math.log(float(1 - eps))
-
-    def ln_g(z):
-        return -z * math.log(z) - (1 - z) * math.log1p(-z) + z * c1 + c2
-
-    x = _Inputs(eps=eps)
-    compute_R(x, m)
+    # float grid over the whole domain (the factor is endpoint-minimal):
+    # ln_g is a float copy of the entropy factor, kept as the oracle
     grid = [10 ** -9 + i * (1 - 2e-9) / 4096 for i in range(4097)]
-    assert ln_g(x.zeta) <= min(ln_g(z) for z in grid) + 1e-12
+    for r in (2, 3, 13, 1000, 10 ** 6):
+        for m in (1, 2, 7, 100):
+            eps = Fraction(1, r)
+            c1 = m * math.log(float((1 + eps) / (1 - eps)))
+            c2 = m * math.log(float(1 - eps))
+
+            def ln_g(z):
+                return -z * math.log(z) - (1 - z) * math.log1p(-z) \
+                    + z * c1 + c2
+
+            x = _Inputs(eps=eps)
+            compute_R(x, m)
+            assert ln_g(x.zeta) <= min(ln_g(z) for z in grid) + 1e-12, \
+                (r, m)
+
+
+@pytest.mark.parametrize("zeta,budget,status,reason,failed_m", [
+    # at 0.5 the entropy factor fails at m = 2, 3 and 4 and holds at
+    # m = 5; at 5e-324 the occurrence density underflows, so the
+    # rewiring exponent is not verified positive
+    (0.5, 10, "certified", None, [2, 3, 4]),
+    (0.5, 4, "inconclusive-budget",
+     "no block length with entropy contraction within budget 4", [2, 3, 4]),
+    (5e-324, 10, "inconclusive-budget", "rewiring factor not below one",
+     []),
+])
+def test_contraction_failures_verify(z1, q_z1mod3, monkeypatch, zeta,
+                                     budget, status, reason, failed_m):
+    # a split fraction other than the endpoint minimum reaches the
+    # branches of certify_ratio that follow a failed contraction, and
+    # the verifier agrees with each certificate they give
+    monkeypatch.setattr(certificate, "_ZETA_LO", zeta)
+    cert = certify_ratio(z1, q_z1mod3, build_cycle_family(q_z1mod3),
+                         UNIT_BOUND, budget=budget)
+    assert (cert.status, cert.payload["reason"]) == (status, reason)
+    assert sorted({c["index"] for c in cert.payload["checks"]
+                   if c["name"] == "entropy_factor" and not c["holds"]}) \
+        == failed_m
+    rep = verify_certificate(cert)
+    assert rep.ok and rep.status == status, rep.summary()
 
 
 def _rewiring_inputs(ds):

@@ -38,8 +38,7 @@ def _quotient(graph, rows):
 # The agreement search against the step-by-step reference
 # ---------------------------------------------------------------------------
 
-def _stepwise_search(q, family, b, a_n=None, n_budget=10, workers=None,
-                     g=None):
+def _stepwise_search(q, family, b, n_budget=10, workers=None, g=None):
     """The three searches with the undirected counts extended one
     candidate at a time, each extension a fresh count from the root."""
     if n_budget < 1:
@@ -48,7 +47,7 @@ def _stepwise_search(q, family, b, a_n=None, n_budget=10, workers=None,
     g = q.base if g is None else g
     ef = event_free_series(q, family, family.length, n_budget)
     ds = list(count_directed_saws(q, n_budget, workers=workers).counts)
-    us = list(a_n.counts) if a_n is not None else [1]
+    us = [1]
 
     def us_at(n):
         nonlocal us
@@ -210,21 +209,6 @@ def test_certificate_bytes_match_stepwise_search(graph, rows, mu, budget,
     assert predicted <= 1.5 * meter.nodes, (predicted, meter.nodes)
 
 
-@pytest.mark.parametrize("supplied,budget", [(6, 30), (20, 30), (13, 13),
-                                             (3, 30)])
-def test_supplied_counts_match_stepwise_search(supplied, budget):
-    # ladder/3 at mu 1.61 has r = 4 and s = 13: the supplied counts end
-    # before r, between r and s, at s, and past s
-    q = _quotient("ladder", "3")
-    g, family = q.base, build_cycle_family(q)
-    b = _bound(g, "1.61", budget)
-    a_n = count_saws(g, None, supplied)
-    got = find_epsilon_m(q, family, b, a_n, budget, workers=1)
-    want = _stepwise_search(q, family, b, a_n, budget, workers=1)
-    assert got == want
-    assert got.status == ("found" if budget >= 13 else "exhausted")
-
-
 def test_prediction_counts_fewer_times(monkeypatch):
     # the ladder's model says "never" at r = 4; the cost cap keeps the
     # search from counting to the budget of 30 and it still finds s = 13
@@ -237,7 +221,7 @@ def test_prediction_counts_fewer_times(monkeypatch):
         return inner(g, v0, n, **kwargs)
     monkeypatch.setattr(certificate, "count_saws", counted)
     out = find_epsilon_m(q, build_cycle_family(q),
-                         _bound(q.base, "1.61", 30), None, 30, workers=1)
+                         _bound(q.base, "1.61", 30), 30, workers=1)
     assert (out.r, out.s) == (4, 13)
     assert len(out.undirected) == 14
     assert depths[0] == 4 and max(depths) < 30 and len(depths) <= 4
@@ -260,7 +244,7 @@ def test_agreement_search_costs_little_more_than_its_last_count(
     q = _quotient(graph, rows)
     meter = _NodeMeter(monkeypatch)
     find_epsilon_m(q, build_cycle_family(q), _bound(q.base, mu, budget),
-                   None, budget, workers=1)
+                   budget, workers=1)
     assert meter.nodes <= 1.25 * meter.last, (meter.nodes, meter.last)
     assert most is None or meter.nodes <= most, meter.nodes
 

@@ -429,3 +429,39 @@ def test_one_function_builds_cell_maps():
     assert [(mod, where) for mod, source in sources.items()
             for where, _name in _calls(source, {"_cell_maps"})
             if mod != "counting.py"] == []
+
+
+LIBM_LOGS = {"log", "log1p"}
+
+
+def _libm_logs(source: str) -> list:
+    """(line, name), in source order, for each read of ``math.log`` or
+    ``math.log1p`` and each import of either from ``math``; an
+    ``Interval``'s own ``log`` and ``log1p`` are not libm reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in LIBM_LOGS and \
+                getattr(node.value, "id", None) == "math":
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name in LIBM_LOGS)
+    return sorted(found)
+
+
+def test_the_scan_sees_a_libm_log():
+    source = ("import math\n"
+              "from math import exp, log1p\n"
+              "def ln_g(z, c):\n"
+              "    return -z * math.log(z) + c * log1p(-z)\n"
+              "f = math.log\n"
+              "y = Interval.point(z).log() + z.log1p() + math.exp(z)\n")
+    assert _libm_logs(source) == [(2, "log1p"), (4, "log"), (5, "log")]
+
+
+def test_certificate_takes_every_log_on_intervals():
+    # every log of the certificate chain is an Interval log in _Inputs,
+    # so no float copy of a formula sits beside it
+    source = (pathlib.Path(sawkit.__file__).parent / "certificate.py") \
+        .read_text(encoding="utf-8")
+    assert _libm_logs(source) == []
