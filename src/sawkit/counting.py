@@ -44,11 +44,16 @@ On a periodic lattice the maps are the start vertex's stabiliser
 (:func:`lattice_stabiliser`): an automorphism fixing the start carries
 the SAWs extending one prefix bijectively onto those extending its
 image, so each orbit's subtree is enumerated once and weighted by the
-orbit's summed prefix weight.  On a sublattice quotient the stabiliser
-maps that normalise the sublattice and fix the start orbit descend to
-the quotient and merge its prefixes the same way (:func:`_merge_prefixes`
-serves both).  Both act on slots through their lattice slot tables; a
-quotient orbit's lattice slots are mapped to its row entries once
+orbit's summed prefix weight.  Its linear parts are the integer matrices
+that permute the lattice's shortest translations (:func:`_linear_parts`),
+which every automorphism's linear part does: the signed permutations on
+Z^d, and the whole point group of order 12 on the triangular lattice.
+On a sublattice quotient the stabiliser maps that normalise the
+sublattice and fix the start orbit descend to the quotient and merge its
+prefixes the same way (:func:`_merge_prefixes` serves both); they are
+cached per lattice, sublattice and start (:func:`_quotient_maps`).  Both
+act on slots through their lattice slot tables; a quotient orbit's
+lattice slots are mapped to its row entries once
 (:meth:`QuotientGraph.slot_rows`).
 
 A split holds the id table, prefix levels and tail memo of one series
@@ -67,14 +72,16 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice, permutations, product, takewhile
-from operator import itemgetter
+from itertools import islice, takewhile
+from math import lcm
+from operator import add, itemgetter, mul, sub
 from typing import Optional
 
 from .exact import Radical
 from .graphs import GraphHandle, PeriodicLattice
-from .quotient import QuotientGraph
+from .quotient import QuotientGraph, reduce_mod_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +244,17 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
 
     The first cell of each class lists its ball in breadth-first slot
     order.  Every other cell c joins the first class whose cell r has an
-    automorphism phi with phi(r, 0) = (c, 0) (:func:`_cell_maps`), and
-    lists phi's image of r's ball, in r's order.  phi carries each slot
-    onto a slot of equal multiplicity, and all cells have one degree, so
-    it carries each row onto a row: each K-step tail from (r, 0) that
-    avoids S goes onto one from (c, 0) that avoids phi(S), with equal
-    multiplicities, and an occupancy key means the same tails in either
-    cell.  A cell that no map found joins keeps its own
-    memo, which only shares less.  A walker whose memo key holds more
+    automorphism phi with phi(r, 0) = (c, 0) (:func:`_cell_maps`, with the
+    linear parts of :func:`_linear_parts`), and lists phi's image of r's
+    ball, in r's order.  On kagome only rotations by a third of a turn
+    exchange the cells, so its three cells share one memo only because
+    those linear parts are more than the signed permutations.  phi
+    carries each slot onto a slot of equal multiplicity, and all cells
+    have one degree, so it carries each row onto a row: each K-step tail
+    from (r, 0) that avoids S goes onto one from (c, 0) that avoids
+    phi(S), with equal multiplicities, and an occupancy key means the
+    same tails in either cell.  A cell that no map found joins keeps its
+    own memo, which only shares less.  A walker whose memo key holds more
     than occupancy, such as the distances of a height walker, may share
     a memo only under maps that keep them; the Z^d bridge tables have
     one cell.
@@ -280,8 +290,8 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
     balls, classes = [], []
     for c in range(len(slots)):
         phi = next(((r, P, pi, t) for r in sorted(set(classes))
-                    for P in islice(_signed_perms(dimension), _MAX_MAPS)
-                    for pi, t in _cell_maps(slots, index, P, r, c)), None)
+                    for P, moved in _linear_parts(slots, dimension)
+                    for pi, t in _cell_maps(slots, index, moved, r, c)), None)
         if phi is None:
             classes.append(c)
             balls.append(tuple(v for _d, v in takewhile(
@@ -290,7 +300,7 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
             r, P, pi, t = phi
             classes.append(r)
             balls.append(tuple(
-                (pi[tc], tuple(s * x[a] + b for (a, s), b in zip(P, t[tc])))
+                (pi[tc], tuple(a + b for a, b in zip(_act(P, x), t[tc])))
                 for tc, x in balls[r]))
     return K, tuple(balls), tuple(classes)
 
@@ -529,26 +539,175 @@ def _packing(slots: tuple, cell: int, dimension: int, W: int) -> tuple:
 # Start-vertex stabiliser of a periodic lattice
 # ---------------------------------------------------------------------------
 #
-# A map (c, x) -> (pi[c], P.x + t[c]) with P a signed permutation is an
-# automorphism exactly when it carries every slot of every cell onto a
-# slot of equal multiplicity.  Maps fixing (cell, 0) act on SAWs from that
-# vertex through their slot tables alone, so prefixes are canonicalised on
-# slot-index sequences and no vertex is ever decoded.
+# A map (c, x) -> (pi[c], P.x + t[c]), with P an integer matrix stored as
+# a tuple of rows, is an automorphism exactly when it carries every slot
+# of every cell onto a slot of equal multiplicity.  Maps fixing (cell, 0)
+# act on SAWs from that vertex through their slot tables alone, so
+# prefixes are canonicalised on slot-index sequences and no vertex is
+# ever decoded.
 #
-# Merging under any set of automorphisms that fix the start is sound, so
-# the search is bounded: at most _MAX_MAPS signed permutations are tried
-# (all of them for d <= 3) and at most _MAX_MAPS maps are kept.  Above
-# that only part of the group is found, which merges fewer prefixes.
+# The stabiliser and the tail memo's cell classes take their linear parts
+# P from one generator (:func:`_linear_parts`).  Merging under any set of
+# automorphisms that fix the start is sound, so the search is bounded: at
+# most _MAX_MAPS linear parts are tried and at most _MAX_MAPS maps are
+# kept.  On Z^d the linear parts are the signed permutations, all of them
+# for d <= 3; above that only part of the group is found, which merges
+# fewer prefixes.
 
 _MAX_MAPS = 48
 
 
-def _signed_perms(d: int):
-    """Signed permutations P as ((axis, sign), ...), meaning
-    (P.x)_i = sign_i * x[axis_i], generated lazily; the identity first."""
-    for axes in permutations(range(d)):
-        for signs in product((1, -1), repeat=d):
-            yield tuple(zip(axes, signs))
+def _act(P, x) -> tuple:
+    """The matrix product P.x, with P a tuple of rows."""
+    return tuple([sum(map(mul, row, x)) for row in P])
+
+
+def _independent(vectors) -> list:
+    """The vectors, in order, that are linearly independent of those
+    kept before them (fraction-free elimination on exact integers)."""
+    rows, kept = [], []
+    for v in vectors:
+        w = list(v)
+        for p, r in rows:
+            if w[p]:
+                w = [r[p] * a - w[p] * b for a, b in zip(w, r)]
+        p = next((i for i, a in enumerate(w) if a), None)
+        if p is not None:
+            rows.append((p, w))
+            kept.append(v)
+    return kept
+
+
+def _short_translations(slots: tuple, dimension: int) -> tuple:
+    """(dist, R): d(x) for each non-zero translation x with d(x) <= R,
+    where d(x) is the least graph distance from (c, 0) to (c, x) over the
+    cells c, and R is the least radius at which these x span R^d.
+
+    If no radius does, R is 2C - 1 for C cells.  The translations of the
+    component of (c, 0) are generated by the displacements of the
+    fundamental cycles of a spanning tree of the cells, each a closed
+    walk of at most 2C - 1 steps, so by then every component's
+    translations are spanned."""
+    C = len(slots)
+    zero = (0,) * dimension
+    seen = [{(c, zero)} for c in range(C)]
+    fronts = [[(c, zero)] for c in range(C)]
+    dist, R = {}, 0
+    while len(_independent(dist)) < dimension and R < 2 * C - 1:
+        R += 1
+        for c in range(C):
+            front = []
+            for tc, x in fronts[c]:
+                for uc, delta, _m in slots[tc]:
+                    w = (uc, tuple(map(add, x, delta)))
+                    if w not in seen[c]:
+                        seen[c].add(w)
+                        front.append(w)
+                        if uc == c:
+                            dist.setdefault(w[1], R)
+            fronts[c] = front
+    return dist, R
+
+
+@lru_cache(maxsize=64)
+def _linear_parts(slots: tuple, dimension: int) -> tuple:
+    """The linear parts P tried as automorphisms (c, x) -> (pi[c],
+    P.x + t[c]) of the lattice with slot table ``slots``, each paired
+    with ``_moved(slots, P)``: at most _MAX_MAPS of them, the identity
+    first.
+
+    Every such automorphism keeps d (:func:`_short_translations`): it
+    carries (c, 0) and (c, x) to (pi[c], t[c]) and (pi[c], P.x + t[c]),
+    and pi permutes the cells, so d(P.x) = d(x).  Its P is invertible
+    over Z, so it permutes the finite set T of non-zero translations with
+    d(x) <= R, which spans R^d.  The candidates are built from a basis B
+    of T: each b in B goes to some u in T with d(u) = d(b), and
+    P = U.B^-1 is kept only if it is integral and P(T) = T.  A partial
+    choice is cut once d(u - u') or d(u + u') differs from d(b - b') or
+    d(b + b') for the basis vectors b' chosen before, distances past R
+    read as R + 1: P keeps these too.  Where T spans less than R^d (a
+    start whose component has lower rank, such as Z with jumps 1 and 2
+    drawn in the plane), the coordinate vectors it does not span join T
+    and B at distance R + 1, so only maps whose P permutes them are
+    found.
+
+    The candidates limit which maps are found, never which are kept:
+    :func:`_cell_maps` checks every slot of each.  On Z^d, the ladder and
+    square-octagon T is the +-e_i and the candidates are the signed
+    permutations; the triangular lattice gets 12, all of its point group.
+    """
+    d = dimension
+    dist, R = _short_translations(slots, d)
+    # nearest first, and e_1, ..., e_d first among equals, so that the
+    # basis of T is mostly the coordinate one, where P = U
+    T = sorted(dist, key=lambda x: (dist[x], sum(map(abs, x)),
+                                    tuple(-a for a in x)))
+    eye = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    basis = _independent(T)
+    for e in _independent(basis + eye)[len(basis):]:
+        basis.append(e)
+        for v in (e, tuple(-a for a in e)):
+            T.append(v)
+            dist[v] = R + 1
+    members = set(T)
+
+    def far(x):
+        return dist.get(x, R + 1) if any(x) else 0
+
+    gaps = {(u, v): (far(tuple(map(sub, u, v))), far(tuple(map(add, u, v))))
+            for u in T for v in T}
+    # B^-1 = inv / D with inv integral, so P = U.inv / D; P = U if B = I
+    inv_cols = None
+    if basis != eye:
+        inv = _inverse(basis)
+        D = lcm(*(x.denominator for row in inv for x in row))
+        inv_cols = list(zip(*([int(x * D) for x in row] for row in inv)))
+    # b's own image first, so that the identity comes first
+    images = [sorted((u for u in T if dist[u] == dist[b]),
+                     key=lambda u: u != b) for b in basis]
+    wants = [[gaps[b, c] for c in basis[:k]] for k, b in enumerate(basis)]
+    # Where T is +-B alone, the cuts keep the u apart and from each
+    # other's negatives, so U is B times a signed permutation and P
+    # permutes T: only a larger T needs checking.
+    checked = T if len(T) > 2 * d else ()
+
+    def choose(us):
+        k = len(us)
+        if k == d:
+            P = tuple(zip(*us))
+            if inv_cols is not None:
+                P = tuple(tuple(sum(map(mul, row, col)) for col in inv_cols)
+                          for row in P)
+                if any(x % D for row in P for x in row):
+                    return
+                P = tuple(tuple(x // D for x in row) for row in P)
+            if all(_act(P, x) in members for x in checked):
+                yield P
+            return
+        for u in images[k]:
+            if all(gaps[u, v] == want for v, want in zip(us, wants[k])):
+                yield from choose(us + [u])
+
+    return tuple((P, _moved(slots, P))
+                 for P in islice(choose([]), _MAX_MAPS))
+
+
+def _inverse(columns) -> list:
+    """The inverse, as rows of Fractions, of the invertible matrix whose
+    columns are ``columns``."""
+    d = len(columns)
+    work = [[Fraction(columns[k][i]) for k in range(d)]
+            + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for col in range(d):
+        p = next(r for r in range(col, d) if work[r][col])
+        work[col], work[p] = work[p], work[col]
+        pivot = work[col][col]
+        work[col] = [x / pivot for x in work[col]]
+        for r in range(d):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [row[d:] for row in work]
 
 
 def _slot_index(slots) -> list:
@@ -557,17 +716,27 @@ def _slot_index(slots) -> list:
             for row in slots]
 
 
-def _slot_target(index, P, pi, t, c, tc, delta):
+def _moved(slots, P) -> tuple:
+    """P.delta for the delta of each slot of each cell, in slot order."""
+    image = {delta: _act(P, delta)
+             for delta in {delta for row in slots for _tc, delta, _m in row}}
+    return tuple(tuple(image[delta] for _tc, delta, _m in row)
+                 for row in slots)
+
+
+def _slot_target(index, pi, t, c, tc, moved):
     """The slot of cell pi[c] onto which the slot (tc, delta) of cell c is
-    carried, or None if pi[c] has no such slot."""
+    carried, with ``moved`` = P.delta, or None if pi[c] has no such
+    slot."""
     return index[pi[c]].get((pi[tc], tuple(
-        s * delta[a] + b - x for (a, s), b, x in zip(P, t[tc], t[c]))))
+        a + b - x for a, b, x in zip(moved, t[tc], t[c]))))
 
 
-def _cell_maps(slots, index, P, c0, c1):
+def _cell_maps(slots, index, moved, c0, c1):
     """Every (pi, t) with pi[c0] = c1 and t[c0] = 0 that carries each slot
-    between mapped cells onto a slot of equal multiplicity: the vertex
-    (c0, 0) goes to (c1, 0).
+    between mapped cells onto a slot of equal multiplicity, for the linear
+    part P with ``moved = _moved(slots, P)``: the vertex (c0, 0) goes to
+    (c1, 0).
 
     The slot table is walked from cell c0: each slot that reaches a new
     cell is tried against every slot of equal multiplicity of its image
@@ -576,31 +745,31 @@ def _cell_maps(slots, index, P, c0, c1):
     """
     def fits(pi, t, new):
         for c in pi:
-            for tc, delta, m in slots[c]:
+            for (tc, _delta, m), pd in zip(slots[c], moved[c]):
                 if (c == new or tc == new) and tc in pi:
-                    k = _slot_target(index, P, pi, t, c, tc, delta)
+                    k = _slot_target(index, pi, t, c, tc, pd)
                     if k is None or slots[pi[c]][k][2] != m:
                         return False
         return True
 
     def extend(pi, t):
         for c in pi:
-            for tc, delta, m in slots[c]:
+            for (tc, _delta, m), pd in zip(slots[c], moved[c]):
                 if tc in pi:
                     continue
                 used = set(pi.values())
                 for tc2, d2, m2 in slots[pi[c]]:
                     if m2 == m and tc2 not in used:
                         # d2 = P.delta + t[tc] - t[c]
-                        ttc = tuple(b + x - s * delta[a]
-                                    for (a, s), b, x in zip(P, d2, t[c]))
+                        ttc = tuple(b + x - a for a, b, x
+                                    in zip(pd, d2, t[c]))
                         pi2, t2 = {**pi, tc: tc2}, {**t, tc: ttc}
                         if fits(pi2, t2, tc):
                             yield from extend(pi2, t2)
                 return
         yield pi, t
 
-    pi, t = {c0: c1}, {c0: (0,) * len(P)}
+    pi, t = {c0: c1}, {c0: (0,) * len(moved[c0][0])}
     if fits(pi, t, c0):
         yield from extend(pi, t)
 
@@ -612,12 +781,16 @@ def lattice_stabiliser(lat: PeriodicLattice, cell: int = 0,
 
     ``table[c][k]`` is the slot of cell pi[c] onto which slot k of cell c
     is carried.  Cells that walks from ``cell`` never reach are left
-    fixed.  With ``fix_first`` only maps with P.e_1 = e_1 are kept (for
-    Z^d bridges).  A map is kept only if it carries every slot onto a slot
-    of equal multiplicity, which is all that merging needs for soundness.
-    The search stops after _MAX_MAPS signed permutations or _MAX_MAPS
-    maps, so above dimension 3 only part of the group is found.  The
-    identity comes first.
+    fixed.  With ``fix_first`` only the maps whose P keeps x_1, its first
+    row e_1, are kept (for Z^d bridges), filtered from the cached maps
+    without ``fix_first``, so the two share one search.  A map is kept
+    only if it carries
+    every slot onto a slot of equal multiplicity, which is all that
+    merging needs for soundness.  The linear parts tried are those of
+    :func:`_linear_parts`, which permute the lattice's shortest
+    translations; the search stops after _MAX_MAPS of them or _MAX_MAPS
+    maps, so on Z^d above dimension 3 only part of the group is found.
+    The identity comes first.
 
     Results are cached on (dimension, cells, edges, cell, fix_first),
     which determine the slot table, so every count on a lattice after
@@ -629,17 +802,19 @@ def lattice_stabiliser(lat: PeriodicLattice, cell: int = 0,
 @lru_cache(maxsize=64)
 def _stabiliser(dimension: int, cells: int, edges: tuple, cell: int,
                 fix_first: bool) -> tuple:
+    if fix_first:
+        e_1 = (1,) + (0,) * (dimension - 1)
+        return tuple(m for m in _stabiliser(dimension, cells, edges, cell,
+                                            False) if m[0][0] == e_1)
     lat = PeriodicLattice(dimension, cells, edges)
     slots = lat.slot_table()
     index = _slot_index(slots)
-    perms = (P for P in _signed_perms(lat.dimension)
-             if not fix_first or P[0] == (0, 1))
     found: dict = {}
-    for P in islice(perms, _MAX_MAPS):
-        for pi, t in _cell_maps(slots, index, P, cell, cell):
+    for P, moved in _linear_parts(slots, dimension):
+        for pi, t in _cell_maps(slots, index, moved, cell, cell):
             table = tuple(
-                tuple(_slot_target(index, P, pi, t, c, tc, delta)
-                      for tc, delta, _m in row)
+                tuple(_slot_target(index, pi, t, c, tc, pd)
+                      for (tc, _delta, _m), pd in zip(row, moved[c]))
                 if c in pi else tuple(range(len(row)))
                 for c, row in enumerate(slots))
             found.setdefault(table, (
@@ -741,21 +916,35 @@ def _quotient_maps(q: QuotientGraph, start) -> tuple:
     a base vertex: the orbit of its image is the start.  The identity
     comes first.
 
-    A map descends when P.h lies in L for each generator h of L; that
-    containment gives P.L = L because P has finite order.  A tree
-    action gets none: its only map is the identity, which merges
-    nothing.
+    A map descends when P.h lies in L for each row h of L's Hermite
+    normal form; that containment gives P.L = L because P permutes a
+    finite spanning set of translations (:func:`_linear_parts`) and so
+    has finite order.  A tree action gets none: its only map is the
+    identity, which merges nothing.
+
+    Results are cached on the base lattice's (dimension, cells, edges),
+    L's Hermite rows and the start, which determine them, so every
+    split of one quotient after the first reuses the maps.
     """
     if q.action.kind != "sublattice":
         return ()
+    base = q.base
+    return _descending_tables(base.dimension, base.cells, base.edges,
+                              q.hermite, start)
+
+
+@lru_cache(maxsize=64)
+def _descending_tables(dimension: int, cells: int, edges: tuple,
+                       hermite: tuple, start) -> tuple:
+    hnf, piv = hermite
     c0, x0 = start
-    zero = (0,) * q.base.dimension
+    zero = (0,) * dimension
     return tuple(
-        slots for P, pi, t, slots in lattice_stabiliser(q.base, c0)
-        if all(q.orbit_of((0, tuple(s * h[a] for a, s in P)))[1] == zero
-               for h in q.action.rows)
-        and q.orbit_of((pi[c0], tuple(s * x0[a] + b for (a, s), b
-                                      in zip(P, t[c0])))) == start)
+        slots for P, pi, t, slots
+        in _stabiliser(dimension, cells, edges, c0, False)
+        if all(reduce_mod_lattice(_act(P, h), hnf, piv) == zero for h in hnf)
+        and (pi[c0], reduce_mod_lattice(tuple(
+            a + b for a, b in zip(_act(P, x0), t[c0])), hnf, piv)) == start)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,12 @@ class QuotientGraph:
         lvl = self.base.level(v)
         return lvl % self._shift if self._shift else lvl
 
+    @property
+    def hermite(self) -> tuple:
+        """(rows, pivot columns) of the Hermite normal form of L, for a
+        sublattice action."""
+        return self._hnf, self._piv
+
     def rep_of(self, o):
         """The canonical representative vertex of an orbit key."""
         if self.action.kind == "sublattice":

@@ -50,6 +50,21 @@ def naive_walk_counts(g, v0, n_max: int) -> list:
     return counts
 
 
+def apply_map(m, v):
+    """The image of lattice vertex v = (c, x) under a stabiliser map
+    m = (P, pi, t, slot table), P an integer matrix as a tuple of rows:
+    (pi[c], P.x + t[c]), written out as plain row-times-column sums."""
+    P, pi, t, _slots = m
+    c, x = v
+    image = []
+    for i in range(len(P)):
+        total = t[c][i]
+        for j in range(len(x)):
+            total += P[i][j] * x[j]
+        image.append(total)
+    return pi[c], tuple(image)
+
+
 # ---------------------------------------------------------------------------
 # Directed enumeration on a QuotientGraph
 # ---------------------------------------------------------------------------

@@ -431,6 +431,18 @@ def test_one_function_builds_cell_maps():
             if mod != "counting.py"] == []
 
 
+def test_one_generator_gives_the_linear_parts():
+    # the stabiliser and the tail memo's cell classes try the linear parts
+    # of one generator
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in PACKAGE}
+    assert sorted(_calls(sources["counting.py"], {"_linear_parts"})) == [
+        ("_stabiliser", "_linear_parts"), ("_tail_balls", "_linear_parts")]
+    assert [(mod, where) for mod, source in sources.items()
+            for where, _name in _calls(source, {"_linear_parts"})
+            if mod != "counting.py"] == []
+
+
 LIBM_LOGS = {"log", "log1p"}
 
 

@@ -14,7 +14,7 @@ from functools import partial
 
 import pytest
 
-from oracles import (naive_at_most, naive_directed_saw_counts,
+from oracles import (apply_map, naive_at_most, naive_directed_saw_counts,
                      naive_directed_saw_paths, naive_event_count,
                      naive_occurrence_tally)
 from sawkit import counting
@@ -25,7 +25,7 @@ from sawkit.counting import (_counts_from, _merge_prefixes, _quotient_maps,
                              lattice_stabiliser)
 from sawkit.events import (CycleFamily, build_cycle_family, count_with_events,
                            event_free_series, event_series)
-from sawkit.graphs import InvalidVertexError, catalog
+from sawkit.graphs import InvalidVertexError, augment, catalog
 from sawkit.quotient import build_quotient, sublattice_action, tree_action
 
 # (graph, sublattice rows, order of the quotient's start stabiliser)
@@ -154,14 +154,6 @@ def test_deep_counts_match_unmerged_runs():
         assert list(count_directed_saws(q, 10).counts) == want, rows
 
 
-def _apply(m, v):
-    """The image of base vertex v = (c, x) under a stabiliser map
-    m = (P, pi, t, slot table): (pi[c], P.x + t[c])."""
-    P, pi, t, _slots = m
-    c, x = v
-    return pi[c], tuple(s * x[a] + b for (a, s), b in zip(P, t[c]))
-
-
 def _descending_maps(q, start):
     """The maps of ``lattice_stabiliser(q.base, start cell)`` that carry
     orbits onto orbits and fix the orbit ``start``, found from their
@@ -170,16 +162,16 @@ def _descending_maps(q, start):
     c0 = start[0]
     zero = (0,) * q.base.dimension
     return [m for m in lattice_stabiliser(q.base, c0)
-            if all(q.orbit_of(_apply(m, (c0, tuple(h))))
-                   == q.orbit_of(_apply(m, (c0, zero)))
+            if all(q.orbit_of(apply_map(m, (c0, tuple(h))))
+                   == q.orbit_of(apply_map(m, (c0, zero)))
                    for h in q.action.rows)
-            and q.orbit_of(_apply(m, q.rep_of(start))) == start]
+            and q.orbit_of(apply_map(m, q.rep_of(start))) == start]
 
 
 def _orbit_sigma(q, table, m):
     """The map m acting on the ids of a table of q's orbit keys."""
     return lambda i: table.intern(
-        q.orbit_of(_apply(m, q.rep_of(table.keys[i]))))
+        q.orbit_of(apply_map(m, q.rep_of(table.keys[i]))))
 
 
 @pytest.mark.parametrize("graph,rows,order", FINITE + INFINITE)
@@ -189,6 +181,37 @@ def test_quotient_map_orders(graph, rows, order):
     assert len(_quotient_maps(q, start)) == order
     assert _quotient_maps(q, start) == \
         tuple(m[3] for m in _descending_maps(q, start))
+
+
+def test_quotient_maps_are_cached_on_lattice_sublattice_and_start():
+    # a second build of one quotient, and rows with the same Hermite
+    # form, reuse the maps; another start orbit gets its own
+    q = _quotient("zd:3", "3 0 0;0 3 0;0 0 3")
+    got = _quotient_maps(q, q.origin_orbit())
+    for again in (_quotient("zd:3", "3 0 0;0 3 0;0 0 3"),
+                  _quotient("zd:3", "0 3 0;3 0 0;0 0 -3")):
+        assert _quotient_maps(again, again.origin_orbit()) is got
+    base = q.base
+    assert got == counting._descending_tables.__wrapped__(
+        base.dimension, base.cells, base.edges, q.hermite, q.origin_orbit())
+    other = (0, (1, 0, 0))
+    assert len(_quotient_maps(q, other)) == 8
+    assert _quotient_maps(q, other) == \
+        tuple(m[3] for m in _descending_maps(q, other))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_triangular_quotient_merges_under_its_point_group(workers):
+    # all 12 maps of the triangular lattice's stabiliser normalise 3Z^2
+    z2 = catalog("zd:2")
+    tri = augment(z2, (z2.origin(), (0, (1, 1))))
+    q = build_quotient(tri, sublattice_action([[3, 0], [0, 3]]))
+    start = q.origin_orbit()
+    assert len(_quotient_maps(q, start)) == 12
+    assert _quotient_maps(q, start) == \
+        tuple(m[3] for m in _descending_maps(q, start))
+    assert list(count_directed_saws(q, 9, workers=workers).counts) == \
+        naive_directed_saw_counts(q, 9)
 
 
 def test_tree_actions_keep_the_identity_only():
@@ -217,7 +240,7 @@ def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows):
     for start in _starts(q):
         for m in _descending_maps(q, start):
             def image(key, m=m):
-                return q.orbit_of(_apply(m, q.rep_of(key)))
+                return q.orbit_of(apply_map(m, q.rep_of(key)))
 
             assert image(start) == start
 

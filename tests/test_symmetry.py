@@ -11,7 +11,7 @@ from functools import partial
 
 import pytest
 
-from oracles import naive_bridge_counts, naive_saw_counts
+from oracles import apply_map, naive_bridge_counts, naive_saw_counts
 from sawkit import counting
 from sawkit.bounds import bridge_counts
 from sawkit.cli import run
@@ -21,7 +21,7 @@ from sawkit.counting import (_IdTable, _lattice_split,
 from sawkit.events import (build_cycle_family, event_free_series,
                            event_series)
 from sawkit.graphs import (CayleyGraph, PeriodicLattice, augment, ball,
-                           catalog, load_spec_file)
+                           catalog, load_spec_file, spec_text)
 from sawkit.quotient import build_quotient, sublattice_action
 from test_counting import (SAW_LADDER_10, SAW_SQOCT_10, SAW_Z2_10,
                            SAW_Z2DIAG_8)
@@ -29,6 +29,34 @@ from test_graphs import Z2_PRESENTATION
 
 # [frozen] square-lattice SAWs on Z^3 (OEIS A001412)
 SAW_Z3_8 = [1, 6, 30, 150, 726, 3534, 16926, 81390, 387966]
+# [frozen] SAWs on the triangular lattice (OEIS A001334), the honeycomb
+# lattice (OEIS A001668) and the kagome lattice (counted with signed
+# permutations as the only linear parts, before the point-group search)
+SAW_TRIANGULAR_12 = [1, 6, 30, 138, 618, 2730, 11946, 51882, 224130,
+                     964134, 4133166, 17668938, 75355206]
+SAW_HONEYCOMB_14 = [1, 3, 6, 12, 24, 48, 90, 174, 336, 648, 1218, 2328,
+                    4416, 8388, 15780]
+SAW_KAGOME_14 = [1, 4, 12, 32, 88, 240, 652, 1744, 4616, 12208, 32328,
+                 85408, 224640, 589024, 1542944]
+
+# cell 0 joined to cell 1 in three directions
+HONEYCOMB = PeriodicLattice(2, 2, [(0, 1, (0, 0), 1), (0, 1, (-1, 0), 1),
+                                   (0, 1, (0, -1), 1)], graph_id="honeycomb")
+# cells 0, 1, 2 at 0, e_1/2 and e_2/2 of a triangular lattice with basis
+# e_1, e_2: the first three rows are the up-triangles, the last three the
+# down-triangles
+KAGOME = PeriodicLattice(2, 3, [(0, 1, (0, 0), 1), (0, 2, (0, 0), 1),
+                                (1, 2, (0, 0), 1), (1, 0, (1, 0), 1),
+                                (2, 0, (0, 1), 1), (1, 2, (1, -1), 1)],
+                         graph_id="kagome")
+# shortest translations off the coordinate basis: the square lattice on
+# the diagonals (one of its two components), and the triangular lattice
+# on (2, 0), (1, 1), (-1, 1), where only the 4 point-group elements that
+# are integer matrices are linear parts of maps (c, x) -> (c, P.x)
+DIAGONAL = PeriodicLattice(2, 1, [(0, 0, (1, 1), 1), (0, 0, (1, -1), 1)],
+                           graph_id="diagonal")
+SHEARED = PeriodicLattice(2, 1, [(0, 0, (2, 0), 1), (0, 0, (1, 1), 1),
+                                 (0, 0, (-1, 1), 1)], graph_id="sheared")
 
 
 def _chord(x, y):
@@ -59,12 +87,6 @@ def _supercell(side):
     return PeriodicLattice(2, side * side, edges, graph_id=f"z2x{side}")
 
 
-def _apply(m, v):
-    P, pi, t, _table = m
-    c, x = v
-    return (pi[c], tuple(s * x[a] + b for (a, s), b in zip(P, t[c])))
-
-
 @pytest.mark.parametrize("name,order", [
     ("zd(1)", 2), ("zd(2)", 8), ("zd(3)", 48), ("ladder", 2),
     ("square-octagon", 2)])
@@ -75,20 +97,61 @@ def test_catalog_stabiliser_orders(name, order):
 
 
 def test_augmented_and_multigraph_orders(doubled):
-    assert len(lattice_stabiliser(_chord(1, 1))) == 4
-    assert len(lattice_stabiliser(_chord(2, 1))) == 2
+    # chord (1, 1) makes the triangular lattice: its stabiliser is the
+    # whole point group, of order 12.  Chord (2, 1) adds to -I the shear
+    # e_2 -> -(2, 1), which fixes e_1 and permutes the six steps.
+    assert len(lattice_stabiliser(_chord(1, 1))) == 12
+    assert len(lattice_stabiliser(_chord(2, 1))) == 4
     assert len(lattice_stabiliser(doubled)) == 4
 
 
+@pytest.mark.parametrize("g,orders", [(HONEYCOMB, [6, 6]),
+                                      (KAGOME, [4, 4, 4]), (DIAGONAL, [8]),
+                                      (SHEARED, [4])],
+                         ids=["honeycomb", "kagome", "diagonal", "sheared"])
+def test_point_group_orders_at_every_cell(g, orders):
+    assert [len(lattice_stabiliser(g, cell))
+            for cell in range(g.cells)] == orders
+
+
+@pytest.mark.parametrize("name,tried", [
+    ("zd(2)", 8), ("square-octagon", 8), ("ladder", 2), ("zd(3)", 48),
+    ("triangular", 12), ("jumps", 4)])
+def test_cold_search_tries_no_more_linear_parts(monkeypatch, name, tried):
+    # the candidates are those that permute the shortest translations:
+    # the signed permutations on the catalog lattices, as before the
+    # point-group search, and the 12 of the triangular lattice's point
+    # group.  With steps e_1, 2e_1 and e_2 these are +-e_1, +-2e_1 and
+    # +-e_2, and only the 4 diagonal signed permutations permute them,
+    # though 16 pass the distance cuts.
+    g = {"triangular": _chord(1, 1),
+         "jumps": PeriodicLattice(2, 1, [(0, 0, (1, 0), 1),
+                                         (0, 0, (2, 0), 1),
+                                         (0, 0, (0, 1), 1)])}.get(name) \
+        or catalog(name)
+    moved = []
+    real = counting._cell_maps
+
+    def spy(slots, index, images, c0, c1):
+        moved.append(images)
+        return real(slots, index, images, c0, c1)
+
+    monkeypatch.setattr(counting, "_cell_maps", spy)
+    counting._stabiliser.__wrapped__(g.dimension, g.cells, g.edges, 0,
+                                     False)
+    assert len(moved) == len(set(moved)) == tried
+
+
 def test_high_dimension_search_is_bounded():
-    # 2^8 * 8! = 10321920 signed permutations: only the first 48 are tried
+    # 2^8 * 8! = 10321920 signed permutations: only the first 48 linear
+    # parts are tried
     z8 = catalog("zd:8")
     maps = lattice_stabiliser(z8)
     assert len(maps) == len(lattice_stabiliser(z8, fix_first=True)) == 48
     for m in maps:
         for v in ball(z8, z8.origin(), 1):
-            assert Counter(_apply(m, w) for w in z8.expanded_neighbors(v)) \
-                == Counter(z8.expanded_neighbors(_apply(m, v)))
+            assert Counter(apply_map(m, w) for w in z8.expanded_neighbors(v)) \
+                == Counter(z8.expanded_neighbors(apply_map(m, v)))
     assert list(count_saws(z8, n_max=3).counts) == \
         naive_saw_counts(z8, z8.origin(), 3)
     assert bridge_counts(8, 3) == naive_bridge_counts(8, 3)
@@ -112,30 +175,33 @@ def test_bridge_subgroup_orders():
 
 @pytest.mark.parametrize("name", ["zd(2)", "zd(3)", "ladder",
                                   "square-octagon", "chord11", "chord21",
-                                  "doubled"])
+                                  "doubled", "honeycomb", "kagome",
+                                  "diagonal", "sheared"])
 def test_every_map_is_an_automorphism_fixing_the_start(name, doubled):
     g = {"chord11": _chord(1, 1), "chord21": _chord(2, 1),
-         "doubled": doubled}.get(name) or catalog(name)
+         "doubled": doubled, "honeycomb": HONEYCOMB, "kagome": KAGOME,
+         "diagonal": DIAGONAL, "sheared": SHEARED}.get(name) or catalog(name)
     slots = g.slot_table()
     for cell in range(g.cells):
         v0 = (cell, (0,) * g.dimension)
         maps = lattice_stabiliser(g, cell)
         assert maps[0][3] == tuple(tuple(range(len(r))) for r in slots)
         for m in maps:
-            assert _apply(m, v0) == v0
+            assert apply_map(m, v0) == v0
             assert sorted(m[1]) == list(range(g.cells))
             for v in ball(g, v0, 2):
                 # neighbour multisets, parallel edges included, map onto
                 # the image's neighbour multiset
-                image = Counter(_apply(m, w) for w in g.expanded_neighbors(v))
-                assert image == Counter(g.expanded_neighbors(_apply(m, v)))
+                image = Counter(apply_map(m, w)
+                                for w in g.expanded_neighbors(v))
+                assert image == Counter(g.expanded_neighbors(apply_map(m, v)))
             # the slot table says the same
             for c, row in enumerate(slots):
                 for k, (tc, delta, mult) in enumerate(row):
                     src = (c, (0,) * g.dimension)
-                    dst = _apply(m, (tc, delta))
+                    dst = apply_map(m, (tc, delta))
                     tc2, d2, m2 = slots[m[1][c]][m[3][c][k]]
-                    img = _apply(m, src)
+                    img = apply_map(m, src)
                     assert dst == (tc2, tuple(a + b for a, b in
                                               zip(img[1], d2)))
                     assert m2 == mult
@@ -160,6 +226,38 @@ def test_merged_counts_match_frozen(doubled):
     for g in (_chord(2, 1), doubled):
         assert list(count_saws(g, n_max=7).counts) == \
             naive_saw_counts(g, g.origin(), 7)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_point_group_lattices_match_frozen(workers, forced_pool):
+    # each series from every cell, merged under the whole point group,
+    # through a pool process on two workers
+    for g, want in ((_chord(1, 1), SAW_TRIANGULAR_12),
+                    (HONEYCOMB, SAW_HONEYCOMB_14), (KAGOME, SAW_KAGOME_14),
+                    (DIAGONAL, SAW_Z2_10), (SHEARED, SAW_TRIANGULAR_12[:11])):
+        for cell in range(g.cells):
+            assert list(count_saws(g, (cell, (0, 0)), len(want) - 1,
+                                   workers=workers).counts) == want
+    assert forced_pool == [2] * 8 * (workers - 1)
+
+
+@pytest.mark.parametrize("g", [_chord(1, 1), HONEYCOMB, KAGOME, DIAGONAL,
+                               SHEARED],
+                         ids=["triangular", "honeycomb", "kagome",
+                              "diagonal", "sheared"])
+def test_point_group_lattices_match_naive_oracle(g):
+    for cell in range(g.cells):
+        v0 = (cell, (-1, 2))
+        assert list(count_saws(g, v0, 7).counts) == \
+            naive_saw_counts(g, v0, 7)
+
+
+def test_honeycomb_spec_file_counts(tmp_path, capsys):
+    path = tmp_path / "honeycomb.txt"
+    path.write_text(spec_text(HONEYCOMB))
+    assert run(["count", "--spec", str(path), "--n", "14"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(r.split(",")[1]) for r in rows] == SAW_HONEYCOMB_14[1:]
 
 
 def test_merged_counts_from_other_cells(capsys):

@@ -33,7 +33,7 @@ from sawkit.graphs import (CayleyGraph, PeriodicLattice, augment,
 from sawkit.quotient import build_quotient, sublattice_action, tree_action
 from test_counting import SAW_Z2_10, SAW_Z2DIAG_8
 from test_graphs import Z2_PRESENTATION
-from test_symmetry import SAW_Z3_8
+from test_symmetry import HONEYCOMB, KAGOME, SAW_Z3_8
 
 # [frozen] square-lattice SAWs on Z^2 (OEIS A001411)
 SAW_Z2_12 = SAW_Z2_10 + [120292, 324932]
@@ -55,6 +55,8 @@ LATTICES = {
     # Z with jumps 1 and 2: offsets reach 2
     "jumps": (PeriodicLattice(2, 1, [(0, 0, (1, 0), 1),
                                      (0, 0, (2, 0), 1)]), 6),
+    "honeycomb": (HONEYCOMB, 3),
+    "kagome": (KAGOME, 2),
     # both cells have degree 3, but their radius-4 balls hold 22 and 26
     # vertices: no automorphism exchanges them
     "two-ball": (PeriodicLattice(1, 2, [(0, 0, (1,), 1), (0, 1, (0,), 1),
@@ -148,7 +150,8 @@ def test_split_counts_match_oracle_past_the_memo_depth(monkeypatch, name,
 
 @pytest.mark.parametrize("name,classes", [
     ("zd(1)", (0,)), ("zd(2)", (0,)), ("zd(3)", (0,)), ("ladder", (0, 0)),
-    ("square-octagon", (0, 0, 0, 0)), ("two-ball", (0, 1))])
+    ("square-octagon", (0, 0, 0, 0)), ("two-ball", (0, 1)),
+    ("honeycomb", (0, 0)), ("kagome", (0, 0, 0))])
 def test_cells_an_automorphism_exchanges_share_one_memo(name, classes):
     g, K = LATTICES[name][0], _depth(name, 0)
     assert _tail_balls(g.slot_table(), 0, g.dimension)[2] == classes
