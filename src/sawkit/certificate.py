@@ -65,7 +65,8 @@ from functools import wraps
 from typing import Callable, Optional
 
 from .bounds import BoundError, LowerBoundSequence
-from .counting import _series_split, count_directed_saws, count_saws
+from .counting import (_orbit_split, _series_split, count_directed_saws,
+                       count_saws)
 from .events import CycleFamily, event_free_series
 from .exact import Interval, Radical, float_repr, log_of_count_root
 from .graphs import GraphHandle
@@ -493,20 +494,29 @@ def find_epsilon_m(q: QuotientGraph, family: CycleFamily,
     budget-exhausted outcomes carry the reason and the partial state.
 
     Each series source is split once for the search, for depths up to
-    n_budget: the zero-occurrence and directed series share one split of
-    q from the origin's orbit, and every count of the agreement search
-    runs on one split of g, so each recount reuses its rows, tail memo
-    and merged prefixes.  Both are freed when the search returns.  The
-    counts are exact whatever a table holds; only their cost changes.
+    n_budget, and every count of the agreement search runs on one split
+    of g, so each recount reuses its rows, tail memo and merged
+    prefixes.  On a full-rank or tree quotient the zero-occurrence and
+    directed series share one split of q from the origin's orbit.  Below
+    full rank they take two: the directed series counts on q's free
+    lattice, with its stabiliser and tail memo, and the zero-occurrence
+    series on q's orbit keys, whose maps carry the cycle family onto
+    itself (the free lattice's own maps need not).  All are freed when
+    the search returns.  The counts are exact whatever a table holds;
+    only their cost changes.
     """
     if n_budget < 1:
         return SearchOutcome("exhausted", "budget is zero", None, None,
                              None, None)
     g = q.base if g is None else g
     q_split = _series_split(q, None, n_budget)
+    # below full rank the directed series runs on q's free lattice, and
+    # the event series keeps an orbit table of its own
+    e_split = q_split if q_split.table.source == q.drow else \
+        _orbit_split(q, None, n_budget)
     x = _Inputs(
         ef=event_free_series(q, family, family.length, n_budget,
-                             workers=workers, split=q_split),
+                             workers=workers, split=e_split),
         ds=list(count_directed_saws(q, n_budget, workers=workers,
                                     split=q_split).counts),
         us=[1], bound=b)

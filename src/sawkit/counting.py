@@ -6,11 +6,15 @@ All counts are exact Python integers.  The engines are:
   ids, interned per table on first sight with lazily built (target id,
   multiplicity) rows, so infinite graphs cost only what the walks reach.
   The only per-graph part is the row source: packed integers for
-  periodic lattices (a neighbor is one addition away), orbit keys for
-  directed quotient rows, and plain keys for any other handle (trees,
-  word graphs, derived graphs), with parallel-edge weights;
-* a tail memo on periodic lattices, shared by that kernel and the Z^d
-  bridge walker of :mod:`sawkit.bounds`: the last K steps of a walk
+  periodic lattices (a neighbor is one addition away), including the
+  free lattice of a quotient by a sublattice of rank below d, on which
+  its directed SAWs are counted (:meth:`QuotientGraph.free_lattice`);
+  orbit keys for the directed rows of finite and tree quotients and for
+  every event series; and plain keys for any other handle (trees, word
+  graphs, derived graphs), with parallel-edge weights;
+* a tail memo on periodic lattices, free lattices included, and on no
+  other table, shared by that kernel and the Z^d bridge walker of
+  :mod:`sawkit.bounds`: the last K steps of a walk
   depend only on which vertices of its endpoint's radius-K ball are
   occupied (and, for bridges, on two capped distances), so each such
   tail is counted once per class of cells and key in a table: cells
@@ -57,9 +61,11 @@ lattice slots are mapped to its row entries once
 (:meth:`QuotientGraph.slot_rows`).
 
 A split holds the id table, prefix levels and tail memo of one series
-source (:func:`_series_split`; Z^d bridges wrap their half-space table
-in one).  A count makes its own split unless it is given one: a run
-that counts one source several times, as ``saw ratio``'s search does,
+source (:func:`_series_split`; :func:`_orbit_split` for event series,
+whose maps must carry the cycle family onto itself; Z^d bridges wrap
+their half-space table in one).  A count makes its own split unless it
+is given one: a run that counts one source several times, as ``saw
+ratio``'s search does,
 keeps one split per source and frees it with the run, and the passes of
 a node-budget count share one.  Counts to any depth up to the split's
 bound reuse the rows, tail memo and merged prefix levels of the counts
@@ -80,7 +86,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Optional
 
 from .exact import Radical
-from .graphs import GraphHandle, PeriodicLattice
+from .graphs import GraphHandle, PeriodicLattice, _norm_edge
 from .quotient import QuotientGraph, reduce_mod_lattice
 
 
@@ -259,6 +265,17 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
     a memo only under maps that keep them; the Z^d bridge tables have
     one cell.
 
+    The linear parts are tried in order, and phi is the first map found.
+    Once the maps found for earlier cells, or their inverses, carry a
+    placed cell onto c (:func:`_composed`), the maps r -> c are the
+    stabiliser of (r, 0) followed by that composite, and
+    :func:`_stabiliser` caches the stabiliser for the counts anyway.
+    Only their linear parts are tried, in the same order, so phi is the
+    map that trying every linear part finds first, as long as the
+    stabiliser is whole (it is, unless _MAX_MAPS cuts it short).  On
+    square-octagon the search makes 7 :func:`_cell_maps` calls instead of
+    15: cell 1 still takes 5, and cells 2 and 3 one each.
+
     Only lattice tables get a memo: one per id, on a table whose keys
     are no translates, did not pay.  Against no memo (min of 7 runs,
     2-CPU host, the 2K rule of :func:`_counts_from` kept) it took
@@ -287,11 +304,22 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
     if K < 2:
         return 0, (), ()
     index = _slot_index(slots)
-    balls, classes = [], []
+    balls, classes, maps = [], [], []
     for c in range(len(slots)):
-        phi = next(((r, P, pi, t) for r in sorted(set(classes))
-                    for P, moved in _linear_parts(slots, dimension)
-                    for pi, t in _cell_maps(slots, index, moved, r, c)), None)
+        heads, wanted = sorted(set(classes)), None
+        known = _composed(maps, classes, c)
+        if known is not None:
+            # the maps r -> c are the stabiliser of (r, 0) followed by
+            # the composite: only their linear parts are tried, in order
+            r, L = known
+            heads, wanted = [r], {_product(L, m[0]) for m in _stabiliser(
+                dimension, len(slots), _slot_edges(slots), r, False)}
+        phi = next(((r, P, pi, t) for r in heads
+                    for P in _linear_parts(slots, dimension)
+                    if wanted is None or P in wanted for pi, t
+                    in _cell_maps(slots, index, _moved(slots, P), r, c)),
+                   None)
+        maps.append(phi and phi[1:])
         if phi is None:
             classes.append(c)
             balls.append(tuple(v for _d, v in takewhile(
@@ -303,6 +331,27 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
                 (pi[tc], tuple(a + b for a, b in zip(_act(P, x), t[tc])))
                 for tc, x in balls[r]))
     return K, tuple(balls), tuple(classes)
+
+
+def _composed(maps, classes, c):
+    """(r, L) for a map from the cell r that heads a class onto cell c,
+    composed of the maps found so far, with L its linear part; None if
+    they carry no placed cell onto c.  ``maps[b]`` is the (P, pi, t) of
+    a map classes[b] -> b, None where b heads its class.
+
+    A map carrying b onto c (or its inverse doing so), after the map
+    that carries b's class head onto b, carries that head onto c up to a
+    translation."""
+    for P, pi, _t in filter(None, maps):
+        for b, mb in enumerate(maps):
+            if pi.get(b) == c:
+                L = P
+            elif pi.get(c) == b:
+                L = _integer_inverse(P)
+            else:
+                continue
+            return classes[b], L if mb is None else _product(L, mb[0])
+    return None
 
 
 # The tail memo step, shared by the SAW walker below and the bridge walker
@@ -562,6 +611,34 @@ def _act(P, x) -> tuple:
     return tuple([sum(map(mul, row, x)) for row in P])
 
 
+def _product(A, B) -> tuple:
+    """The matrix product A.B, each a tuple of rows."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*B))
+                 for row in A)
+
+
+def _integer_inverse(P) -> tuple:
+    """The inverse of P, a tuple of rows, as its highest power below the
+    identity: the linear part of an automorphism permutes a finite set
+    of translations that spans R^d (:func:`_linear_parts`), so it has
+    finite order."""
+    eye = tuple(tuple(int(i == j) for j in range(len(P)))
+                for i in range(len(P)))
+    Q = P
+    while (PQ := _product(P, Q)) != eye:
+        Q = PQ
+    return Q
+
+
+def _slot_edges(slots) -> tuple:
+    """The edge rows of the lattice with slot table ``slots``, as
+    :class:`PeriodicLattice` keeps them: each undirected edge orbit once,
+    in its canonical orientation, with its multiplicity."""
+    return tuple(sorted({_norm_edge(c, tc, delta, m)
+                         for c, row in enumerate(slots)
+                         for tc, delta, m in row}))
+
+
 def _independent(vectors) -> list:
     """The vectors, in order, that are linearly independent of those
     kept before them (fraction-free elimination on exact integers)."""
@@ -612,9 +689,9 @@ def _short_translations(slots: tuple, dimension: int) -> tuple:
 @lru_cache(maxsize=64)
 def _linear_parts(slots: tuple, dimension: int) -> tuple:
     """The linear parts P tried as automorphisms (c, x) -> (pi[c],
-    P.x + t[c]) of the lattice with slot table ``slots``, each paired
-    with ``_moved(slots, P)``: at most _MAX_MAPS of them, the identity
-    first.
+    P.x + t[c]) of the lattice with slot table ``slots``: at most
+    _MAX_MAPS of them, the identity first.  A search builds a P's slot
+    images, ``_moved(slots, P)``, only when it tries that P.
 
     Every such automorphism keeps d (:func:`_short_translations`): it
     carries (c, 0) and (c, x) to (pi[c], t[c]) and (pi[c], P.x + t[c]),
@@ -688,8 +765,7 @@ def _linear_parts(slots: tuple, dimension: int) -> tuple:
             if all(gaps[u, v] == want for v, want in zip(us, wants[k])):
                 yield from choose(us + [u])
 
-    return tuple((P, _moved(slots, P))
-                 for P in islice(choose([]), _MAX_MAPS))
+    return tuple(islice(choose([]), _MAX_MAPS))
 
 
 def _inverse(columns) -> list:
@@ -810,7 +886,8 @@ def _stabiliser(dimension: int, cells: int, edges: tuple, cell: int,
     slots = lat.slot_table()
     index = _slot_index(slots)
     found: dict = {}
-    for P, moved in _linear_parts(slots, dimension):
+    for P in _linear_parts(slots, dimension):
+        moved = _moved(slots, P)
         for pi, t in _cell_maps(slots, index, moved, cell, cell):
             table = tuple(
                 tuple(_slot_target(index, pi, t, c, tc, pd)
@@ -1041,12 +1118,14 @@ class _Split:
     """One series source's split: the id table, start id and stabiliser
     maps, functions (id, slot) -> slot, of counts from the start key
     ``key`` on ``source`` (a graph or a quotient), to depths up to
-    ``bound``.  Every count through it reuses the table's rows and tail
-    memo, and the merged prefix levels kept in ``levels``: a memo entry
-    is the K-step tail of an occupancy key, which no count depth
-    changes, and a lattice's packing is wide enough for walks of
-    ``bound`` steps.  Made by :func:`_series_split`, or around the Z^d
-    bridge table."""
+    ``bound``.  The table need not be keyed like the source: a quotient
+    below full rank keeps its orbit key as ``key`` but counts on a table
+    of its free lattice.  Every count through it reuses the table's rows
+    and tail memo, and the merged prefix levels kept in ``levels``: a
+    memo entry is the K-step tail of an occupancy key, which no count
+    depth changes, and a lattice's packing is wide enough for walks of
+    ``bound`` steps.  Made by :func:`_series_split` or
+    :func:`_orbit_split`, or around the Z^d bridge table."""
 
     __slots__ = ("source", "key", "bound", "table", "start", "maps",
                  "levels")
@@ -1109,31 +1188,54 @@ class _Split:
 def _series_split(source, start, bound: int) -> Optional[_Split]:
     """A split for counts from ``start`` on ``source`` to depths up to
     ``bound``: SAWs on a graph (default start: the origin) or directed
-    SAWs and event series on a quotient (default: the origin's orbit),
-    with the maps of :func:`_quotient_maps` acting through
-    :func:`_quotient_slot`.  None for an acyclic regular graph, whose SAW
-    counts are a closed form.
+    SAWs on a quotient (default: the origin's orbit).  None for an
+    acyclic regular graph, whose SAW counts are a closed form.
+
+    A quotient by a sublattice of rank below d is counted on its free
+    lattice (:meth:`QuotientGraph.free_lattice`), whose table, start id
+    and maps come from :func:`_lattice_split`, so its directed series
+    gets that lattice's stabiliser and tail memo; the split still serves
+    the quotient and the orbit key.  Every other quotient, and one whose
+    free lattice has cells of unequal degree, gets :func:`_orbit_split`.
 
     A quotient start must be the canonical key of its orbit, with a
     valid base vertex as its representative;
     :meth:`QuotientGraph.validate_key` refuses any other key, because its
     rows belong to no orbit and would give wrong counts."""
-    quotient = isinstance(source, QuotientGraph)
-    if start is None:
-        start = source.origin_orbit() if quotient else source.origin()
+    if isinstance(source, QuotientGraph):
+        start = source.origin_orbit() if start is None else start
+        source.validate_key(start)
+        lat = source.free_lattice()
+        if lat is None:
+            return _orbit_split(source, start, bound)
+        table, s0, maps, _x1 = _lattice_split(lat, source.free_vertex(start),
+                                              bound)
+        return _Split(source, start, bound, table, s0, maps)
+    start = source.origin() if start is None else start
     source.validate_key(start)
-    if quotient:
-        table = _IdTable(source.drow)
-        maps = [partial(_quotient_slot, source.slot_rows, table.keys, slots)
-                for slots in _quotient_maps(source, start)]
-    elif source.is_acyclic:
+    if source.is_acyclic:
         return None
-    elif isinstance(source, PeriodicLattice):
+    if isinstance(source, PeriodicLattice):
         table, s0, maps, _x1 = _lattice_split(source, start, bound)
         return _Split(source, start, bound, table, s0, maps)
-    else:
-        table, maps = _IdTable(source.neighbors), ()
-    return _Split(source, start, bound, table, table.intern(start), maps)
+    table = _IdTable(source.neighbors)
+    return _Split(source, start, bound, table, table.intern(start), ())
+
+
+def _orbit_split(q: QuotientGraph, start, bound: int) -> _Split:
+    """A split for counts from the orbit key ``start`` (default: the
+    origin's orbit) on q to depths up to ``bound``, on an id table of q's
+    orbit keys with no tail memo, its prefixes merged under the maps of
+    :func:`_quotient_maps` acting through :func:`_quotient_slot`.  Event
+    series always take it: those maps carry the cycle family onto
+    itself, which a free lattice's own maps need not do.  The start is
+    validated as in :func:`_series_split`."""
+    start = q.origin_orbit() if start is None else start
+    q.validate_key(start)
+    table = _IdTable(q.drow)
+    maps = [partial(_quotient_slot, q.slot_rows, table.keys, slots)
+            for slots in _quotient_maps(q, start)]
+    return _Split(q, start, bound, table, table.intern(start), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -1218,7 +1320,10 @@ def count_directed_saws(q: QuotientGraph, n_max: int, start=None,
     (default: the origin's orbit), which must be given by its canonical
     key.  Parallel directed edges are distinct; loops never appear in a
     SAW of length >= 1.  ``split``, as for :func:`count_saws`, from
-    ``_series_split(q, start, bound)``."""
+    ``_series_split(q, start, bound)``: below full rank the count runs on
+    q's free lattice, with that lattice's stabiliser and tail memo
+    (:meth:`QuotientGraph.free_lattice`), and otherwise on q's orbit
+    keys."""
     split = split or _series_split(q, start, n_max)
     counts = split.counts(q, start, n_max, workers)
     return WalkCounts(q.quotient_id, split.key, True, tuple(counts))

@@ -12,10 +12,16 @@ exact number of n-step directed SAWs with at most r occurrences.
 
 Every series is counted by :meth:`sawkit.counting._Split.counts` on
 interned orbit and family-set ids (:func:`_quotient_series`), through
-the caller's split of the quotient or one of its own, as the directed
-counts are: its prefixes are merged under the quotient's start
-stabiliser maps, which act on slots, and where the stabiliser is the
-identity alone, the walker runs once from the root.  One walker,
+the caller's orbit split of the quotient
+(:func:`sawkit.counting._orbit_split`) or one of its own: its prefixes
+are merged under the quotient's start stabiliser maps, which act on
+slots and carry the cycle family onto itself, and where the stabiliser
+is the identity alone, the walker runs once from the root.  Below full
+rank the directed counts run on the quotient's free lattice instead,
+but an event series never does: that lattice's own maps need not carry
+the family (on square-octagon / (1 -1) its reflection does not, and
+merging under it gives 14 event-free 4-step walks, not 16), so an
+event series refuses a free-lattice split.  One walker,
 :func:`_event_counts_from`, counts every (k, m, r): it keeps each set's
 live intersection count with the walk and marks a position once, when
 it occurs; the unwindowed zero-occurrence counts, which the ratio
@@ -34,7 +40,7 @@ from functools import partial
 from itertools import product
 from typing import Optional
 
-from .counting import _IdTable, _series_split, _Split
+from .counting import _IdTable, _orbit_split, _Split
 from .exact import Radical
 from .quotient import QuotientGraph, TypeReport, classify_type
 
@@ -282,7 +288,11 @@ def _quotient_series(q: QuotientGraph, family: CycleFamily, k: int,
         raise EventParameterError("occurrence allowance r must be >= 0")
     walker = partial(_event_counts_from, family=family, k=k, m=m, r=r,
                      sets=({}, [], [], [], [], []))
-    split = split or _series_split(q, start, n_max)
+    if split is None:
+        split = _orbit_split(q, start, n_max)
+    elif split.table.source != q.drow:
+        raise ValueError("event series are counted on the quotient's orbit "
+                         "keys, not on its free lattice")
     return split.counts(q, start, n_max, workers, walker)
 
 
@@ -294,7 +304,7 @@ def event_free_series(q: QuotientGraph, family: CycleFamily, k: int,
     depth 0..n_max in one pass: :func:`event_series` with m=None, r=0.
     A task replays the arrivals along its prefix, so a prefix that
     already holds an event adds nothing.  ``split``, from
-    ``_series_split(q, start, bound)``, is a run's table to count on, as
+    ``_orbit_split(q, start, bound)``, is a run's table to count on, as
     for :func:`sawkit.counting.count_directed_saws`."""
     return _quotient_series(q, family, k, n_max, None, 0, start, workers,
                             split)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
+from operator import add
 from typing import Optional
 
 from .graphs import (GraphHandle, GraphError, PeriodicLattice, TreeWithEnd,
@@ -238,6 +239,63 @@ class QuotientGraph:
         """(rows, pivot columns) of the Hermite normal form of L, for a
         sublattice action."""
         return self._hnf, self._piv
+
+    def free_lattice(self) -> Optional[PeriodicLattice]:
+        """The quotient by a sublattice L of rank r < d as a periodic
+        lattice of dimension d - r, on which its directed SAWs are
+        counted; None for a finite or tree quotient, and where dropping
+        the loops leaves cells of unequal degree (a base self-edge in L
+        at one cell and none at another), which a
+        :class:`PeriodicLattice` refuses.
+
+        Its cells are the pairs (base cell c, pivot coordinates p) with p
+        in prod_j [0, pivot_j), numbered by :meth:`free_vertex`, and its
+        offsets are the non-pivot (free) coordinates.  Each base edge row
+        (i, j, off, m), taken from every cell (i, p), joins it to the
+        cell and free offset of the Hermite reduction of p + off, with p
+        placed in the pivot coordinates; loops are dropped.
+
+        Why this is the quotient: a translation by a vector f supported
+        on the free coordinates changes no pivot coordinate, so every
+        Hermite reduction step subtracts the same multiple of its row,
+        and reduce(x + f) = reduce(x) + f.  The quotient is therefore
+        periodic along the free coordinates, the orbit key (c, y) is the
+        lattice vertex ((c, y_piv), y_free), and each lattice slot
+        multiplicity is the :meth:`drow` multiplicity of its target.  A
+        directed quotient SAW is a SAW on this multigraph, since a loop
+        is never a SAW step.
+        """
+        if self.finite or self.action.kind != "sublattice":
+            return None
+        base, hnf, piv = self.base, self._hnf, self._piv
+        d = base.dimension
+        zero = (0,) * (d - len(piv))
+        edges = []
+        for i, j, off, m in base.edges:
+            for p in product(*map(range, self._diag)):
+                x = [0] * d
+                for pc, a in zip(piv, p):
+                    x[pc] = a
+                cell = self.free_vertex((i, x))[0]
+                target = self.free_vertex((j, reduce_mod_lattice(
+                    tuple(map(add, x, off)), hnf, piv)))
+                if target != (cell, zero):
+                    edges.append((cell, *target, m))
+        try:
+            return PeriodicLattice(d - len(piv), base.cells * prod(self._diag),
+                                   edges, f"{self.quotient_id}|free")
+        except GraphError:
+            return None
+
+    def free_vertex(self, o) -> tuple:
+        """The vertex (cell, free coordinates) of :meth:`free_lattice`
+        that is the orbit key o = (c, y): its cell numbers (c, y's pivot
+        coordinates) in the order of :attr:`orbits`, c first."""
+        c, y = o
+        for pc, h in zip(self._piv, self._diag):
+            c = c * h + y[pc]
+        piv = set(self._piv)
+        return c, tuple(a for k, a in enumerate(y) if k not in piv)
 
     def rep_of(self, o):
         """The canonical representative vertex of an orbit key."""

@@ -21,8 +21,9 @@ from sawkit.bounds import LowerBoundSequence, bridge_bounds, lower_bounds
 from sawkit.certificate import (CheckRecord, SearchOutcome, _fmt_radical,
                                 certify_ratio, find_epsilon_m)
 from sawkit.cli import run
-from sawkit.counting import (_series_split, _stabiliser, count_directed_saws,
-                             count_saws, lattice_stabiliser)
+from sawkit.counting import (_orbit_split, _series_split, _stabiliser,
+                             count_directed_saws, count_saws,
+                             lattice_stabiliser)
 from sawkit.events import CycleFamily, build_cycle_family, event_free_series
 from sawkit.exact import Radical, float_repr
 from sawkit.graphs import PeriodicLattice, catalog, load_spec_file
@@ -307,16 +308,21 @@ def test_counts_through_a_shared_split_match_fresh_counts(workers,
     for graph, rows, bound in SPLIT_QUOTIENTS:
         q = _split_quotient(graph, rows)
         fam = build_cycle_family(q)
+        # as in find_epsilon_m: below full rank the directed series runs
+        # on the free lattice and the event series on an orbit split
         split = _series_split(q, None, bound)
+        esplit = split if q.free_lattice() is None else \
+            _orbit_split(q, None, bound)
         got = {n: (count_directed_saws(q, n, workers=workers, split=split),
                    event_free_series(q, fam, fam.length, n,
-                                     workers=workers, split=split))
+                                     workers=workers, split=esplit))
                for n in [bound] + list(range(bound))}
         shared.append([got[n] for n in range(bound + 1)])
     assert shared == fresh
-    # one table per split, none on the tree, whose counts are a formula
+    # one table per split, none on the tree, whose counts are a formula;
+    # zd:2 / (1 1) has two splits
     assert len(tables) - fresh_tables == \
-        len(SPLIT_GRAPHS) - 1 + len(SPLIT_QUOTIENTS)
+        len(SPLIT_GRAPHS) - 1 + len(SPLIT_QUOTIENTS) + 1
     assert bool(forced_pool) == (workers == 2)
 
 

@@ -18,14 +18,15 @@ from oracles import (apply_map, naive_at_most, naive_directed_saw_counts,
                      naive_directed_saw_paths, naive_event_count,
                      naive_occurrence_tally)
 from sawkit import counting
-from sawkit.bounds import bridge_bounds
-from sawkit.certificate import certify_ratio
-from sawkit.counting import (_counts_from, _merge_prefixes, _quotient_maps,
-                             _series_split, count_directed_saws,
-                             lattice_stabiliser)
+from sawkit.bounds import LowerBoundSequence, bridge_bounds
+from sawkit.certificate import certify_ratio, find_epsilon_m
+from sawkit.cli import run
+from sawkit.counting import (_counts_from, _merge_prefixes, _orbit_split,
+                             _quotient_maps, _series_split,
+                             count_directed_saws, lattice_stabiliser)
 from sawkit.events import (CycleFamily, build_cycle_family, count_with_events,
                            event_free_series, event_series)
-from sawkit.graphs import InvalidVertexError, augment, catalog
+from sawkit.graphs import InvalidVertexError, augment, catalog, load_spec_file
 from sawkit.quotient import build_quotient, sublattice_action, tree_action
 
 # (graph, sublattice rows, order of the quotient's start stabiliser)
@@ -222,6 +223,114 @@ def test_tree_actions_keep_the_identity_only():
         assert _series_split(q, None, 4).maps == ()
 
 
+# rank-deficient quotients, counted on their free lattices: (graph,
+# sublattice rows, free dimension, free cells)
+FREE = [("square-octagon", "1 -1", 1, 4), ("square-octagon", "1 1", 1, 4),
+        ("square-octagon", "2 0", 1, 8), ("square-octagon", "2 -2", 1, 8),
+        ("zd:2", "1 0", 1, 1), ("zd:2", "2 0", 1, 2), ("zd:2", "1 1", 1, 1),
+        ("zd:2", "2 1", 1, 2), ("zd:2", "3 0", 1, 3),
+        ("zd:3", "1 0 0", 2, 1), ("zd:3", "2 0 0;0 2 0", 1, 4),
+        ("zd:3", "1 1 0", 2, 1), ("zd:3", "1 1 1", 2, 1)]
+# a base self-edge that L turns into a loop at cell 0 only: e_1 at cell
+# 0 and e_2 at cell 1, the cells joined at offsets (0, 0) and (0, 1)
+UNEQUAL_LOOPS = ("kind lattice\ndimension 2\ncells 2\nedge 0 0 1 0 1\n"
+                 "edge 1 1 0 1 1\nedge 0 1 0 0 1\nedge 0 1 0 1 1\n")
+
+
+@pytest.mark.parametrize("graph,rows,dimension,cells", FREE)
+def test_free_lattice_rows_are_the_quotient_rows_without_loops(
+        graph, rows, dimension, cells):
+    q = _quotient(graph, rows)
+    lat = q.free_lattice()
+    assert (lat.dimension, lat.cells) == (dimension, cells)
+    for o in _probe(q):
+        c, y = q.free_vertex(o)
+        row = Counter()
+        for tc, delta, m in lat.slot_table()[c]:
+            row[tc, tuple(a + b for a, b in zip(y, delta))] += m
+        assert row == Counter({q.free_vertex(t): m for t, m in q.drow(o)
+                               if t != o}), o
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_free_lattice_directed_counts_match_oracle(workers, forced_pool):
+    for graph, rows, _d, _c in FREE:
+        q = _quotient(graph, rows)
+        n = 7 if graph == "zd:3" else 10
+        assert _series_split(q, None, n).table.radius > 0, rows
+        assert list(count_directed_saws(q, n, workers=workers).counts) == \
+            naive_directed_saw_counts(q, n), rows
+    # from other orbits of a torsion case: the other pivot cell, moved
+    # along the free coordinate too
+    q = _quotient("zd:2", "2 0")
+    for start in ((0, (1, 0)), (0, (1, -3))):
+        assert list(count_directed_saws(q, 10, start=start,
+                                        workers=workers).counts) == \
+            naive_directed_saw_counts(q, 10, start), start
+    assert bool(forced_pool) == (workers == 2)
+
+
+def test_unequal_degrees_after_loops_count_on_orbit_keys(tmp_path, capsys):
+    # L = (1 0) drops cell 0's self-edge as a loop and keeps cell 1's,
+    # which leaves the free cells degrees 2 and 4: no periodic lattice
+    path = tmp_path / "unequal.txt"
+    path.write_text(UNEQUAL_LOOPS)
+    q = build_quotient(load_spec_file(str(path)), sublattice_action([[1, 0]]))
+    assert q.loops((0, (0, 0))) == 2 and q.loops((1, (0, 0))) == 0
+    assert q.free_lattice() is None
+    split = _series_split(q, None, 10)
+    assert split.table.source == q.drow and split.table.radius == 0
+    want = naive_directed_saw_counts(q, 10)
+    for start in ((0, (0, 0)), (1, (0, 0))):
+        assert list(count_directed_saws(q, 10, start=start).counts) == \
+            naive_directed_saw_counts(q, 10, start), start
+    assert run(["count", "--spec", str(path), "--sublattice", "1 0",
+                "--n", "10"]) == 0
+    assert str(want[10]) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("graph,rows", [
+    ("square-octagon", "1 -1"), ("zd:2", "2 0"), ("zd:3", "2 0 0;0 2 0")])
+def test_event_series_never_merge_under_free_lattice_maps(graph, rows):
+    # the free lattice's reflection does not carry square-octagon's cycle
+    # family onto itself: merged under it, sigma_4 reads 14, not 16
+    q = _quotient(graph, rows)
+    fam = build_cycle_family(q)
+    want = [naive_event_count(q, fam.sets_at, j, fam.length, None, 0)
+            for j in range(9)]
+    assert event_free_series(q, fam, fam.length, 8) == want
+    # the search pairs them as it should: the directed series on the
+    # free lattice, the event series on an orbit split
+    bound = LowerBoundSequence.from_constant(1, q.base.graph_id)
+    for workers in (1, 2):
+        out = find_epsilon_m(q, fam, bound, 8, workers)
+        assert out.event_free == want
+        assert out.directed == naive_directed_saw_counts(q, 8)
+    with pytest.raises(ValueError, match="orbit keys"):
+        event_free_series(q, fam, fam.length, 8,
+                          split=_series_split(q, None, 8))
+
+
+def test_free_lattice_maps_do_not_carry_the_cycle_family():
+    # why event series keep orbit splits: on square-octagon / (1 -1) the
+    # orbit key (c, (0, f)) is the free lattice vertex (c, (f,)), and the
+    # reflection of that lattice's stabiliser maps the cycle family at
+    # some orbit onto sets that are not the family at its image
+    q = _quotient("square-octagon", "1 -1")
+    fam = build_cycle_family(q)
+    assert q.free_vertex((2, (0, -3))) == (2, (-3,))
+    identity, reflection = lattice_stabiliser(q.free_lattice())
+
+    def image(key):
+        c, (f,) = apply_map(reflection, q.free_vertex(key))
+        return c, (0, f)
+
+    moved = [o for o in _probe(q) if {frozenset(map(image, s))
+                                      for s in fam.sets_at(o)}
+             != set(fam.sets_at(image(o)))]
+    assert moved and apply_map(identity, (1, (4,))) == (1, (4,))
+
+
 def _probe(q, radius=3):
     """The orbits within ``radius`` directed steps of the origin orbit."""
     seen = {q.origin_orbit()}
@@ -234,10 +343,26 @@ def _probe(q, radius=3):
 
 @pytest.mark.parametrize("graph,rows", [(g, r) for g, r, _ in
                                         FINITE + INFINITE])
-def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows):
+def test_maps_fix_the_start_and_carry_rows_and_families(graph, rows,
+                                                        monkeypatch):
     q = _quotient(graph, rows)
     fam = build_cycle_family(q)
+    used = []
+    real = counting._Split.counts
+
+    def spy(split, *args, **kwargs):
+        used.append(split)
+        return real(split, *args, **kwargs)
+
+    monkeypatch.setattr(counting._Split, "counts", spy)
     for start in _starts(q):
+        # the split an event series counts on merges under exactly the
+        # maps checked below, on orbit keys, at every rank
+        event_free_series(q, fam, fam.length, 2, start=start)
+        split = used.pop()
+        assert split.table.source == q.drow
+        assert [sigma.args[2] for sigma in split.maps] == \
+            [m[3] for m in _descending_maps(q, start)]
         for m in _descending_maps(q, start):
             def image(key, m=m):
                 return q.orbit_of(apply_map(m, q.rep_of(key)))
@@ -281,8 +406,8 @@ def test_slot_table_maps_merge_as_the_orbit_image_action(graph, rows):
     q = _quotient(graph, rows)
     for start in _starts(q):
         for n in (8, 10):
-            split = _series_split(q, start, n)
-            ref = _series_split(q, start, n)
+            split = _orbit_split(q, start, n)
+            ref = _orbit_split(q, start, n)
             orbit_maps = [partial(_orbit_image_slot, ref.table,
                                   _orbit_sigma(q, ref.table, m))
                           for m in _descending_maps(q, start)]
@@ -319,7 +444,9 @@ def test_directed_counts_match_across_workers(forced_pool, monkeypatch):
             count_directed_saws(q, n, workers=1).counts, rows
     assert forced_pool == [2] * len(cases)
     # on one worker a quotient whose stabiliser is the identity alone
-    # merges nothing, so each of its series runs once from the root
+    # merges nothing, so each of its event series runs once from the
+    # root; square-octagon / (1 -1) counts its directed series on its
+    # free lattice, whose stabiliser has two maps, so that count merges
     merged = []
     real = counting._merge_prefixes
 
@@ -335,7 +462,7 @@ def test_directed_counts_match_across_workers(forced_pool, monkeypatch):
         event_free_series(q, fam, fam.length, n)
         event_series(q, fam, fam.length, n, m=2, r=1)
     count_directed_saws(_quotient(*cases[0][:2]), 6, workers=1)
-    assert merged == [6]
+    assert merged == [12, 6]
 
 
 # a spawned process receives the walker pickled, a forked one inherits it

@@ -197,15 +197,9 @@ def test_cells_no_map_joins_count_with_their_own_memo(monkeypatch, cell,
 Z2MOD22 = build_quotient(Z2, sublattice_action([[2, 0], [0, 2]]))
 
 
-@pytest.mark.parametrize("graph,n", [
-    (build_quotient(catalog("zd(1)"), sublattice_action([[3]])), 8),
-    # parallel directed edges: (1, 0) and (0, -1) reach one orbit
-    (build_quotient(Z2, sublattice_action([[1, 1]])), 10),
-    (build_quotient(catalog("tree-with-end(3)"), tree_action("child-swap")),
-     10),
-    (CayleyGraph(Z2_PRESENTATION, "z2"), 8)],
-    ids=["zd(1)/3", "zd(2)/(1,1)", "tree-with-end(3)/child-swap", "cayley"])
-def test_tables_off_a_lattice_keep_no_memo(monkeypatch, graph, n):
+def _tables_of_one_count(monkeypatch, graph, n) -> list:
+    """The tables that counting ``graph`` to n counts on, after checking
+    the counts against the naive oracle."""
     seen = []
     real = counting._Split.counts
 
@@ -221,7 +215,84 @@ def test_tables_off_a_lattice_keep_no_memo(monkeypatch, graph, n):
         got = count_directed_saws(graph, n).counts
         want = naive_directed_saw_counts(graph, n)
     assert list(got) == want
+    return seen
+
+
+@pytest.mark.parametrize("graph,n", [
+    (build_quotient(catalog("zd(1)"), sublattice_action([[3]])), 8),
+    (build_quotient(catalog("tree-with-end(3)"), tree_action("child-swap")),
+     10),
+    (CayleyGraph(Z2_PRESENTATION, "z2"), 8)],
+    ids=["zd(1)/3", "tree-with-end(3)/child-swap", "cayley"])
+def test_tables_off_a_lattice_keep_no_memo(monkeypatch, graph, n):
+    seen = _tables_of_one_count(monkeypatch, graph, n)
     assert [t.radius for t in seen] == [0] and not seen[0].memos
+
+
+@pytest.mark.parametrize("graph,n", [
+    # parallel directed edges: (1, 0) and (0, -1) reach one orbit
+    (build_quotient(Z2, sublattice_action([[1, 1]])), 10),
+    (build_quotient(catalog("square-octagon"), sublattice_action([[1, -1]])),
+     12)],
+    ids=["zd(2)/(1,1)", "square-octagon/(1,-1)"])
+def test_free_lattice_tables_keep_a_memo(monkeypatch, graph, n):
+    # a quotient by a sublattice of rank below d counts on its free
+    # lattice, with that lattice's memo depth and one memo per class
+    seen = _tables_of_one_count(monkeypatch, graph, n)
+    lat = graph.free_lattice()
+    K, _balls, classes = _tail_balls(lat.slot_table(), 0, lat.dimension)
+    assert [t.radius for t in seen] == [K] and K > 0
+    assert len(seen[0].memos) == len(classes) == lat.cells
+    assert len({id(m) for m in seen[0].memos}) == len(set(classes))
+
+
+def _balls_trying_every_part(slots, dimension, heads_balls):
+    """(balls, classes) as found when every cell tries every linear part
+    from every class head, in order, with the heads' breadth-first balls
+    taken from ``heads_balls``."""
+    index = counting._slot_index(slots)
+    balls, classes = [], []
+    for c in range(len(slots)):
+        phi = next(((r, P, pi, t) for r in sorted(set(classes))
+                    for P in counting._linear_parts(slots, dimension)
+                    for pi, t in counting._cell_maps(
+                        slots, index, counting._moved(slots, P), r, c)),
+                   None)
+        if phi is None:
+            classes.append(c)
+            balls.append(heads_balls[c])
+            continue
+        r, P, pi, t = phi
+        classes.append(r)
+        balls.append(tuple(
+            (pi[tc], tuple(sum(p * a for p, a in zip(row, x)) + b
+                           for row, b in zip(P, t[tc])))
+            for tc, x in balls[r]))
+    return tuple(balls), tuple(classes)
+
+
+def _free(graph, rows):
+    return build_quotient(catalog(graph), sublattice_action(
+        [[int(x) for x in r.split()] for r in rows.split(";")])).free_lattice()
+
+
+@pytest.mark.parametrize("g", [
+    LATTICES[name][0] for name in ("ladder", "square-octagon", "honeycomb",
+                                   "kagome", "two-ball")] + [
+    _free("square-octagon", "1 -1"), _free("square-octagon", "2 0"),
+    _free("square-octagon", "2 -2"), _free("zd:2", "3 0"),
+    _free("zd:3", "2 0 0;0 2 0")],
+    ids=["ladder", "square-octagon", "honeycomb", "kagome", "two-ball",
+         "square-octagon/(1,-1)", "square-octagon/(2,0)",
+         "square-octagon/(2,-2)", "zd(2)/(3,0)", "zd(3)/(2,0,0;0,2,0)"])
+def test_composed_maps_find_the_balls_a_full_search_finds(g):
+    # a cell reached by composing maps found before tries only the linear
+    # parts of the maps onto it, and still gets the first map of all
+    slots = g.slot_table()
+    for cell in range(g.cells):
+        _K, balls, classes = _tail_balls(slots, cell, g.dimension)
+        assert (balls, classes) == \
+            _balls_trying_every_part(slots, g.dimension, balls), cell
 
 
 naive_bridges = lru_cache(maxsize=None)(naive_bridge_counts)
