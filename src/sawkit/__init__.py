@@ -13,13 +13,13 @@ docstrings for the individual engines:
 - :mod:`sawkit.events`     cycle families and event-constrained counts
 - :mod:`sawkit.bounds`     bridge and degree lower bounds b_n
 - :mod:`sawkit.certificate` ratio certificates and replay verification
-- :mod:`sawkit.balls`      radius-ball witnesses (transitivity, isomorphism)
+- :mod:`sawkit.balls`      radius-ball witnesses (rooted ball isomorphism)
 - :mod:`sawkit.cli`        the `saw` command
 """
 
 from .exact import Interval, Radical, float_repr, log_of_count_root
 from .graphs import (CATALOG_NAMES, GraphError, GraphHandle, PeriodicLattice,
-                     augment, ball, catalog, dump_spec_file, load_spec_file)
+                     augment, ball, catalog, load_spec_file)
 from .quotient import (QuotientError, QuotientGraph, SubgroupAction,
                        TypeReport, build_quotient,
                        check_representative_independence, check_symmetry,
@@ -38,14 +38,14 @@ from .certificate import (CertificateError, CheckRecord, NoContractionError,
                           RatioCertificate, SearchOutcome, VerifyReport,
                           certify_ratio, compute_R, compute_S, find_epsilon_m,
                           verify_certificate)
-from .balls import ball_sizes_uniform, balls_isomorphic, induced_ball_edges
+from .balls import balls_isomorphic, induced_ball_edges
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Interval", "Radical", "float_repr", "log_of_count_root",
     "CATALOG_NAMES", "GraphError", "GraphHandle", "PeriodicLattice",
-    "augment", "ball", "catalog", "dump_spec_file", "load_spec_file",
+    "augment", "ball", "catalog", "load_spec_file",
     "QuotientError", "QuotientGraph", "SubgroupAction", "TypeReport",
     "build_quotient", "check_representative_independence", "check_symmetry",
     "classify_type", "derive_undirected", "lift",
@@ -60,6 +60,6 @@ __all__ = [
     "CertificateError", "CheckRecord", "NoContractionError",
     "RatioCertificate", "SearchOutcome", "VerifyReport", "certify_ratio",
     "compute_R", "compute_S", "find_epsilon_m", "verify_certificate",
-    "ball_sizes_uniform", "balls_isomorphic", "induced_ball_edges",
+    "balls_isomorphic", "induced_ball_edges",
     "__version__",
 ]

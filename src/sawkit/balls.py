@@ -1,28 +1,15 @@
-"""Radius-ball witnesses: transitivity and ball isomorphism.
+"""Radius-ball witnesses: rooted ball isomorphism.
 
-These checks turn assertions that are global for infinite graphs
-(vertex-transitivity, isomorphism of two one-ended lattices) into finite
-computations on radius-r balls.  They are witnesses, not proofs: a failed
-check refutes, a passed check is evidence at the probed radius — which is
-the strongest finite statement available and exactly what the test-suite
-pins down.
+The check turns an assertion that is global for infinite graphs
+(isomorphism of two one-ended lattices) into a finite computation on
+radius-r balls.  It is a witness, not a proof: a failed check refutes, a
+passed check is evidence at the probed radius — which is the strongest
+finite statement available.
 """
 
 from __future__ import annotations
 
 from .graphs import GraphHandle, ball, ball_with_dist
-
-
-def ball_sizes_uniform(g: GraphHandle, radius: int = 3,
-                       sample_radius: int = 2) -> bool:
-    """Transitivity witness: |ball(v, radius)| equal for every v near the
-    origin.  A vertex-transitive graph passes for all radii; unequal cell
-    environments fail fast."""
-    base = len(ball(g, g.origin(), radius))
-    for v in sorted(ball(g, g.origin(), sample_radius)):
-        if len(ball(g, v, radius)) != base:
-            return False
-    return True
 
 
 def induced_ball_edges(g: GraphHandle, v, r: int) -> tuple:

@@ -635,11 +635,6 @@ class RatioCertificate:
     def status(self) -> str:
         return self.payload["status"]
 
-    @property
-    def ratio_bound(self) -> Optional[float]:
-        v = self.payload["parameters"].get("ratio_bound")
-        return None if v is None else float(v)
-
     def to_json(self) -> str:
         return json.dumps(self.payload, indent=2) + "\n"
 
@@ -653,10 +648,6 @@ class RatioCertificate:
             raise ValueError("certificate JSON nests too deeply to decode") \
                 from None
         return cls(payload)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "RatioCertificate":

@@ -86,7 +86,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Optional
 
 from .exact import Radical
-from .graphs import GraphHandle, PeriodicLattice, _norm_edge
+from .graphs import GraphHandle, PeriodicLattice
 from .quotient import QuotientGraph, reduce_mod_lattice
 
 
@@ -265,16 +265,9 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
     a memo only under maps that keep them; the Z^d bridge tables have
     one cell.
 
-    The linear parts are tried in order, and phi is the first map found.
-    Once the maps found for earlier cells, or their inverses, carry a
-    placed cell onto c (:func:`_composed`), the maps r -> c are the
-    stabiliser of (r, 0) followed by that composite, and
-    :func:`_stabiliser` caches the stabiliser for the counts anyway.
-    Only their linear parts are tried, in the same order, so phi is the
-    map that trying every linear part finds first, as long as the
-    stabiliser is whole (it is, unless _MAX_MAPS cuts it short).  On
-    square-octagon the search makes 7 :func:`_cell_maps` calls instead of
-    15: cell 1 still takes 5, and cells 2 and 3 one each.
+    The class heads are tried in order, and for each every linear part
+    in order; phi is the first map found.  On square-octagon that is 15
+    :func:`_cell_maps` calls, paid once per slot table and start cell.
 
     Only lattice tables get a memo: one per id, on a table whose keys
     are no translates, did not pay.  Against no memo (min of 7 runs,
@@ -304,22 +297,12 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
     if K < 2:
         return 0, (), ()
     index = _slot_index(slots)
-    balls, classes, maps = [], [], []
+    balls, classes = [], []
     for c in range(len(slots)):
-        heads, wanted = sorted(set(classes)), None
-        known = _composed(maps, classes, c)
-        if known is not None:
-            # the maps r -> c are the stabiliser of (r, 0) followed by
-            # the composite: only their linear parts are tried, in order
-            r, L = known
-            heads, wanted = [r], {_product(L, m[0]) for m in _stabiliser(
-                dimension, len(slots), _slot_edges(slots), r, False)}
-        phi = next(((r, P, pi, t) for r in heads
-                    for P in _linear_parts(slots, dimension)
-                    if wanted is None or P in wanted for pi, t
+        phi = next(((r, P, pi, t) for r in sorted(set(classes))
+                    for P in _linear_parts(slots, dimension) for pi, t
                     in _cell_maps(slots, index, _moved(slots, P), r, c)),
                    None)
-        maps.append(phi and phi[1:])
         if phi is None:
             classes.append(c)
             balls.append(tuple(v for _d, v in takewhile(
@@ -331,27 +314,6 @@ def _tail_balls(slots: tuple, cell: int, dimension: int) -> tuple:
                 (pi[tc], tuple(a + b for a, b in zip(_act(P, x), t[tc])))
                 for tc, x in balls[r]))
     return K, tuple(balls), tuple(classes)
-
-
-def _composed(maps, classes, c):
-    """(r, L) for a map from the cell r that heads a class onto cell c,
-    composed of the maps found so far, with L its linear part; None if
-    they carry no placed cell onto c.  ``maps[b]`` is the (P, pi, t) of
-    a map classes[b] -> b, None where b heads its class.
-
-    A map carrying b onto c (or its inverse doing so), after the map
-    that carries b's class head onto b, carries that head onto c up to a
-    translation."""
-    for P, pi, _t in filter(None, maps):
-        for b, mb in enumerate(maps):
-            if pi.get(b) == c:
-                L = P
-            elif pi.get(c) == b:
-                L = _integer_inverse(P)
-            else:
-                continue
-            return classes[b], L if mb is None else _product(L, mb[0])
-    return None
 
 
 # The tail memo step, shared by the SAW walker below and the bridge walker
@@ -609,34 +571,6 @@ _MAX_MAPS = 48
 def _act(P, x) -> tuple:
     """The matrix product P.x, with P a tuple of rows."""
     return tuple([sum(map(mul, row, x)) for row in P])
-
-
-def _product(A, B) -> tuple:
-    """The matrix product A.B, each a tuple of rows."""
-    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*B))
-                 for row in A)
-
-
-def _integer_inverse(P) -> tuple:
-    """The inverse of P, a tuple of rows, as its highest power below the
-    identity: the linear part of an automorphism permutes a finite set
-    of translations that spans R^d (:func:`_linear_parts`), so it has
-    finite order."""
-    eye = tuple(tuple(int(i == j) for j in range(len(P)))
-                for i in range(len(P)))
-    Q = P
-    while (PQ := _product(P, Q)) != eye:
-        Q = PQ
-    return Q
-
-
-def _slot_edges(slots) -> tuple:
-    """The edge rows of the lattice with slot table ``slots``, as
-    :class:`PeriodicLattice` keeps them: each undirected edge orbit once,
-    in its canonical orientation, with its multiplicity."""
-    return tuple(sorted({_norm_edge(c, tc, delta, m)
-                         for c, row in enumerate(slots)
-                         for tc, delta, m in row}))
 
 
 def _independent(vectors) -> list:

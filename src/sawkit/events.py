@@ -141,19 +141,14 @@ class CycleFamily:
         return tuple(sorted(found, key=sorted))
 
 
-def build_cycle_family(q: QuotientGraph, report: Optional[TypeReport] = None,
-                       radius: Optional[int] = None) -> CycleFamily:
+def build_cycle_family(q: QuotientGraph,
+                       report: Optional[TypeReport] = None) -> CycleFamily:
     """Cycle family at the quotient's classification length.
 
-    ``report`` defaults to a fresh classification; ``radius``, when
-    given, caps the accepted cycle length (a guard for callers that can
-    only afford a bounded search).
+    ``report`` defaults to a fresh classification.
     """
     if report is None:
         report = classify_type(q)
-    if radius is not None and report.length > radius:
-        raise EventParameterError(
-            f"cycle length {report.length} exceeds the radius cap {radius}")
     return CycleFamily(q, report.length)
 
 
@@ -370,13 +365,6 @@ class EventProfile:
     n_max: int
     grid: tuple
     lambdas: tuple
-
-    def count(self, n: int, k: int, m: Optional[int], r: int) -> int:
-        key = (n, k, -1 if m is None else m, r)
-        for kk, v in self.grid:
-            if kk == key:
-                return v
-        raise KeyError(key)
 
 
 def build_event_profile(q: QuotientGraph, family: CycleFamily, n_max: int,

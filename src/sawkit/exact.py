@@ -125,9 +125,6 @@ class Radical:
 
     # -- conversions --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.num == 0
-
     def log(self) -> float:
         """Natural log of the value as a float; -inf for zero."""
         if self.num == 0:

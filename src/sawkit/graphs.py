@@ -158,8 +158,9 @@ class PeriodicLattice(GraphHandle):
     endpoints merge their counts.
 
     Vertex-transitivity is *asserted* by the catalog (translations alone
-    act transitively only within a cell index); :mod:`sawkit.balls`
-    provides the radius-ball witness check used by the test-suite.
+    act transitively only within a cell index); the test-suite checks,
+    on the catalog, that the radius-3 balls around the vertices near the
+    origin have one size.
     """
 
     def __init__(self, dimension: int, cells: int, edges: Iterable[tuple],
@@ -341,11 +342,6 @@ class CayleyGraph(GraphHandle):
                 return w
         raise RewriteLimitError(
             f"rewriting did not terminate within {self._MAX_PASSES} passes")
-
-    def relators_close(self, v: tuple) -> bool:
-        """Every relator, walked from v, returns to v (closed walk)."""
-        return all(self.reduce_word(v + r) == v
-                   for r in self.presentation.relators)
 
     # -- handle interface ----------------------------------------------------
 
@@ -636,8 +632,3 @@ def spec_text(g: PeriodicLattice) -> str:
     for (i, j, off, m) in g.edges:
         lines.append("edge " + " ".join(str(t) for t in (i, j, *off, m)))
     return "\n".join(lines) + "\n"
-
-
-def dump_spec_file(g: PeriodicLattice, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(spec_text(g))

@@ -150,7 +150,7 @@ def test_criterion_08_certificate_pipeline(cert_paths, capsys):
     assert code == 0
     cert = RatioCertificate.load(cert_file)
     assert cert.status == "certified"
-    assert cert.ratio_bound < 1.0
+    assert float(cert.payload["parameters"]["ratio_bound"]) < 1.0
     assert float(cert.payload["parameters"]["ln_ratio_bound"]) < 0.0
 
     assert run(["verify", cert_file, "--out", report_file]) == 0

@@ -118,8 +118,6 @@ def test_parameter_validation(q_z1mod3):
         event_series(q_z1mod3, fam, 2, -1, m=1, r=1)
     with pytest.raises(ValueError):
         count_with_events(q_z1mod3, None, -1, fam, 2, 1, 1)
-    with pytest.raises(EventParameterError):
-        build_cycle_family(q_z1mod3, radius=2)      # cap below cycle length
 
 
 def test_lambda_upper(q_sqoct_ladder):
@@ -137,12 +135,12 @@ def test_event_profile(q_z1mod3):
                                rs=(0, 1, 2))
     assert prof.cycle_length == 3 and prof.n_max == 4
     for (n, k, m, r), want in EVENTS_Z1MOD3.items():
-        assert prof.count(n, k, m, r) == want
+        assert dict(prof.grid)[n, k, -1 if m is None else m, r] == want
     # growth estimates cover every threshold and depth
     keys = {kn for kn, _ in prof.lambdas}
     assert keys == {(k, n) for k in (1, 2, 3) for n in range(1, 5)}
     with pytest.raises(KeyError):
-        prof.count(5, 1, None, 0)
+        dict(prof.grid)[5, 1, -1, 0]
 
 
 def test_event_profile_enumerates_once_per_k(q_sqoct_ladder, monkeypatch):

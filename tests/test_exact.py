@@ -53,7 +53,7 @@ def test_radical_scaled_is_exact():
 
 def test_radical_zero():
     z = Radical.nth_root(0, 5)
-    assert z.is_zero()
+    assert z.num == 0
     assert z < Radical.from_fraction(Fraction(1, 10**9))
     assert not z < z
     assert float(z) == 0.0

@@ -429,6 +429,16 @@ def test_one_function_builds_cell_maps():
     assert [(mod, where) for mod, source in sources.items()
             for where, _name in _calls(source, {"_cell_maps"})
             if mod != "counting.py"] == []
+    # the tail balls search their maps themselves, not through the
+    # stabiliser, which only its wrapper, the quotient descent and its
+    # own fix_first filter read
+    assert sorted(_calls(sources["counting.py"], {"_stabiliser"})) == [
+        ("_descending_tables", "_stabiliser"),
+        ("_stabiliser", "_stabiliser"),
+        ("lattice_stabiliser", "_stabiliser")]
+    assert [(mod, where) for mod, source in sources.items()
+            for where, _name in _calls(source, {"_stabiliser"})
+            if mod != "counting.py"] == []
 
 
 def test_one_generator_gives_the_linear_parts():

@@ -10,7 +10,9 @@ in breadth-first order.  Root counts run at every depth 0..2K+1, so the
 limit is below, at and above both K and 2K; split counts run at a depth
 whose prefix tasks reach 2K.  Cells that an automorphism exchanges share
 one memo, also in a pickled table, and counts from every cell of a table
-whose memo the start cell filled match the oracle.  Tables off a lattice
+whose memo the start cell filled match the oracle; each cell's ball,
+matched position by position with its class head's, is a rooted
+isomorphism of the induced ball multigraphs.  Tables off a lattice
 keep no memo, and no table outlives its count.
 """
 
@@ -246,53 +248,50 @@ def test_free_lattice_tables_keep_a_memo(monkeypatch, graph, n):
     assert len({id(m) for m in seen[0].memos}) == len(set(classes))
 
 
-def _balls_trying_every_part(slots, dimension, heads_balls):
-    """(balls, classes) as found when every cell tries every linear part
-    from every class head, in order, with the heads' breadth-first balls
-    taken from ``heads_balls``."""
-    index = counting._slot_index(slots)
-    balls, classes = [], []
-    for c in range(len(slots)):
-        phi = next(((r, P, pi, t) for r in sorted(set(classes))
-                    for P in counting._linear_parts(slots, dimension)
-                    for pi, t in counting._cell_maps(
-                        slots, index, counting._moved(slots, P), r, c)),
-                   None)
-        if phi is None:
-            classes.append(c)
-            balls.append(heads_balls[c])
-            continue
-        r, P, pi, t = phi
-        classes.append(r)
-        balls.append(tuple(
-            (pi[tc], tuple(sum(p * a for p, a in zip(row, x)) + b
-                           for row, b in zip(P, t[tc])))
-            for tc, x in balls[r]))
-    return tuple(balls), tuple(classes)
-
-
 def _free(graph, rows):
     return build_quotient(catalog(graph), sublattice_action(
         [[int(x) for x in r.split()] for r in rows.split(";")])).free_lattice()
 
 
+def _multiplicities(slots, ball) -> dict:
+    """The slot multiplicity of each ordered pair of ball vertices joined
+    by an edge, summed over parallel slots."""
+    inside, mult = set(ball), {}
+    for u in ball:
+        for tc, delta, m in slots[u[0]]:
+            w = (tc, tuple(a + b for a, b in zip(u[1], delta)))
+            if w in inside:
+                mult[u, w] = mult.get((u, w), 0) + m
+    return mult
+
+
 @pytest.mark.parametrize("g", [
     LATTICES[name][0] for name in ("ladder", "square-octagon", "honeycomb",
-                                   "kagome", "two-ball")] + [
+                                   "kagome", "two-ball", "zd(1)", "zd(2)",
+                                   "zd(3)")] + [
     _free("square-octagon", "1 -1"), _free("square-octagon", "2 0"),
     _free("square-octagon", "2 -2"), _free("zd:2", "3 0"),
     _free("zd:3", "2 0 0;0 2 0")],
     ids=["ladder", "square-octagon", "honeycomb", "kagome", "two-ball",
-         "square-octagon/(1,-1)", "square-octagon/(2,0)",
-         "square-octagon/(2,-2)", "zd(2)/(3,0)", "zd(3)/(2,0,0;0,2,0)"])
-def test_composed_maps_find_the_balls_a_full_search_finds(g):
-    # a cell reached by composing maps found before tries only the linear
-    # parts of the maps onto it, and still gets the first map of all
-    slots = g.slot_table()
+         "zd(1)", "zd(2)", "zd(3)", "square-octagon/(1,-1)",
+         "square-octagon/(2,0)", "square-octagon/(2,-2)", "zd(2)/(3,0)",
+         "zd(3)/(2,0,0;0,2,0)"])
+def test_each_ball_is_a_rooted_image_of_its_class_heads_ball(g):
+    # the memo of a class is sound for a cell c only if balls[r][i] ->
+    # balls[c][i] is a rooted isomorphism of the induced ball multigraphs
+    slots, zero = g.slot_table(), (0,) * g.dimension
     for cell in range(g.cells):
-        _K, balls, classes = _tail_balls(slots, cell, g.dimension)
-        assert (balls, classes) == \
-            _balls_trying_every_part(slots, g.dimension, balls), cell
+        K, balls, classes = _tail_balls(slots, cell, g.dimension)
+        assert K >= 2 and len(balls) == len(classes) == g.cells
+        for c, r in enumerate(classes):
+            assert classes[r] == r
+            head, ball = balls[r], balls[c]
+            assert head[0] == (r, zero) and ball[0] == (c, zero)
+            assert len(ball) == len(set(ball)) == len(head)
+            image = dict(zip(head, ball))
+            assert {(image[u], image[w]): m for (u, w), m
+                    in _multiplicities(slots, head).items()} == \
+                _multiplicities(slots, ball), (cell, c)
 
 
 naive_bridges = lru_cache(maxsize=None)(naive_bridge_counts)
